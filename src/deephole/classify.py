@@ -1,8 +1,9 @@
 """Full enumeration of deep-hole cosets at redundancy 3 and 4, the
 irreducible-quadratic hypergraph, and coverage experiments.
 
-A coset of PRS(q+1,k) is deep exactly when its syndrome avoids the span of
-every (q-k-1)-subset of the normal rational curve (the parity-check columns).
+A coset of PRS(q+1,k) with covering radius rho is deep exactly when its
+syndrome avoids the span of every (rho-1)-subset of the normal rational curve
+(the parity-check columns).
 The primary enumeration below walks those spans directly; the coset-leader
 weight table of the code is computed independently and the two routes are
 required to agree.
@@ -41,6 +42,12 @@ def nrc_points(field: GF, r: int) -> list[tuple[int, ...]]:
     return pts
 
 
+def prs_covering_radius(q: int, k: int) -> int:
+    """Covering radius of PRS(q+1,k): q-k, except q-k+1 at even q with
+    k in {2, q-2}."""
+    return q - k + 1 if q % 2 == 0 and k in (2, q - 2) else q - k
+
+
 def deep_syndromes(code: Code) -> frozenset[int]:
     """Packed syndromes of all deep-hole cosets of a PRS code with redundancy
     3 or 4, by direct span enumeration, cross-checked against the coset-leader
@@ -52,14 +59,14 @@ def deep_syndromes(code: Code) -> frozenset[int]:
     if r not in (3, 4):
         raise ValueError(f"redundancy {r} unsupported; classification needs 3 or 4")
     rho = code.covering_radius()
-    if rho != q - k:
+    if rho != prs_covering_radius(q, k):
         raise TheoremAssertionError(
-            f"covering radius of {code!r} is {rho}, not q-k = {q - k}"
+            f"covering radius of {code!r} is {rho}, not {prs_covering_radius(q, k)}"
         )
     pts = nrc_points(field, r)
     shallow = set()
-    for sub in combinations(pts, r - 2):
-        for coeffs in _all_tuples(q, r - 2):
+    for sub in combinations(pts, rho - 1):
+        for coeffs in _all_tuples(q, rho - 1):
             s = [0] * r
             for c, v in zip(coeffs, sub):
                 if c:
@@ -68,7 +75,7 @@ def deep_syndromes(code: Code) -> frozenset[int]:
             shallow.add(code.pack_syndrome(s))
     deep = frozenset(i for i in range(q**r) if i not in shallow)
     weights = code.coset_leader_weights()
-    by_weights = frozenset(int(i) for i in np.nonzero(weights == q - k)[0])
+    by_weights = frozenset(int(i) for i in np.nonzero(weights == rho)[0])
     if deep != by_weights:
         raise TheoremAssertionError(
             "span enumeration and coset-leader weights disagree on the deep set"

@@ -113,8 +113,7 @@ def run_covering_radius(cfg: ExperimentConfig) -> dict:
     if kind == "rs":
         assertions["rho_equals_n_minus_k"] = rho == code.n - code.k
     else:
-        exceptional = q % 2 == 0 and cfg.k in (2, q - 2)
-        conj = q - cfg.k + 1 if exceptional else q - cfg.k
+        conj = classify.prs_covering_radius(q, cfg.k)
         result["conjecture_value"] = conj
         result["matches_conjecture"] = rho == conj
     report["result"] = result
@@ -271,6 +270,8 @@ def run_zero_sum_free(cfg: ExperimentConfig) -> dict:
     field = cfg.field()
     if cfg.r is None:
         raise UsageError("zero-sum-free requires --r")
+    if cfg.r < 1:
+        raise UsageError(f"zero-sum-free requires --r >= 1, got {cfg.r}")
     default_candidate = cfg.set is None
     if default_candidate:
         if field.m != 1:

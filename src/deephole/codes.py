@@ -8,10 +8,12 @@ the base-q integer sum(s_i * q^i).
 
 Two independent error-distance algorithms are provided and cross-validated in
 the test suite: an exhaustive scan over all codewords, and a coset-leader
-weight table over the full syndrome space.  The table is computed by breadth
-first search: level w holds exactly the syndromes expressible as a combination
-of w parity-check columns, and adding one scaled column is a cyclic shift of
-the base-p digit tensor of the syndrome space.
+weight table over the full syndrome space.  The table is built one
+parity-check column h at a time: a syndrome's weight becomes the smaller of
+its weight so far and one more than the least weight so far on its line
+{s + t*h : t in GF(q)}.  Every line meets the slice where a pivot coordinate
+of h is zero exactly once, so the line minima are gathered onto that slice
+and then gathered back, about 2*q^r table reads per column.
 """
 
 from __future__ import annotations
@@ -95,15 +97,18 @@ class Code:
         return self.scale if self.kind == "affine" else (1,) * len(self.D)
 
     def parity_check_matrix(self) -> list[list[int]]:
+        return [list(row) for row in self._h]
+
+    @functools.cached_property
+    def _h(self) -> tuple[tuple[int, ...], ...]:
+        """The parity-check matrix as row tuples, built once per code."""
         f = self.field
         r = self.redundancy
         if self.kind == "projective":
-            rows = []
-            for t in range(r):
-                row = [f.pow(x, t) for x in self.D]
-                row.append(1 if t == r - 1 else 0)
-                rows.append(row)
-            return rows
+            return tuple(
+                tuple(f.pow(x, t) for x in self.D) + (1 if t == r - 1 else 0,)
+                for t in range(r)
+            )
         # dual of a generalized RS code is generalized RS with the classical
         # column multipliers u_i = (v_i * prod_{j != i} (x_i - x_j))^(-1)
         us = []
@@ -113,12 +118,12 @@ class Code:
                 if j != i:
                     prod = f.mul(prod, f.sub(xi, xj))
             us.append(f.inv(f.mul(self.scale[i], prod)))
-        return [
-            [f.mul(u, f.pow(x, t)) for x, u in zip(self.D, us)] for t in range(r)
-        ]
+        return tuple(
+            tuple(f.mul(u, f.pow(x, t)) for x, u in zip(self.D, us)) for t in range(r)
+        )
 
     def h_columns(self) -> list[tuple[int, ...]]:
-        return [tuple(col) for col in zip(*self.parity_check_matrix())]
+        return list(zip(*self._h))
 
     # -- encoding and words ---------------------------------------------------
 
@@ -158,7 +163,7 @@ class Code:
             raise ValueError(f"word length {len(word)} != n = {self.n}")
         f = self.field
         out = []
-        for row in self.parity_check_matrix():
+        for row in self._h:
             acc = 0
             for h, w in zip(row, word):
                 acc = f.add(acc, f.mul(h, w))
@@ -185,9 +190,6 @@ class Code:
         inv = f.inv(c)
         return tuple(f.mul(inv, si) for si in s)
 
-    def projective_coset_id(self, word) -> int:
-        return self.pack_syndrome(self.normalize_syndrome(self.syndrome(word)))
-
     def word_from_syndrome(self, s) -> tuple[int, ...]:
         """A representative word with the given syndrome, supported on the
         first `redundancy` coordinates."""
@@ -207,62 +209,42 @@ class Code:
         if max_syndromes is None:
             max_syndromes = MAX_SYNDROME_SPACE
         fld = self.field
-        p, m, q = fld.p, fld.m, fld.q
-        r = self.redundancy
+        q, r = fld.q, self.redundancy
         if q**r > max_syndromes:
             raise BoundExceededError(
                 f"syndrome space {q}^{r} exceeds bound {max_syndromes}"
             )
-        ndigits = m * r
-        shifts = set()
-        for col in self.h_columns():
-            for c in range(1, q):
-                v = tuple(fld.mul(c, h) for h in col)
-                digs = []
-                for coord in v:
-                    digs.extend(fld.digits(coord))
-                shifts.add(tuple(digs))
-        shifts.discard((0,) * ndigits)
-        total = q**r
-        weights = np.full(total, -1, dtype=np.int8)
+        add_t, mul_t = fld.add_table, fld.mul_table
+        unreached = r + 1
+        weights = np.full(q**r, unreached, dtype=np.int8)
         weights[0] = 0
-        if p == 2:
-            # adding a column multiple is an index XOR in characteristic 2
-            packed = sorted(
-                sum(d << j for j, d in enumerate(digs)) for digs in shifts
-            )
-            covered = np.zeros(total, dtype=bool)
-            covered[0] = True
-            base = np.arange(total, dtype=np.intp)
-            w = 0
-            while not covered.all():
-                w += 1
-                if w > r:
-                    raise AssertionError("BFS exceeded redundancy")
-                new = covered.copy()
-                for v in packed:
-                    new |= covered[base ^ v]
-                weights[new ^ covered] = w
-                covered = new
-        else:
-            # adding a column multiple is a cyclic shift of each base-p digit
-            covered = np.zeros((p,) * ndigits, dtype=bool)
-            covered.flat[0] = True
-            w = 0
-            while not covered.all():
-                w += 1
-                if w > r:
-                    raise AssertionError("BFS exceeded redundancy")
-                new = covered.copy()
-                for digs in shifts:
-                    pairs = [
-                        (ndigits - 1 - j, d) for j, d in enumerate(digs) if d != 0
-                    ]
-                    axes = tuple(a for a, _ in pairs)
-                    amounts = tuple(d for _, d in pairs)
-                    new |= np.roll(covered, amounts, axis=axes)
-                weights[(new ^ covered).reshape(-1)] = w
-                covered = new
+        for h in self.h_columns():
+            # pivot on a nonzero coordinate near the middle, so that the
+            # coordinates above and below it pack into short index vectors
+            i = min((j for j, hj in enumerate(h) if hj), key=lambda j: abs(2 * j - r + 1))
+            view = weights.reshape(q ** (r - 1 - i), q, q**i)
+
+            def moved(c):
+                """Packed indices of the coordinates above and below the pivot,
+                each translated by its entry of c*h."""
+                rows = [add_t[mul_t[c, hj]] for hj in reversed(h)]
+                return _packed(q, rows[: r - 1 - i]), _packed(q, rows[r - i :])
+
+            # every line {s + t*h} meets the slice s_i = 0 once; take its
+            # minimum there
+            line_min = view[:, 0, :].copy()
+            for t in range(1, q):
+                above, below = moved(t)
+                np.minimum(line_min, view[above, mul_t[t, h[i]]][:, below], out=line_min)
+            line_min += 1
+            inv = fld.inv(h[i])
+            for a in range(q):
+                # slice s_i = a reaches slice 0 by adding -(a/h_i)*h
+                above, below = moved(fld.neg(fld.mul(a, inv)))
+                target = view[:, a, :]
+                np.minimum(target, line_min[above][:, below], out=target)
+        if (weights == unreached).any():
+            raise AssertionError("parity-check columns do not span the syndromes")
         self._weights = weights
         return weights
 
@@ -362,6 +344,15 @@ class Code:
 
     def is_mds(self) -> bool:
         return self.minimum_distance() == self.n - self.k + 1
+
+
+def _packed(q: int, rows) -> np.ndarray:
+    """Packed base-q index of every digit tuple, most significant digit
+    first, with digit j mapped through rows[j]."""
+    out = np.zeros(1, dtype=np.intp)
+    for row in rows:
+        out = (out[:, None] * q + row).reshape(-1)
+    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ import numpy as np
 from deephole.errors import BoundExceededError
 
 DEFAULT_MAX_Q = 1 << 20
-# full q*q lookup tables (scalar and numpy) are only built below this size
+# full q*q numpy lookup tables are only built below this size
 TABLE_LIMIT = 4096
 
 
@@ -160,8 +160,6 @@ class GF:
         self._logs = None      # log table relative to self.generator()
         self._exps = None
         self._generator = None
-        self._mul_rows = None  # q lists of length q, q <= TABLE_LIMIT only
-        self._add_rows = None
         self._np_tables = {}
 
     # -- identity ------------------------------------------------------
@@ -203,8 +201,6 @@ class GF:
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
-        if self._add_rows is not None:
-            return self._add_rows[a][b]
         p = self.p
         return sum(((a // pw + b // pw) % p) * pw for pw in self._powers)
 
@@ -225,8 +221,6 @@ class GF:
         return self.undigits(_pp_mod(prod, list(self.modulus), self.p))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_rows is not None:
-            return self._mul_rows[a][b]
         if self.m == 1:
             return a * b % self.p
         if a == 0 or b == 0:
@@ -343,24 +337,6 @@ class GF:
 
     # -- lookup tables ------------------------------------------------------
 
-    def build_scalar_tables(self):
-        """Force q*q add/mul lists for O(1) scalar ops (q <= TABLE_LIMIT)."""
-        if self._mul_rows is not None:
-            return
-        if self.q > TABLE_LIMIT:
-            raise BoundExceededError(f"q = {self.q} exceeds table limit {TABLE_LIMIT}")
-        q = self.q
-        self._add_rows = [[self.add(a, b) for b in range(q)] for a in range(q)]
-        mul_rows = [[0] * q]
-        logs, exps = self._log_tables()
-        for a in range(1, q):
-            la = logs[a]
-            row = [0] * q
-            for b in range(1, q):
-                row[b] = exps[la + logs[b]]
-            mul_rows.append(row)
-        self._mul_rows = mul_rows
-
     def _np_table(self, kind: str) -> np.ndarray:
         """(q, q) uint16 operation table for vectorised code."""
         tab = self._np_tables.get(kind)
@@ -369,7 +345,7 @@ class GF:
                 raise BoundExceededError(
                     f"q = {self.q} exceeds table limit {TABLE_LIMIT}"
                 )
-            op = {"add": self.add, "mul": self.mul, "sub": self.sub}[kind]
+            op = {"add": self.add, "mul": self.mul}[kind]
             q = self.q
             tab = np.empty((q, q), dtype=np.uint16)
             for a in range(q):
@@ -386,10 +362,6 @@ class GF:
     @property
     def mul_table(self) -> np.ndarray:
         return self._np_table("mul")
-
-    @property
-    def sub_table(self) -> np.ndarray:
-        return self._np_table("sub")
 
 
 class FieldElement:

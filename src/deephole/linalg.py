@@ -63,8 +63,3 @@ def solve(field: GF, a, b) -> list[int]:
                 m[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(m[i], m[col])]
     return [m[i][n] for i in range(n)]
 
-
-def in_span(field: GF, vectors, target) -> bool:
-    """Whether target lies in the GF(q)-span of the given vectors."""
-    vs = [list(v) for v in vectors]
-    return rank(field, vs) == rank(field, vs + [list(target)])

@@ -124,10 +124,26 @@ def test_exit_codes():
     assert code == 1
     _, code = _run(["covering-radius", "--q", "5"])  # missing --k
     assert code == 1
-    _, code = _run(["enum-deep-cosets", "--q", "4", "--k", "2"])  # rho hypothesis fails
-    assert code == 2
     _, code = _run(["nonsense", "--q", "5"])
     assert code == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("r", [0, -1])
+def test_zero_sum_free_rejects_nonpositive_r(q, r):
+    report, code = _run(["zero-sum-free", "--q", str(q), "--r", str(r)])
+    assert report is None and code == 1
+
+
+@pytest.mark.parametrize("q, k", [(4, 2), (8, 6)])
+def test_enum_exceptional_radius_is_informational(q, k):
+    # even q with k in {2, q-2}: rho = q-k+1, outside the counting theorems.
+    # The exhaustive oracle finds q-1 syndromes at distance rho: (0, c, 0).
+    report, code = _run(["enum-deep-cosets", "--q", str(q), "--k", str(k)])
+    assert code == 0
+    assert report["result"]["total"] == q - 1
+    assert not report["result"]["in_theorem_range"]
+    assert report["assertions"] == {}
 
 
 def test_size_guard_env(monkeypatch):

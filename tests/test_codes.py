@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from deephole import linalg
 from deephole.codes import Code, prs, rs
 from deephole.errors import BoundExceededError
-from deephole.gf import make_field
+from deephole.gf import field_of_order, make_field
 from deephole.poly import Poly, RationalFunction
 
 G5 = make_field(5)
@@ -230,6 +232,37 @@ def test_coset_leader_weights_structure():
     # weight counts: weight-1 syndromes are the nonzero scalar multiples of
     # the q+1 distinct parity-check columns
     assert (w == 1).sum() == 6 * 4
+
+
+# a code is small enough when all its q^n words scan quickly: q^n * n <= this
+SCAN_BUDGET = 5 * 10**7
+
+
+@st.composite
+def small_codes(draw):
+    """Affine codes on a random evaluation set with a random nonzero scale,
+    and projective codes, with q^r <= 1000 syndromes and r >= 1."""
+    field = field_of_order(draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9))))
+    q = field.q
+    projective = q ** (q + 1) * (q + 1) <= SCAN_BUDGET and draw(st.booleans())
+    if projective:
+        n = q + 1
+    else:
+        n = draw(st.integers(2, max(m for m in range(2, q + 1) if q**m * m <= SCAN_BUDGET)))
+    r = draw(st.integers(1, max(r for r in range(1, n) if q**r <= 1000)))
+    if projective:
+        return prs(field, n - r)
+    D = draw(st.permutations(range(q)))[:n]
+    scale = draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
+    return rs(field, n - r, D=D, scale=scale)
+
+
+@given(small_codes())
+def test_weight_table_matches_exhaustive_distances(code):
+    weights = code.coset_leader_weights()
+    for s in range(code.field.q**code.redundancy):
+        word = code.word_from_syndrome(code.unpack_syndrome(s))
+        assert weights[s] == code.error_distance(word, method="exhaustive")
 
 
 def test_bounds():

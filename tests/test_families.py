@@ -5,7 +5,6 @@ import pytest
 
 from deephole import classify, families
 from deephole.codes import prs, rs
-from deephole.errors import TheoremAssertionError
 from deephole.gf import make_field
 from deephole.poly import Poly, RationalFunction, monic_irreducibles
 from deephole.families import (
@@ -46,9 +45,8 @@ def test_degree_k_family_range_validation():
     with pytest.raises(ValueError):
         # even q only admits 3 <= k <= q-3, which is empty at q = 4
         degree_k_family(prs(make_field(2, 2), 2))
-    with pytest.raises(TheoremAssertionError):
-        # k = q-2 at even q: the covering radius hypothesis itself fails
-        classify.deep_syndromes(prs(make_field(2, 2), 2))
+    # k = q-2 at even q: rho = q-k+1, and the q-1 cosets of weight rho are deep
+    assert len(classify.deep_syndromes(prs(make_field(2, 2), 2))) == 3
 
 
 def test_inverse_monomial_family():
