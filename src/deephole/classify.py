@@ -4,14 +4,14 @@ irreducible-quadratic hypergraph, and coverage experiments.
 A coset of PRS(q+1,k) with covering radius rho is deep exactly when its
 syndrome avoids the span of every (rho-1)-subset of the normal rational curve
 (the parity-check columns).
-The primary enumeration below walks those spans directly; the coset-leader
-weight table of the code is computed independently and the two routes are
-required to agree.
+The primary enumeration below marks those spans with Code.span_ids; the
+coset-leader weight table of the code is computed independently and the two
+routes are required to agree.  The experiments run one family construction
+per irreducible polynomial, in order, on one thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -23,16 +23,6 @@ from deephole.codes import Code, prs
 from deephole.errors import TheoremAssertionError
 from deephole.gf import GF
 from deephole.poly import monic_irreducibles
-
-
-def _pmap(fn, items, threads: int = 1):
-    """Order-preserving map, optionally on a worker pool; the result is
-    independent of the worker count."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def nrc_points(field: GF, r: int) -> list[tuple[int, ...]]:
@@ -63,31 +53,15 @@ def deep_syndromes(code: Code) -> frozenset[int]:
         raise TheoremAssertionError(
             f"covering radius of {code!r} is {rho}, not {prs_covering_radius(q, k)}"
         )
-    pts = nrc_points(field, r)
-    shallow = set()
-    for sub in combinations(pts, rho - 1):
-        for coeffs in _all_tuples(q, rho - 1):
-            s = [0] * r
-            for c, v in zip(coeffs, sub):
-                if c:
-                    for t in range(r):
-                        s[t] = field.add(s[t], field.mul(c, v[t]))
-            shallow.add(code.pack_syndrome(s))
-    deep = frozenset(i for i in range(q**r) if i not in shallow)
-    weights = code.coset_leader_weights()
-    by_weights = frozenset(int(i) for i in np.nonzero(weights == rho)[0])
-    if deep != by_weights:
+    shallow = np.zeros(q**r, dtype=bool)
+    for sub in combinations(nrc_points(field, r), rho - 1):
+        shallow[code.span_ids(sub)] = True
+    deep = np.flatnonzero(~shallow)
+    if not np.array_equal(deep, np.flatnonzero(code.coset_leader_weights() == rho)):
         raise TheoremAssertionError(
             "span enumeration and coset-leader weights disagree on the deep set"
         )
-    return deep
-
-
-def _all_tuples(q: int, length: int):
-    idx = [0] * length
-    total = q**length
-    for code in range(total):
-        yield tuple((code // q**i) % q for i in range(length))
+    return frozenset(deep.tolist())
 
 
 def deep_count_formula(q: int, r: int) -> int:
@@ -133,21 +107,17 @@ class Hypergraph:
     edges: dict  # monic irreducible quadratic coefficients -> frozenset of vertices
 
 
-def build_hypergraph(field: GF, threads: int = 1) -> Hypergraph:
+def build_hypergraph(field: GF) -> Hypergraph:
     """Vertices: projective deep-hole coset ids of PRS(q+1,q-2); one edge of
     q+1 vertices per monic irreducible quadratic."""
     q = field.q
     if q % 2 == 0 or q < 5:
         raise ValueError("the hypergraph is defined for odd q >= 5")
     code = prs(field, q - 2)
-    quads = monic_irreducibles(field, 2)
-
-    def edge(p):
-        fam = families.quadratic_family(code, p)
-        return p.coeffs, fam.projective_cosets()
-
-    pairs = _pmap(edge, quads, threads)
-    edges = {coeffs: verts for coeffs, verts in pairs}
+    edges = {
+        p.coeffs: families.quadratic_family(code, p).projective_cosets()
+        for p in monic_irreducibles(field, 2)
+    }
     vertices = frozenset().union(*edges.values())
     if len(edges) != (q * q - q) // 2:
         raise TheoremAssertionError(
@@ -197,7 +167,7 @@ def hypergraph_stats(h: Hypergraph) -> dict:
     }
 
 
-def completeness_check(field: GF, threads: int = 1) -> dict:
+def completeness_check(field: GF) -> dict:
     """Whether the union of DH(p) over all monic irreducible quadratics equals
     the full deep-coset set of PRS(q+1,q-2) (odd q)."""
     q = field.q
@@ -206,7 +176,7 @@ def completeness_check(field: GF, threads: int = 1) -> dict:
     code = prs(field, q - 2)
     deep = deep_syndromes(code)
     quads = monic_irreducibles(field, 2)
-    fams = _pmap(lambda p: families.quadratic_family(code, p).cosets, quads, threads)
+    fams = [families.quadratic_family(code, p).cosets for p in quads]
     union = frozenset().union(*fams)
     return {
         "q": q,
@@ -221,7 +191,7 @@ def completeness_check(field: GF, threads: int = 1) -> dict:
     }
 
 
-def cubic_coverage_experiment(field: GF, threads: int = 1) -> dict:
+def cubic_coverage_experiment(field: GF) -> dict:
     """How much of the deep-coset set of PRS(q+1,q-3) the cubic construction
     reaches when run over every monic irreducible cubic.  Reported, not
     asserted: completeness here is an open experiment."""
@@ -229,7 +199,7 @@ def cubic_coverage_experiment(field: GF, threads: int = 1) -> dict:
     code = prs(field, q - 3)
     deep = deep_syndromes(code)
     cubics = monic_irreducibles(field, 3)
-    fams = _pmap(lambda p: families.cubic_family(code, p).cosets, cubics, threads)
+    fams = [families.cubic_family(code, p).cosets for p in cubics]
     union = frozenset().union(*fams)
     if not union <= deep:
         raise TheoremAssertionError("cubic families produced a non-deep coset")

@@ -56,13 +56,13 @@ class ExperimentConfig:
     code: str | None = None
     format: str = "json"
     out: str | None = None
-    threads: int = 1
+    threads: int = 1  # echoed in reports; every command runs on one thread
     unsafe_bounds: bool = False
 
     def field(self) -> GF:
         if self.q is not None:
             return field_of_order(self.q)
-        return make_field(self.p, self.m or 1)
+        return make_field(self.p, 1 if self.m is None else self.m)
 
     def check_size_guard(self):
         guard = int(os.environ.get("DEEPHOLE_MAX_Q", DEFAULT_MAX_Q))
@@ -191,7 +191,7 @@ def run_family(cfg: ExperimentConfig) -> dict:
 
 def run_completeness(cfg: ExperimentConfig) -> dict:
     field = cfg.field()
-    res = classify.completeness_check(field, threads=cfg.threads)
+    res = classify.completeness_check(field)
     report = _base_report(cfg, field)
     report["result"] = res
     report["assertions"] = {"union_equals_deep_set": res["equal"]}
@@ -200,7 +200,7 @@ def run_completeness(cfg: ExperimentConfig) -> dict:
 
 def run_hypergraph(cfg: ExperimentConfig) -> dict:
     field = cfg.field()
-    h = classify.build_hypergraph(field, threads=cfg.threads)
+    h = classify.build_hypergraph(field)
     stats = classify.hypergraph_stats(h)
     code = h.code
     report = _base_report(cfg, field)
@@ -220,7 +220,7 @@ def run_hypergraph(cfg: ExperimentConfig) -> dict:
 
 def run_cubic_coverage(cfg: ExperimentConfig) -> dict:
     field = cfg.field()
-    res = classify.cubic_coverage_experiment(field, threads=cfg.threads)
+    res = classify.cubic_coverage_experiment(field)
     report = _base_report(cfg, field)
     report["result"] = res
     report["assertions"] = {}
@@ -276,6 +276,11 @@ def run_zero_sum_free(cfg: ExperimentConfig) -> dict:
     if default_candidate:
         if field.m != 1:
             raise UsageError("default candidate sets exist for prime fields only")
+        if field.p // cfg.r + cfg.r > field.p:
+            raise UsageError(
+                f"the default candidate for r = {cfg.r} has more than p = {field.p} "
+                "elements; pass --set"
+            )
         D = tuple(numbertheory.initial_segment(field.p, cfg.r))
     else:
         D = cfg.set
@@ -310,6 +315,9 @@ _RUNNERS = {
 def run(cfg: ExperimentConfig) -> tuple[dict, int]:
     """Execute one experiment; returns (report, exit code)."""
     cfg.check_size_guard()
+    q = cfg.field().q
+    if cfg.set is not None and any(not 0 <= x < q for x in cfg.set):
+        raise UsageError(f"--set encodings must lie in 0..{q - 1}, got {list(cfg.set)}")
     saved = None
     if cfg.unsafe_bounds:
         saved = (
@@ -465,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--code", choices=("rs", "prs"), default="rs")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", type=str, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help="ignored (one thread)")
         p.add_argument("--unsafe-bounds", action="store_true")
     return parser
 

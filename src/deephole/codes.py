@@ -181,6 +181,25 @@ class Code:
     def coset_id(self, word) -> int:
         return self.pack_syndrome(self.syndrome(word))
 
+    def span_ids(self, syndromes) -> np.ndarray:
+        """Packed coset id of every combination sum c_j*s_j of the given
+        syndromes, indexed by (c_0, c_1, ...) packed base q with c_0 the least
+        significant digit; no syndromes span only the zero coset."""
+        fld = self.field
+        r = self.redundancy
+        if fld.q**r > MAX_SYNDROME_SPACE:  # also keeps the packed ids within int64
+            raise BoundExceededError(
+                f"syndrome space {fld.q}^{r} exceeds bound {MAX_SYNDROME_SPACE}"
+            )
+        add_t, mul_t = fld.add_table, fld.mul_table
+        combos = np.zeros((1, r), dtype=add_t.dtype)  # one digit row per combination
+        for s in syndromes:
+            if len(s) != r:
+                raise ValueError(f"syndrome length {len(s)} != r = {r}")
+            multiples = mul_t[:, list(s)]  # row c holds c*s
+            combos = add_t[multiples[:, None], combos].reshape(-1, r)
+        return combos @ fld.q ** np.arange(r)
+
     def normalize_syndrome(self, s) -> tuple[int, ...]:
         """Scale so the first nonzero coordinate is 1 (projective coset id)."""
         f = self.field

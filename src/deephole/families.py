@@ -1,9 +1,12 @@
 """The explicit deep-hole families and their coset identities.
 
 Each construction returns a DeepHoleFamily holding the set of raw coset ids
-(packed syndromes) plus a few representative words.  Every emitted word is
-verified to sit at distance equal to the covering radius by exact computation;
-the structural hypotheses behind a construction (covering radius q-k, expected
+(packed syndromes) plus a few representative words.  The degree-k, quadratic
+and cubic families are GF(q)-spans of two or three syndromes, so their coset
+ids come from one Code.span_ids call, in the order of the coefficient tuples,
+and only the sample words are built as words.  Every emitted coset is verified
+to sit at distance equal to the covering radius by exact computation; the
+structural hypotheses behind a construction (covering radius q-k, expected
 coset counts) are machine-checked and raise TheoremAssertionError when they
 fail at the tested size.
 """
@@ -12,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from deephole import numbertheory
 from deephole.codes import Code, rs
@@ -66,15 +71,6 @@ def _require_max_distance(code: Code) -> int:
     return rho
 
 
-def _combine_syndromes(field: GF, coeffs, syndromes) -> tuple[int, ...]:
-    out = [0] * len(syndromes[0])
-    for c, s in zip(coeffs, syndromes):
-        if c:
-            for t, st in enumerate(s):
-                out[t] = field.add(out[t], field.mul(c, st))
-    return tuple(out)
-
-
 def _verify_deep(code: Code, cosets, rho: int, what: str):
     weights = code.coset_leader_weights()
     bad = [c for c in cosets if int(weights[c]) != rho]
@@ -84,6 +80,19 @@ def _verify_deep(code: Code, cosets, rho: int, what: str):
         )
 
 
+def _span_words(field: GF, basis, indices) -> tuple[tuple[int, ...], ...]:
+    """The words sum c_j*basis_j at the given Code.span_ids indices."""
+    q = field.q
+    out = []
+    for i in indices:
+        w = (0,) * len(basis[0])
+        for j, b in enumerate(basis):
+            c = i // q**j % q
+            w = tuple(field.add(x, field.mul(c, y)) for x, y in zip(w, b))
+        out.append(w)
+    return tuple(out)
+
+
 def degree_k_family(code: Code) -> DeepHoleFamily:
     """Cosets of the words (u_f, v) with deg f = k, one per (leading
     coefficient, extension coordinate) pair."""
@@ -91,21 +100,18 @@ def degree_k_family(code: Code) -> DeepHoleFamily:
     rho = _require_max_distance(code)
     field = code.field
     q, k = field.q, code.k
-    cosets = set()
-    words = []
-    for a in range(1, q):
-        f = Poly.monomial(field, k, a)
-        for v in range(q):
-            w = code.word(f, last=v)
-            cosets.add(code.coset_id(w))
-            if len(words) < 3:
-                words.append(w)
+    xk = Poly.monomial(field, k)
+    # (a*u_{x^k}, v) has index a + q*v in the span of the syndromes of
+    # (u_{x^k}, 0) and of (0, ..., 0, 1), the last parity-check column
+    ids = code.span_ids((code.syndrome(code.word(xk)), code.h_columns()[-1]))
+    cosets = frozenset(ids.reshape(q, q)[:, 1:].ravel().tolist())
+    words = tuple(code.word(xk, last=v) for v in range(3))
     if len(cosets) != q * (q - 1):
         raise TheoremAssertionError(
             f"degree-k family has {len(cosets)} cosets, expected q(q-1) = {q * (q - 1)}"
         )
     _verify_deep(code, cosets, rho, "degree-k family")
-    return DeepHoleFamily("degree_k", {"k": k}, frozenset(cosets), tuple(words), code)
+    return DeepHoleFamily("degree_k", {"k": k}, cosets, words, code)
 
 
 def inverse_monomial_family(code: Code, delta: int) -> DeepHoleFamily:
@@ -194,30 +200,16 @@ def quadratic_family(code: Code, p: Poly) -> DeepHoleFamily:
     q = field.q
     w1 = code.word_from_rational(RationalFunction(Poly.one(field), p))
     wx = code.word_from_rational(RationalFunction(Poly.x(field), p))
-    s1, sx = code.syndrome(w1), code.syndrome(wx)
-    cosets = set()
-    words = []
-    for b in range(q):
-        for a in range(q):
-            if a == 0 and b == 0:
-                continue
-            s = _combine_syndromes(field, (a, b), (s1, sx))
-            cosets.add(code.pack_syndrome(s))
-            if len(words) < 3:
-                words.append(
-                    tuple(
-                        field.add(field.mul(a, e1), field.mul(b, ex))
-                        for e1, ex in zip(w1, wx)
-                    )
-                )
+    ids = code.span_ids((code.syndrome(w1), code.syndrome(wx)))
+    cosets = frozenset(ids[1:].tolist())
+    # numerator a + b x has index a + q*b
+    words = _span_words(field, (w1, wx), range(1, 4))
     if len(cosets) != q * q - 1:
         raise TheoremAssertionError(
             f"|DH(p)| = {len(cosets)}, expected q^2-1 = {q * q - 1}"
         )
     _verify_deep(code, cosets, rho, f"quadratic family of {p!r}")
-    return DeepHoleFamily(
-        "quadratic", {"poly": list(p.coeffs)}, frozenset(cosets), tuple(words), code
-    )
+    return DeepHoleFamily("quadratic", {"poly": list(p.coeffs)}, cosets, words, code)
 
 
 def cubic_family(code: Code, p: Poly) -> DeepHoleFamily:
@@ -236,39 +228,18 @@ def cubic_family(code: Code, p: Poly) -> DeepHoleFamily:
         code.word_from_rational(RationalFunction(Poly.monomial(field, i), p))
         for i in range(3)
     ]
-    syns = [code.syndrome(w) for w in basis]
-    weights = code.coset_leader_weights()
-    cosets = set()
-    deep_triples = []
-    for c in range(q):
-        for b in range(q):
-            for a in range(q):
-                if a == 0 and b == 0 and c == 0:
-                    continue
-                s = _combine_syndromes(field, (a, b, c), syns)
-                cid = code.pack_syndrome(s)
-                if int(weights[cid]) == rho:
-                    cosets.add(cid)
-                    deep_triples.append((a, b, c))
+    ids = code.span_ids([code.syndrome(w) for w in basis])
+    # numerator a + b x + c x^2 has index a + q*b + q^2*c; index 0 has weight 0
+    deep = np.flatnonzero(code.coset_leader_weights()[ids] == rho)
+    cosets = frozenset(ids[deep].tolist())
     expected = (q - 1) * (q * q + q + 2) // 2
-    if len(cosets) != expected or len(deep_triples) != expected:
+    if len(cosets) != expected or len(deep) != expected:
         raise TheoremAssertionError(
             f"cubic family of {p!r} has {len(cosets)} cosets "
-            f"({len(deep_triples)} generators), expected {expected}"
+            f"({len(deep)} generators), expected {expected}"
         )
-    words = []
-    for a, b, c in deep_triples[:3]:
-        words.append(
-            tuple(
-                field.add(
-                    field.add(field.mul(a, e0), field.mul(b, e1)), field.mul(c, e2)
-                )
-                for e0, e1, e2 in zip(*basis)
-            )
-        )
-    return DeepHoleFamily(
-        "cubic", {"poly": list(p.coeffs)}, frozenset(cosets), tuple(words), code
-    )
+    words = _span_words(field, basis, deep[:3].tolist())
+    return DeepHoleFamily("cubic", {"poly": list(p.coeffs)}, cosets, words, code)
 
 
 def cubic_nondeep_by_splitting(code: Code, p: Poly) -> tuple[set, set]:

@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 
 from deephole.gf import GF, make_field
-from deephole.poly import Poly, is_irreducible
+from deephole.poly import Poly, is_irreducible, monic_irreducibles
 
 # -- subset sums -------------------------------------------------------------
 
@@ -154,8 +154,6 @@ class QuadraticExtension:
     def cubic_residue_counts(self) -> Counter:
         """Multiplicity of each residue among the monic irreducible cubics."""
         if self._cubic_counts is None:
-            from deephole.poly import monic_irreducibles
-
             counts = Counter()
             for p in monic_irreducibles(self.base, 3):
                 counts[self.lift(p)] += 1
@@ -198,8 +196,6 @@ def n3_formula(ring: QuadraticExtension, alpha: int) -> int:
 def n3_sweep(field: GF) -> list[dict]:
     """Rows (q(x), alpha, brute force, formula, r3) over every monic
     irreducible quadratic and every nonzero residue class."""
-    from deephole.poly import monic_irreducibles
-
     rows = []
     for qpoly in monic_irreducibles(field, 2):
         ring = QuadraticExtension(qpoly)

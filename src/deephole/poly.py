@@ -8,6 +8,7 @@ serialization format used in reports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from deephole.gf import GF, prime_factors
@@ -266,9 +267,11 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def monic_irreducibles(field: GF, d: int) -> list[Poly]:
+@functools.lru_cache(maxsize=None)
+def monic_irreducibles(field: GF, d: int) -> tuple[Poly, ...]:
     """All monic irreducibles of degree d, ascending by coefficient encoding
-    (coefficients read as base-q digits, low degree first)."""
+    (coefficients read as base-q digits, low degree first); enumerated once
+    per (field, d)."""
     q = field.q
     out = []
     for code in range(q**d):
@@ -276,7 +279,7 @@ def monic_irreducibles(field: GF, d: int) -> list[Poly]:
         f = Poly(field, coeffs)
         if is_irreducible(f):
             out.append(f)
-    return out
+    return tuple(out)
 
 
 def interpolate(field: GF, points) -> Poly:

@@ -106,10 +106,6 @@ def test_completeness_small():
         completeness_check(make_field(2, 3))
 
 
-def test_completeness_threads_do_not_change_result():
-    assert completeness_check(G5, threads=1) == completeness_check(G5, threads=3)
-
-
 def test_cubic_coverage_q5():
     res = cubic_coverage_experiment(G5)
     assert res["total"] == 360

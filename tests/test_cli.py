@@ -4,9 +4,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from deephole import classify, numbertheory
+from deephole import classify, families, numbertheory
 from deephole.cli import (
+    COMMANDS,
     ExperimentConfig,
     render_csv,
     render_json,
@@ -133,6 +136,58 @@ def test_exit_codes():
 def test_zero_sum_free_rejects_nonpositive_r(q, r):
     report, code = _run(["zero-sum-free", "--q", str(q), "--r", str(r)])
     assert report is None and code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ssp", "--q", "5", "--k", "1", "--set", "9"],  # encoding outside GF(5)
+        ["zero-sum-free", "--q", "5", "--r", "2", "--set", "9,1"],
+        ["zero-sum-free", "--q", "5", "--r", "9"],  # default set {0..8} overflows GF(5)
+        ["zero-sum-free", "--p", "3", "--r", "5"],
+        ["n3", "--p", "3", "--m", "0"],  # no GF(3^0)
+    ],
+)
+def test_inputs_outside_the_field_are_rejected(argv):
+    report, code = _run(argv)
+    assert report is None and code == 1
+
+
+@st.composite
+def small_argvs(draw):
+    """Every command and family tag on a small field, with --k, --r and --set
+    drawn in and just outside their ranges, or left out."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command]
+    if command == "family":
+        argv.append(draw(st.sampled_from(families.TAGS)))
+    q = draw(st.sampled_from((2, 3, 4, 5, 7)))
+    argv += ["--q", str(q)]
+    if command == "covering-radius":
+        argv += ["--code", draw(st.sampled_from(("rs", "prs")))]
+    k = draw(st.none() | st.integers(-1, q + 1))
+    if k is not None:
+        argv += ["--k", str(k)]
+    r = draw(st.none() | st.integers(-1, 4))
+    if r is not None:
+        argv += ["--r", str(r)]
+    shape = draw(st.sampled_from(("none", "none", "subset", "any")))
+    if shape != "none":
+        encodings = draw(
+            st.lists(st.integers(0, q - 1), max_size=q, unique=True)
+            if shape == "subset"
+            else st.lists(st.integers(-1, q), max_size=q + 1)
+        )
+        argv.append("--set=" + ",".join(map(str, encodings)))
+    return argv
+
+
+@settings(max_examples=300)
+@given(small_argvs())
+def test_every_small_input_gets_a_report_or_exit_1(argv):
+    report, code = _run(argv)
+    assert code in (0, 1)
+    assert (report is None) == (code == 1)
 
 
 @pytest.mark.parametrize("q, k", [(4, 2), (8, 6)])

@@ -239,16 +239,17 @@ SCAN_BUDGET = 5 * 10**7
 
 
 @st.composite
-def small_codes(draw):
+def small_codes(draw, scan_budget=SCAN_BUDGET):
     """Affine codes on a random evaluation set with a random nonzero scale,
-    and projective codes, with q^r <= 1000 syndromes and r >= 1."""
+    and projective codes, with q^r <= 1000 syndromes and r >= 1; only codes
+    with q^n * n <= scan_budget are drawn."""
     field = field_of_order(draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9))))
     q = field.q
-    projective = q ** (q + 1) * (q + 1) <= SCAN_BUDGET and draw(st.booleans())
+    projective = q ** (q + 1) * (q + 1) <= scan_budget and draw(st.booleans())
     if projective:
         n = q + 1
     else:
-        n = draw(st.integers(2, max(m for m in range(2, q + 1) if q**m * m <= SCAN_BUDGET)))
+        n = draw(st.integers(2, max(m for m in range(2, q + 1) if q**m * m <= scan_budget)))
     r = draw(st.integers(1, max(r for r in range(1, n) if q**r <= 1000)))
     if projective:
         return prs(field, n - r)
@@ -263,6 +264,27 @@ def test_weight_table_matches_exhaustive_distances(code):
     for s in range(code.field.q**code.redundancy):
         word = code.word_from_syndrome(code.unpack_syndrome(s))
         assert weights[s] == code.error_distance(word, method="exhaustive")
+
+
+@given(small_codes(scan_budget=float("inf")), st.data())
+def test_span_ids_is_syndrome_linearity(code, data):
+    # every combination word is built with scalar field arithmetic, so the
+    # check does not go through the numpy tables that span_ids reads
+    f, q = code.field, code.field.q
+    words = data.draw(
+        st.lists(
+            st.lists(st.integers(0, q - 1), min_size=code.n, max_size=code.n),
+            max_size=3,
+        )
+    )
+    ids = code.span_ids([code.syndrome(w) for w in words])
+    assert len(ids) == q ** len(words)
+    for i, cid in enumerate(ids):
+        combo = [0] * code.n
+        for j, w in enumerate(words):
+            c = i // q**j % q
+            combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, w)]
+        assert cid == code.coset_id(combo)
 
 
 def test_bounds():

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from deephole import classify, families
+from deephole import classify
 from deephole.codes import prs, rs
 from deephole.gf import make_field
 from deephole.poly import Poly, RationalFunction, monic_irreducibles
@@ -213,10 +213,8 @@ def test_cubic_splitting_count_cross_check():
                 )
                 for i in range(3)
             ]
-            nondeep_ids = set()
-            for a, b, cc in near | far:
-                s = families._combine_syndromes(field, (a, b, cc), syns)
-                nondeep_ids.add(c.pack_syndrome(s))
+            ids = c.span_ids(syns)
+            nondeep_ids = {int(ids[a + q * b + q * q * cc]) for a, b, cc in near | far}
             assert not (nondeep_ids & fam.cosets)
             assert len(near | far) + len(fam.cosets) == q**3 - 1
 
