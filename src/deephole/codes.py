@@ -8,7 +8,15 @@ the base-q integer sum(s_i * q^i).
 
 Two independent error-distance algorithms are provided and cross-validated in
 the test suite: an exhaustive scan over all codewords, and a coset-leader
-weight table over the full syndrome space.  The table is built one
+weight table over the full syndrome space.  The scan reads only the generator
+matrix and never holds the q^k-row codeword table.  It writes each codeword as
+a + b, with a spanned by the first k-t generator rows and b by the last t,
+t the least value for which the q^(k-t) words a fit in SCAN_CHUNK symbols, so
+d(w, a+b) = #{i : a_i != (w-b)_i}.  The words a are stored column-major, the
+targets w-b are made for a block of high messages at a time, and mismatches
+are counted one column at a time into buffers of SCAN_CHUNK entries; the
+distance is the minimum count over every block, with no early exit.  The
+weight table is built one
 parity-check column h at a time: a syndrome's weight becomes the smaller of
 its weight so far and one more than the least weight so far on its line
 {s + t*h : t in GF(q)}.  Every line meets the slice where a pivot coordinate
@@ -31,6 +39,9 @@ from deephole.poly import Poly, RationalFunction
 MAX_EXHAUSTIVE_CODEWORDS = 10**7
 MAX_SYNDROME_SPACE = 10**7
 MAX_SPAN_REDUNDANCY = 6
+# entries in one block of the exhaustive scan; the low codeword table and each
+# per-block buffer hold at most this many, a few hundred KB, so they stay in L2
+SCAN_CHUNK = 1 << 18
 
 
 class Code:
@@ -59,7 +70,6 @@ class Code:
         if not 0 < k < self.n:
             raise ValueError(f"dimension k = {k} out of range for n = {self.n}")
         self._weights = None
-        self._codewords = None
 
     @property
     def n(self) -> int:
@@ -191,14 +201,7 @@ class Code:
             raise BoundExceededError(
                 f"syndrome space {fld.q}^{r} exceeds bound {MAX_SYNDROME_SPACE}"
             )
-        add_t, mul_t = fld.add_table, fld.mul_table
-        combos = np.zeros((1, r), dtype=add_t.dtype)  # one digit row per combination
-        for s in syndromes:
-            if len(s) != r:
-                raise ValueError(f"syndrome length {len(s)} != r = {r}")
-            multiples = mul_t[:, list(s)]  # row c holds c*s
-            combos = add_t[multiples[:, None], combos].reshape(-1, r)
-        return combos @ fld.q ** np.arange(r)
+        return _combinations(fld, syndromes, r) @ fld.q ** np.arange(r)
 
     def normalize_syndrome(self, s) -> tuple[int, ...]:
         """Scale so the first nonzero coordinate is 1 (projective coset id)."""
@@ -274,35 +277,44 @@ class Code:
 
     def codewords(self, max_codewords: int | None = None) -> np.ndarray:
         """All q^k codewords as an (N, n) array, row i encoding the message
-        with coefficient digits of i (base q, low degree first)."""
-        if self._codewords is not None:
-            return self._codewords
+        with coefficient digits of i (base q, low degree first); built on
+        each call and kept by nobody, the exhaustive distance included."""
         if max_codewords is None:
             max_codewords = MAX_EXHAUSTIVE_CODEWORDS
-        q = self.field.q
-        big = q**self.k
+        big = self.field.q**self.k
         if big > max_codewords:
             raise BoundExceededError(f"q^k = {big} exceeds bound {max_codewords}")
-        mul_t = self.field.mul_table
-        add_t = self.field.add_table
-        idx = np.arange(big, dtype=np.int64)
-        msgs = [((idx // q**j) % q).astype(np.uint16) for j in range(self.k)]
-        cols = []
-        for pos, x in enumerate(self.D):
-            col = np.zeros(big, dtype=np.uint16)
-            mul_x = np.ascontiguousarray(mul_t[:, x])
-            for j in range(self.k - 1, -1, -1):
-                col = add_t[mul_x[col], msgs[j]]
-            if self.kind == "affine" and self.scale[pos] != 1:
-                col = np.ascontiguousarray(mul_t[:, self.scale[pos]])[col]
-            cols.append(col)
-        if self.kind == "projective":
-            cols.append(msgs[self.k - 1])
-        dt = np.uint8 if q <= 256 else np.uint16
-        out = np.stack(cols, axis=1).astype(dt)
-        out.setflags(write=False)
-        self._codewords = out
-        return out
+        return _combinations(self.field, self.generator_matrix(), self.n)
+
+    def _scan_distance(self, word, max_codewords: int) -> int:
+        """min over all codewords a + b of #{i : a_i != (w - b)_i}, where a
+        spans the first k-t generator rows and b the last t."""
+        fld = self.field
+        q, n, k = fld.q, self.n, self.k
+        if q**k > max_codewords:
+            raise BoundExceededError(f"q^k = {q**k} exceeds bound {max_codewords}")
+        if any(not 0 <= x < q for x in word):
+            raise ValueError(f"word has a symbol outside {fld!r}")
+        t = next(t for t in range(k + 1) if q ** (k - t) * n <= SCAN_CHUNK)
+        g = self.generator_matrix()
+        low = np.ascontiguousarray(_combinations(fld, g[: k - t], n).T)
+        # w - b runs over w + b as b runs over the span of the last t rows
+        high = _combinations(fld, g[k - t :], n)
+        add_t = fld.add_table.astype(low.dtype, copy=False)
+        w = np.asarray(word, dtype=low.dtype)
+        rows = SCAN_CHUNK // low.shape[1]
+        buf = np.empty((rows, low.shape[1]), dtype=bool)
+        counts = np.empty(buf.shape, dtype=np.min_scalar_type(n))
+        best = n
+        for start in range(0, len(high), rows):
+            targets = add_t[high[start : start + rows], w]
+            m = len(targets)
+            counts[:m] = 0
+            for i in range(n):
+                np.not_equal(low[i][None, :], targets[:, i][:, None], out=buf[:m])
+                counts[:m] += buf[:m]
+            best = min(best, int(counts[:m].min()))
+        return best
 
     # -- distances -------------------------------------------------------------
 
@@ -335,9 +347,7 @@ class Code:
             weights = self.coset_leader_weights()
             return int(weights[self.coset_id(word)])
         if method == "exhaustive":
-            cw = self.codewords(max_codewords=max_codewords)
-            arr = np.asarray(word, dtype=cw.dtype)
-            return int((cw != arr).sum(axis=1).min())
+            return self._scan_distance(word, max_codewords)
         raise ValueError(f"unknown method {method!r}")
 
     def minimum_distance(
@@ -363,6 +373,22 @@ class Code:
 
     def is_mds(self) -> bool:
         return self.minimum_distance() == self.n - self.k + 1
+
+
+def _combinations(field: GF, rows, width: int) -> np.ndarray:
+    """Every combination sum c_j*rows_j as a (q^len(rows), width) array,
+    indexed by (c_0, c_1, ...) packed base q with c_0 the least significant
+    digit; uint8 for q <= 256, else uint16."""
+    dt = np.uint8 if field.q <= 256 else np.uint16
+    add_t = field.add_table.astype(dt, copy=False)
+    mul_t = field.mul_table.astype(dt, copy=False)
+    combos = np.zeros((1, width), dtype=dt)  # one row per combination so far
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"row length {len(row)} != {width}")
+        multiples = mul_t[:, list(row)]  # row c holds c*row
+        combos = add_t[multiples[:, None], combos].reshape(-1, width)
+    return combos
 
 
 def _packed(q: int, rows) -> np.ndarray:

@@ -130,21 +130,15 @@ def inverse_monomial_family(code: Code, delta: int) -> DeepHoleFamily:
         f = f * base
     u = code.word(f)
     rho = code.covering_radius()
-    cosets = set()
-    words = []
-    for a in range(1, q):
-        w = tuple(field.mul(a, e) for e in u)
-        cosets.add(code.coset_id(w))
-        if len(words) < 3:
-            words.append(w)
+    # a*u has index a in the span of the syndrome of u
+    cosets = frozenset(code.span_ids((code.syndrome(u),))[1:].tolist())
+    words = _span_words(field, (u,), range(1, min(q, 4)))
     if len(cosets) != q - 1:
         raise TheoremAssertionError(
             f"inverse-monomial family has {len(cosets)} cosets, expected {q - 1}"
         )
     _verify_deep(code, cosets, rho, "inverse-monomial family")
-    return DeepHoleFamily(
-        "inverse_monomial", {"delta": delta}, frozenset(cosets), tuple(words), code
-    )
+    return DeepHoleFamily("inverse_monomial", {"delta": delta}, cosets, words, code)
 
 
 def zero_sum_free_family(field: GF, D, r: int) -> DeepHoleFamily:
@@ -169,9 +163,9 @@ def zero_sum_free_family(field: GF, D, r: int) -> DeepHoleFamily:
             f"zero-sum-free word has distance {dist}, expected n-k = {code.n - k}"
         )
     own = code.coset_id(w)
-    others = set()
-    for a in range(1, field.q):
-        others.add(code.coset_id(code.word(Poly.monomial(field, k, a))))
+    # the words a*x^k, a != 0
+    xk = code.syndrome(code.word(Poly.monomial(field, k)))
+    others = set(code.span_ids((xk,))[1:].tolist())
     for delta in range(field.q):
         if delta in D:
             continue

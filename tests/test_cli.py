@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deephole
 from deephole import classify, families, numbertheory
 from deephole.cli import (
     COMMANDS,
@@ -26,6 +28,19 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def _run(argv):
     report, code = run_command(argv)
     return report, code
+
+
+def _cli(*args):
+    """Run the CLI in a fresh interpreter that imports the package under test,
+    whether or not PYTHONPATH names it."""
+    src = str(Path(deephole.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "deephole.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def test_enum_matches_library():
@@ -264,40 +279,21 @@ def test_out_file(tmp_path):
     report, code = run(cfg)
     assert code == 0
     # main() writes the file; emulate it through the console path
-    rc = subprocess.run(
-        [
-            sys.executable, "-m", "deephole.cli",
-            "enum-deep-cosets", "--q", "5", "--k", "3", "--out", str(out),
-        ],
-        capture_output=True,
-        text=True,
-    )
+    rc = _cli("enum-deep-cosets", "--q", "5", "--k", "3", "--out", str(out))
     assert rc.returncode == 0 and rc.stdout == ""
     assert json.loads(out.read_text())["result"]["total"] == 100
 
 
 def test_console_entry_point_json():
-    rc = subprocess.run(
-        [sys.executable, "-m", "deephole.cli", "enum-deep-cosets", "--q", "5", "--k", "3"],
-        capture_output=True,
-        text=True,
-    )
+    rc = _cli("enum-deep-cosets", "--q", "5", "--k", "3")
     assert rc.returncode == 0
     assert json.loads(rc.stdout)["result"]["total"] == 100
-    rc2 = subprocess.run(
-        [sys.executable, "-m", "deephole.cli", "enum-deep-cosets", "--q", "5", "--k", "3"],
-        capture_output=True,
-        text=True,
-    )
+    rc2 = _cli("enum-deep-cosets", "--q", "5", "--k", "3")
     assert rc2.stdout == rc.stdout  # byte-identical reruns
 
 
 def test_rejected_config_produces_no_output():
-    rc = subprocess.run(
-        [sys.executable, "-m", "deephole.cli", "enum-deep-cosets", "--q", "99", "--k", "3"],
-        capture_output=True,
-        text=True,
-    )
+    rc = _cli("enum-deep-cosets", "--q", "99", "--k", "3")
     assert rc.returncode == 1
     assert rc.stdout == ""
-    assert rc.stderr
+    assert rc.stderr and "Traceback" not in rc.stderr

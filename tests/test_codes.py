@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deephole import linalg
+from deephole import codes, linalg
 from deephole.codes import Code, prs, rs
 from deephole.errors import BoundExceededError
 from deephole.gf import field_of_order, make_field
@@ -124,6 +126,9 @@ def test_error_distance_examples():
     assert c.error_distance(c.encode(Poly(G5, (2, 1, 4))), method="exhaustive") == 0
     with pytest.raises(ValueError):
         c.error_distance(w, method="nonsense")
+    for bad in ((5, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0)):  # symbols outside GF(5)
+        with pytest.raises(ValueError):
+            c.error_distance(bad, method="exhaustive")
 
 
 def test_degree_k_distance_is_n_minus_k():
@@ -251,11 +256,82 @@ def small_codes(draw, scan_budget=SCAN_BUDGET):
     else:
         n = draw(st.integers(2, max(m for m in range(2, q + 1) if q**m * m <= scan_budget)))
     r = draw(st.integers(1, max(r for r in range(1, n) if q**r <= 1000)))
+    return _draw_code(draw, field, n, n - r, projective)
+
+
+def _draw_code(draw, field, n, k, projective):
+    """PRS(q+1,k), or RS(D,k) on a random n-point D with a random nonzero scale."""
+    q = field.q
     if projective:
-        return prs(field, n - r)
+        return prs(field, k)
     D = draw(st.permutations(range(q)))[:n]
     scale = draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
-    return rs(field, n - r, D=D, scale=scale)
+    return rs(field, k, D=D, scale=scale)
+
+
+@st.composite
+def few_codeword_codes(draw, max_codewords=3000):
+    """Affine and projective codes over GF(2)-GF(9) with q^k <= max_codewords."""
+    field = field_of_order(draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9))))
+    q = field.q
+    projective = draw(st.booleans())
+    n = q + 1 if projective else draw(st.integers(2, q))
+    k = draw(st.integers(1, max(k for k in range(1, n) if q**k <= max_codewords)))
+    return _draw_code(draw, field, n, k, projective)
+
+
+def _scan_cases(code, data):
+    """A SCAN_CHUNK and eight words: codewords with 0 to n random symbols
+    overwritten, the first left as it is."""
+    q, n = code.field.q, code.n
+    # n forces t = k, a one-column low table; values in between give ragged
+    # last blocks
+    chunk = data.draw(
+        st.sampled_from((n, codes.SCAN_CHUNK)) | st.integers(n, q**code.k * n)
+    )
+    table = code.codewords()
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    words = []
+    for j in range(8):
+        w = table[rng.randrange(len(table))].tolist()
+        for i in rng.sample(range(n), rng.randrange(n + 1) if j else 0):
+            w[i] = rng.randrange(q)
+        words.append(tuple(w))
+    return chunk, table, words
+
+
+def _assert_scan_matches_table(code, chunk, table, words):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "SCAN_CHUNK", chunk)
+        for w in words:
+            expected = int((table != np.asarray(w)).sum(axis=1).min())
+            assert code.error_distance(w, method="exhaustive") == expected
+
+
+@given(few_codeword_codes(), st.data())
+def test_exhaustive_scan_matches_codeword_table(code, data):
+    _assert_scan_matches_table(code, *_scan_cases(code, data))
+
+
+@given(st.data())
+def test_exhaustive_scan_counts_past_255(data):
+    # n = 258: uint8 mismatch counts would wrap, and symbols need uint16
+    code = prs(field_of_order(257), 1)
+    _assert_scan_matches_table(code, *_scan_cases(code, data))
+
+
+def test_exhaustive_scan_memory_is_bounded():
+    code = prs(9, 7)  # its full codeword table is 9^7 x 10 bytes, 48 MB
+    word = tuple(range(9)) + (4,)
+    code.field.add_table, code.field.mul_table  # built once per field, not per call
+    tracemalloc.start()
+    try:
+        d = code.error_distance(word, method="exhaustive")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d == code.error_distance(word, method="syndrome_span")
+    assert peak < 4 * 2**20
 
 
 @given(small_codes())
@@ -293,6 +369,8 @@ def test_bounds():
         big.coset_leader_weights(max_syndromes=1000)
     with pytest.raises(BoundExceededError):
         big.codewords(max_codewords=10)
+    with pytest.raises(BoundExceededError):
+        big.error_distance((0,) * big.n, method="exhaustive", max_codewords=10)
     with pytest.raises(BoundExceededError):
         big.error_distance((0,) * big.n, method="syndrome_span", max_span_redundancy=6)
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from deephole.errors import BoundExceededError
 from deephole.gf import FieldElement, field_of_order, make_field
@@ -144,6 +146,40 @@ def test_field_axioms():
         for a in range(f.q):
             assert f.add(a, f.neg(a)) == 0
             assert f.sub(a, a) == 0
+
+
+# every prime and extension field with q <= 32
+ORDERS_TO_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
+
+
+@st.composite
+def field_triples(draw):
+    f = field_of_order(draw(st.sampled_from(ORDERS_TO_32)))
+    a, b, c = (draw(st.integers(0, f.q - 1)) for _ in range(3))
+    return f, a, b, c
+
+
+@given(field_triples())
+def test_field_axioms_hold_up_to_q32(triple):
+    f, a, b, c = triple
+    for x, y in ((a, b), (b, c), (a, c)):
+        assert 0 <= f.add(x, y) < f.q and 0 <= f.mul(x, y) < f.q
+    assert f.add(a, 0) == a and f.mul(a, 1) == a and f.mul(a, 0) == 0
+    assert f.add(a, b) == f.add(b, a)
+    assert f.mul(a, b) == f.mul(b, a)
+    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    assert f.add(a, f.neg(a)) == 0
+    assert f.add(f.sub(a, b), b) == a
+    if a:
+        assert f.mul(a, f.inv(a)) == 1
+        assert f.mul(f.div(b, a), a) == b
+    # the characteristic kills every element
+    acc = 0
+    for _ in range(f.p):
+        acc = f.add(acc, a)
+    assert acc == 0
 
 
 def test_tables_match_scalar_ops():

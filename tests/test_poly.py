@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from deephole.gf import make_field
+from deephole.gf import field_of_order, make_field
 from deephole.poly import (
     NEG_INF,
     Poly,
@@ -58,6 +60,24 @@ def test_divmod_roundtrip():
             q, r = divmod(a, b)
             assert q * b + r == a
             assert r.degree < b.degree
+
+
+@st.composite
+def dividend_divisor(draw):
+    field = field_of_order(draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 16, 25, 27))))
+    digit = st.integers(0, field.q - 1)
+    a = Poly(field, draw(st.lists(digit, max_size=9)))
+    b = draw(st.lists(digit, max_size=5)) + [draw(st.integers(1, field.q - 1))]
+    return a, Poly(field, b)
+
+
+@given(dividend_divisor())
+def test_divmod_roundtrip_property(pair):
+    a, b = pair
+    quo, rem = divmod(a, b)
+    assert quo * b + rem == a
+    assert rem.degree < b.degree
+    assert a // b == quo and a % b == rem
 
 
 def test_gcd():
