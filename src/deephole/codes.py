@@ -34,7 +34,7 @@ import numpy as np
 from deephole import linalg
 from deephole.errors import BoundExceededError
 from deephole.gf import GF, field_of_order
-from deephole.poly import Poly, RationalFunction
+from deephole.poly import Poly, RationalFunction, evaluate
 
 MAX_EXHAUSTIVE_CODEWORDS = 10**7
 MAX_SYNDROME_SPACE = 10**7
@@ -162,9 +162,16 @@ class Code:
     def word_from_rational(self, r: RationalFunction, last: int = 0) -> tuple[int, ...]:
         if self.kind != "projective":
             raise ValueError("rational-function words are projective")
-        if r.has_pole():
+        fld = self.field
+        width = max(len(r.num.coeffs), len(r.den.coeffs))
+        rows = np.zeros((2, width), dtype=np.intp)
+        rows[0, : len(r.num.coeffs)] = r.num.coeffs
+        rows[1, : len(r.den.coeffs)] = r.den.coeffs
+        # D is the whole field, so a zero of the denominator on D is a pole
+        num, den = evaluate(fld, rows, self.D).tolist()
+        if 0 in den:
             raise ValueError("denominator has a root in the field")
-        return tuple(r(x) for x in self.D) + (last,)
+        return tuple(fld.div(a, b) for a, b in zip(num, den)) + (last,)
 
     # -- syndromes and cosets ---------------------------------------------------
 

@@ -338,19 +338,26 @@ class GF:
     # -- lookup tables ------------------------------------------------------
 
     def _np_table(self, kind: str) -> np.ndarray:
-        """(q, q) uint16 operation table for vectorised code."""
+        """(q, q) uint16 operation table for vectorised code, built on first
+        use: `add` digit by digit, `mul` from the log and exp tables.  Every
+        intermediate is below 2 * TABLE_LIMIT, so uint16 never wraps."""
         tab = self._np_tables.get(kind)
         if tab is None:
             if self.q > TABLE_LIMIT:
                 raise BoundExceededError(
                     f"q = {self.q} exceeds table limit {TABLE_LIMIT}"
                 )
-            op = {"add": self.add, "mul": self.mul}[kind]
-            q = self.q
-            tab = np.empty((q, q), dtype=np.uint16)
-            for a in range(q):
-                for b in range(q):
-                    tab[a, b] = op(a, b)
+            q, p = self.q, self.p
+            tab = np.zeros((q, q), dtype=np.uint16)
+            if kind == "add":
+                elems = np.arange(q, dtype=np.uint16)
+                for pw in self._powers:
+                    d = elems // pw % p
+                    tab += (d[:, None] + d[None, :]) % p * pw
+            else:
+                logs, exps = self._log_tables()
+                logs = np.array(logs[1:], dtype=np.uint16)
+                tab[1:, 1:] = np.array(exps, dtype=np.uint16)[logs[:, None] + logs]
             tab.setflags(write=False)
             self._np_tables[kind] = tab
         return tab

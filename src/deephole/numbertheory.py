@@ -4,17 +4,22 @@ quadratic.
 
 The residue ring GF(q)[x]/(q(x)) is realized through an explicit isomorphism
 onto GF(q^2), so cubic-residue counting and the order-3 character both run on
-ordinary field arithmetic.  The character-based count and the brute-force
-count are implemented independently so one can check the other.
+ordinary field arithmetic.  The brute-force count still enumerates every monic
+irreducible cubic: all of them are lifted into GF(q^2) in one table-gather
+evaluation (``poly.evaluate``), and each ring's counts at l*alpha are gathered
+over arrays.  The character-based count is computed per class with scalar
+arithmetic and never reads the brute force, so one checks the other.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import Counter
+
+import numpy as np
 
 from deephole.gf import GF, make_field
-from deephole.poly import Poly, is_irreducible, monic_irreducibles
+from deephole.poly import Poly, evaluate, is_irreducible, monic_irreducibles
 
 # -- subset sums -------------------------------------------------------------
 
@@ -83,13 +88,29 @@ def degree_k1_nondeephole(field: GF, D, k: int, a: int) -> bool:
 # -- distribution of irreducible cubics ---------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _embedding(base: GF) -> tuple[GF, np.ndarray]:
+    """GF(q^2) and the image of every base-field element in it.  The base
+    generator-polynomial root goes to tau, the smallest-encoding root of the
+    base modulus in GF(q^2); fetching the GF(q^2) tables first makes a field
+    over TABLE_LIMIT fail here, before any work."""
+    ext = make_field(base.p, 2 * base.m)
+    points = np.arange(ext.q)
+    tau = points[evaluate(ext, [base.modulus], points)[0] == 0][0]
+    digits = [base.digits(e) for e in range(base.q)]
+    embed = evaluate(ext, digits, [tau])[:, 0]
+    embed.setflags(write=False)
+    return ext, embed
+
+
 class QuadraticExtension:
     """GF(q)[x]/(q(x)) realized inside GF(q^2).
 
-    The base field embeds by sending its generator-polynomial root to a root
-    tau of the base modulus in the big field; the residue class of x maps to a
+    The base field embeds through a root tau of the base modulus in the big
+    field, computed once per base field; the residue class of x maps to a
     root theta of q(x).  Both roots are chosen smallest-encoding-first so the
-    realization is deterministic.
+    realization is deterministic.  Residue classes and cubic residues are
+    evaluated over arrays by ``poly.evaluate``; ``lift`` is the scalar route.
     """
 
     def __init__(self, qpoly: Poly):
@@ -98,66 +119,49 @@ class QuadraticExtension:
             raise ValueError(f"{qpoly!r} is not a monic irreducible quadratic")
         self.base = base
         self.qpoly = qpoly
-        self.ext = make_field(base.p, 2 * base.m)
+        self.ext, self._embed = _embedding(base)
         ext = self.ext
-        tau = next(t for t in range(ext.q) if self._horner(base.modulus, t) == 0)
-        self._embed = [0] * base.q
-        for e in range(base.q):
-            acc = 0
-            for j, d in enumerate(base.digits(e)):
-                acc = ext.add(acc, ext.mul(d, ext.pow(tau, j)))
-            self._embed[e] = acc
-        emb_q = [self._embed[c] for c in qpoly.coeffs]
-        self.theta = next(t for t in range(ext.q) if self._horner(emb_q, t) == 0)
-        self._residue = {}
-        for c1 in range(base.q):
-            for c0 in range(base.q):
-                val = ext.add(self._embed[c0], ext.mul(self._embed[c1], self.theta))
-                self._residue[val] = (c0, c1)
-        if len(self._residue) != ext.q:
+        points = np.arange(ext.q)
+        emb_q = self._embed[list(qpoly.coeffs)]
+        self.theta = int(points[evaluate(ext, [emb_q], points)[0] == 0][0])
+        # class c0 + c1 x has code c0 + q*c1; _classes[code] is its image
+        codes = np.arange(base.q**2)
+        linear = self._embed[np.stack([codes % base.q, codes // base.q], axis=1)]
+        self._classes = evaluate(ext, linear, [self.theta])[:, 0]
+        self._codes = np.zeros(ext.q, dtype=np.intp)
+        self._codes[self._classes] = codes
+        if np.bincount(self._classes, minlength=ext.q).max() != 1:
             raise AssertionError("residue map is not a bijection")
         self._cubic_counts = None
 
-    def _horner(self, coeffs, x: int) -> int:
-        ext = self.ext
-        acc = 0
-        for c in reversed(coeffs):
-            acc = ext.add(ext.mul(acc, x), c)
-        return acc
-
     def embed(self, a: int) -> int:
         """Image in GF(q^2) of a base-field element."""
-        return self._embed[a]
+        return int(self._embed[a])
 
     def lift(self, f: Poly) -> int:
         """Image in GF(q^2) of f(x) mod q(x)."""
         ext = self.ext
         acc = 0
         for c in reversed(f.coeffs):
-            acc = ext.add(ext.mul(acc, self.theta), self._embed[c])
+            acc = ext.add(ext.mul(acc, self.theta), self.embed(c))
         return acc
 
     def residue(self, alpha: int) -> tuple[int, int]:
         """Coefficients (c0, c1) of the residue class c0 + c1 x mapping to alpha."""
-        return self._residue[alpha]
+        return divmod(int(self._codes[alpha]), self.base.q)[::-1]
 
-    def residue_classes(self):
-        """Nonzero residue classes in deterministic order, as ext encodings."""
-        base_q = self.base.q
-        out = []
-        for code in range(1, base_q * base_q):
-            c0, c1 = code % base_q, code // base_q
-            ext = self.ext
-            out.append(ext.add(self._embed[c0], ext.mul(self._embed[c1], self.theta)))
-        return out
+    def residue_classes(self) -> list[int]:
+        """Nonzero residue classes in deterministic order (class c0 + c1 x
+        at position c0 + q*c1 - 1), as ext encodings."""
+        return self._classes[1:].tolist()
 
-    def cubic_residue_counts(self) -> Counter:
-        """Multiplicity of each residue among the monic irreducible cubics."""
+    def cubic_residue_counts(self) -> np.ndarray:
+        """Multiplicity of each residue among the monic irreducible cubics,
+        indexed by ext encoding; every cubic lifted in one evaluation."""
         if self._cubic_counts is None:
-            counts = Counter()
-            for p in monic_irreducibles(self.base, 3):
-                counts[self.lift(p)] += 1
-            self._cubic_counts = counts
+            cubics = [p.coeffs for p in monic_irreducibles(self.base, 3)]
+            lifted = evaluate(self.ext, self._embed[cubics], [self.theta])[:, 0]
+            self._cubic_counts = np.bincount(lifted, minlength=self.ext.q)
         return self._cubic_counts
 
 
@@ -168,10 +172,9 @@ def n3_bruteforce(ring: QuadraticExtension, alpha: int) -> int:
         raise ValueError("alpha must be a nonzero residue class")
     counts = ring.cubic_residue_counts()
     ext = ring.ext
-    total = 0
-    for l in range(1, ring.base.q):
-        total += counts.get(ext.mul(ring.embed(l), alpha), 0)
-    return total
+    return sum(
+        int(counts[ext.mul(ring.embed(l), alpha)]) for l in range(1, ring.base.q)
+    )
 
 
 def r3(ring: QuadraticExtension, alpha: int) -> int:
@@ -195,17 +198,23 @@ def n3_formula(ring: QuadraticExtension, alpha: int) -> int:
 
 def n3_sweep(field: GF) -> list[dict]:
     """Rows (q(x), alpha, brute force, formula, r3) over every monic
-    irreducible quadratic and every nonzero residue class."""
+    irreducible quadratic and every nonzero residue class.  The brute-force
+    column of each ring is one gather over (scalar l, class alpha) of the
+    cubic residue counts at l*alpha, still over every irreducible cubic; the
+    formula column is computed per alpha, independently of it."""
+    ext, embed = _embedding(field)
     rows = []
     for qpoly in monic_irreducibles(field, 2):
         ring = QuadraticExtension(qpoly)
-        for alpha in ring.residue_classes():
-            c0, c1 = ring.residue(alpha)
+        alphas = ring.residue_classes()
+        counts = ring.cubic_residue_counts()
+        brute = counts[ext.mul_table[embed[1:]][:, alphas]].sum(axis=0).tolist()
+        for alpha, bf in zip(alphas, brute):
             rows.append(
                 {
                     "qpoly": list(qpoly.coeffs),
-                    "alpha": [c0, c1],
-                    "n3_bruteforce": n3_bruteforce(ring, alpha),
+                    "alpha": list(ring.residue(alpha)),
+                    "n3_bruteforce": bf,
                     "n3_formula": n3_formula(ring, alpha),
                     "r3": r3(ring, alpha),
                 }

@@ -4,12 +4,18 @@ Polynomials are immutable coefficient tuples, low degree first, with no
 trailing zeros; the zero polynomial has an empty tuple and degree -inf.
 Coefficients are field-element encodings (see ``gf``), which is also the
 serialization format used in reports.
+
+``evaluate`` and ``monic_irreducibles`` work on arrays of coefficients by
+gathers from the field's add and mul tables, so they need q <= TABLE_LIMIT;
+the scalar ``Poly`` operations and ``is_irreducible`` are their reference.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+
+import numpy as np
 
 from deephole.gf import GF, prime_factors
 
@@ -267,19 +273,65 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
+def evaluate(field: GF, coeffs, xs) -> np.ndarray:
+    """Every row of an (N, d+1) array of coefficients (low degree first)
+    evaluated at every point of xs, as an (N, len(xs)) array: Horner's rule
+    by table gathers, acc = add[mul[acc, x], c_j]."""
+    add_t, mul_t = field.add_table, field.mul_table
+    coeffs = np.asarray(coeffs, dtype=np.intp)
+    xs = np.asarray(xs, dtype=np.intp)
+    acc = np.zeros((len(coeffs), len(xs)), dtype=add_t.dtype)
+    for j in range(coeffs.shape[1] - 1, -1, -1):
+        acc = add_t[mul_t[acc, xs], coeffs[:, j, None]]
+    return acc
+
+
+def _monic_rows(codes: np.ndarray, q: int, d: int) -> np.ndarray:
+    """(len(codes), d+1) coefficients of the monic degree-d polynomials with
+    the given encodings: the base-q digits of each code, then the leading 1."""
+    rows = np.ones((len(codes), d + 1), dtype=np.intp)
+    for i in range(d):
+        rows[:, i] = codes // q**i % q
+    return rows
+
+
+def _convolve(field: GF, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Products of broadcast rows of coefficients f (..., a+1) and g (..., b+1),
+    one table gather per pair of coefficients."""
+    add_t, mul_t = field.add_table, field.mul_table
+    a, b = f.shape[-1], g.shape[-1]
+    shape = np.broadcast_shapes(f.shape[:-1], g.shape[:-1])
+    out = np.zeros(shape + (a + b - 1,), dtype=add_t.dtype)
+    for i in range(a):
+        for j in range(b):
+            out[..., i + j] = add_t[out[..., i + j], mul_t[f[..., i], g[..., j]]]
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def monic_irreducibles(field: GF, d: int) -> tuple[Poly, ...]:
     """All monic irreducibles of degree d, ascending by coefficient encoding
-    (coefficients read as base-q digits, low degree first); enumerated once
-    per (field, d)."""
+    (coefficients read as base-q digits, low degree first); computed once per
+    (field, d).
+
+    A sieve: every product f*g of monic factors with 1 <= deg f <= d/2 is
+    marked reducible, and the unmarked encodings are kept.  Each block of
+    factors f is multiplied with every g at once, at most q^(d-1) products
+    of d+1 coefficients per block."""
+    if d < 1:
+        raise ValueError("irreducibility is undefined for constants")
     q = field.q
-    out = []
-    for code in range(q**d):
-        coeffs = [(code // q**i) % q for i in range(d)] + [1]
-        f = Poly(field, coeffs)
-        if is_irreducible(f):
-            out.append(f)
-    return tuple(out)
+    reducible = np.zeros(q**d, dtype=bool)
+    powers = q ** np.arange(d)
+    for a in range(1, d // 2 + 1):
+        fs = _monic_rows(np.arange(q**a), q, a)
+        gs = _monic_rows(np.arange(q ** (d - a)), q, d - a)
+        block = q ** (a - 1)
+        for start in range(0, len(fs), block):
+            prod = _convolve(field, fs[start : start + block, None], gs[None])
+            reducible[prod[..., :d] @ powers] = True
+    rows = _monic_rows(np.flatnonzero(~reducible), q, d)
+    return tuple(Poly(field, row) for row in rows.tolist())
 
 
 def interpolate(field: GF, points) -> Poly:

@@ -216,6 +216,18 @@ def test_enum_exceptional_radius_is_informational(q, k):
     assert report["assertions"] == {}
 
 
+def test_n3_over_the_table_limit_exits_before_any_quadratic(monkeypatch, capsys):
+    # n3 --q 67 needs GF(67^2), and 67^2 = 4489 exceeds TABLE_LIMIT
+    def per_quadratic_work(qpoly):
+        raise AssertionError("n3 started per-quadratic work")
+
+    monkeypatch.setattr(numbertheory, "QuadraticExtension", per_quadratic_work)
+    report, code = _run(["n3", "--q", "67", "--unsafe-bounds"])
+    assert report is None and code == 1
+    err = capsys.readouterr().err
+    assert "exceeds table limit 4096" in err and "Traceback" not in err
+
+
 def test_size_guard_env(monkeypatch):
     monkeypatch.setenv("DEEPHOLE_MAX_Q", "17")
     report, code = _run(["enum-deep-cosets", "--q", "17", "--k", "15"])

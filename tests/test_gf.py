@@ -183,13 +183,15 @@ def test_field_axioms_hold_up_to_q32(triple):
 
 
 def test_tables_match_scalar_ops():
-    for p, m in [(5, 1), (3, 2), (2, 3)]:
-        f = make_field(p, m)
-        add_t, mul_t = f.add_table, f.mul_table
-        for a in range(f.q):
-            for b in range(f.q):
-                assert add_t[a, b] == f.add(a, b)
-                assert mul_t[a, b] == f.mul(a, b)
+    # every field with q <= 64, and GF(13^2), the largest field the n3 sweep
+    # of the benchmark builds
+    orders = ORDERS_TO_32 + (37, 41, 43, 47, 49, 53, 59, 61, 64, 169)
+    for f in map(field_of_order, orders):
+        elems = range(f.q)
+        add = [[f.add(a, b) for b in elems] for a in elems]
+        mul = [[f.mul(a, b) for b in elems] for a in elems]
+        assert f.add_table.tolist() == add, f
+        assert f.mul_table.tolist() == mul, f
 
 
 def test_element_encoding_range():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,12 +13,13 @@ from deephole.numbertheory import (
     is_zero_sum_free,
     n3_bruteforce,
     n3_formula,
+    n3_sweep,
     r3,
     subset_sum_count,
     subset_sum_row,
     zero_sum_violations,
 )
-from deephole.poly import Poly, monic_irreducibles
+from deephole.poly import Poly, is_irreducible, monic_irreducibles
 
 G5 = make_field(5)
 G7 = make_field(7)
@@ -184,6 +186,46 @@ def test_n3_q5_sweep():
             assert bf == n3_formula(ring, a)
             seen.add(bf)
     assert seen == {6, 7}  # both character values occur at q = 2 mod 3
+
+
+def test_n3_bruteforce_matches_scalar_recount():
+    # an independent recount: cubics by the irreducibility test, lifted one
+    # at a time by the scalar Horner rule of QuadraticExtension.lift
+    for base in (make_field(2), make_field(3), make_field(2, 2), G5, G7):
+        q = base.q
+        cubics = [
+            Poly(base, low + (1,))
+            for low in itertools.product(range(q), repeat=3)
+            if is_irreducible(Poly(base, low + (1,)))
+        ]
+        for qpoly in monic_irreducibles(base, 2):
+            ring = QuadraticExtension(qpoly)
+            ext = ring.ext
+            lifted = Counter(ring.lift(p) for p in cubics)
+            for alpha in ring.residue_classes():
+                recount = sum(
+                    lifted[ext.mul(ring.embed(l), alpha)] for l in range(1, q)
+                )
+                assert n3_bruteforce(ring, alpha) == recount
+
+
+def test_n3_sweep_rows_match_per_alpha_functions():
+    rows = n3_sweep(G5)
+    expected = []
+    for qpoly in monic_irreducibles(G5, 2):
+        ring = QuadraticExtension(qpoly)
+        for alpha in ring.residue_classes():
+            expected.append(
+                {
+                    "qpoly": list(qpoly.coeffs),
+                    "alpha": list(ring.residue(alpha)),
+                    "n3_bruteforce": n3_bruteforce(ring, alpha),
+                    "n3_formula": n3_formula(ring, alpha),
+                    "r3": r3(ring, alpha),
+                }
+            )
+    assert rows == expected
+    assert len(rows) == 10 * 24
 
 
 def test_n3_pair_accounting():

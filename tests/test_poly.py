@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from deephole.poly import (
     Poly,
     RationalFunction,
     distinct_roots,
+    evaluate,
     gcd,
     interpolate,
     is_irreducible,
@@ -159,6 +161,41 @@ def test_monic_irreducible_necklace_counts():
     ]:
         for d in (2, 3, 4):
             assert len(monic_irreducibles(field, d)) == necklace_count(q, d)
+
+
+@pytest.mark.parametrize(
+    "q, d", [(q, d) for q in (2, 3, 4, 5, 7, 8, 9) for d in (1, 2, 3)]
+    + [(q, 4) for q in (2, 3, 4, 5)],
+)
+def test_monic_irreducibles_sieve_matches_irreducibility_test(q, d):
+    field = field_of_order(q)
+    # ascending encoding: the constant coefficient varies fastest
+    monic = (
+        Poly(field, low[::-1] + (1,))
+        for low in itertools.product(range(q), repeat=d)
+    )
+    expected = [f for f in monic if is_irreducible(f)]
+    assert list(monic_irreducibles(field, d)) == expected
+
+
+@st.composite
+def coefficient_rows(draw):
+    field = field_of_order(draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9))))
+    digit = st.integers(0, field.q - 1)
+    width = draw(st.integers(1, 7))  # degree 0 to 6
+    rows = draw(st.lists(st.lists(digit, min_size=width, max_size=width), max_size=5))
+    if rows and draw(st.booleans()):
+        rows[0] = [0] * width  # the zero polynomial
+    xs = draw(st.lists(digit, max_size=2 * field.q))
+    return field, rows, width, xs
+
+
+@given(coefficient_rows())
+def test_evaluate_matches_scalar_horner(case):
+    field, rows, width, xs = case
+    got = evaluate(field, np.array(rows, dtype=np.intp).reshape(-1, width), xs)
+    assert got.shape == (len(rows), len(xs))
+    assert got.tolist() == [[Poly(field, row)(x) for x in xs] for row in rows]
 
 
 def test_distinct_roots():
