@@ -11,10 +11,11 @@ The package is organised as follows:
                    irreducible-quadratic hypergraph, coverage experiments
 - ``numbertheory`` subset-sum counts, zero-sum-free sets, distribution of
                    irreducible cubics in residue classes
+- ``table``        report row tables held as integer columns, JSON by template
 - ``cli``          command-line harness with JSON/CSV reports
 """
 
-from deephole.gf import GF, FieldElement, make_field
+from deephole.gf import GF, make_field
 
-__all__ = ["GF", "FieldElement", "make_field"]
+__all__ = ["GF", "make_field"]
 __version__ = "0.1.0"

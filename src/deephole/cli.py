@@ -23,6 +23,7 @@ from deephole.codes import prs, rs
 from deephole.errors import BoundExceededError, TheoremAssertionError
 from deephole.gf import GF, field_of_order, is_prime, make_field
 from deephole.poly import monic_irreducibles
+from deephole.table import Table
 
 DEFAULT_MAX_Q = 13
 COMMANDS = (
@@ -233,6 +234,15 @@ def run_ssp(cfg: ExperimentConfig) -> dict:
         raise UsageError("ssp requires --k")
     D = cfg.set if cfg.set is not None else field.element_reprs()
     counts = numbertheory.subset_sum_row(field, D, cfg.k)
+    q = field.q
+    for nonzero, whole in ((False, range(q)), (True, range(1, q))):
+        if set(D) == set(whole):
+            closed = numbertheory.subset_sum_closed_row(field, cfg.k, nonzero)
+            if counts != closed:
+                raise TheoremAssertionError(
+                    f"subset-sum counts {counts} differ from the Li-Wan closed "
+                    f"form {closed} for k = {cfg.k}"
+                )
     report = _base_report(cfg, field)
     result = {
         "D": sorted(D),
@@ -242,7 +252,6 @@ def run_ssp(cfg: ExperimentConfig) -> dict:
     }
     report["result"] = result
     assertions = {}
-    q = field.q
     full = set(D) == set(range(q))
     in_range = (1 <= cfg.k <= q - 1) if q % 2 else (3 <= cfg.k <= q - 3)
     if full and in_range:
@@ -253,14 +262,15 @@ def run_ssp(cfg: ExperimentConfig) -> dict:
 
 def run_n3(cfg: ExperimentConfig) -> dict:
     field = cfg.field()
-    rows = numbertheory.n3_sweep(field)
-    all_match = all(r["n3_bruteforce"] == r["n3_formula"] for r in rows)
+    table = numbertheory.n3_sweep(field)
+    brute = table.columns["n3_bruteforce"]
+    all_match = bool((brute == table.columns["n3_formula"]).all())
     report = _base_report(cfg, field)
     report["result"] = {
-        "rows": rows,
-        "num_rows": len(rows),
+        "rows": table,
+        "num_rows": len(table),
         "all_match": all_match,
-        "zero_classes": sum(1 for r in rows if r["n3_bruteforce"] == 0),
+        "zero_classes": int((brute == 0).sum()),
     }
     report["assertions"] = {"formula_matches_bruteforce": all_match}
     return report
@@ -285,15 +295,19 @@ def run_zero_sum_free(cfg: ExperimentConfig) -> dict:
     else:
         D = cfg.set
     ok = numbertheory.is_zero_sum_free(field, D, cfg.r)
+    violations = numbertheory.zero_sum_violations(field, D, cfg.r)
+    if ok != (not violations):
+        raise TheoremAssertionError(
+            f"the subset-sum count says zero_sum_free = {ok}, but enumeration "
+            f"found {len(violations)} zero-sum {cfg.r}-subsets"
+        )
     report = _base_report(cfg, field)
     report["result"] = {
         "set": sorted(D),
         "r": cfg.r,
         "default_candidate": default_candidate,
         "zero_sum_free": ok,
-        "violations": [
-            list(v) for v in numbertheory.zero_sum_violations(field, D, cfg.r)
-        ],
+        "violations": [list(v) for v in violations],
     }
     report["assertions"] = {}
     return report
@@ -344,8 +358,37 @@ def run(cfg: ExperimentConfig) -> tuple[dict, int]:
 # -- serialization ----------------------------------------------------------------
 
 
+_TABLE_PLACEHOLDER = "\0table"
+# only a report string holding a NUL renders like this; render_json checks
+# that the placeholder count equals the table count
+_TABLE_MARK = json.dumps(_TABLE_PLACEHOLDER)
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, with
+    each ``Table`` written as the list of its rows.  ``json.dumps`` writes a
+    placeholder for each table; the table's own template text then replaces
+    it, at the nesting level that the placeholder's line indent gives."""
+    indent, tables = 2, []
+
+    def placeholder(obj):
+        if not isinstance(obj, Table):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        tables.append(obj)
+        return _TABLE_PLACEHOLDER
+
+    text = json.dumps(report, sort_keys=True, indent=indent, default=placeholder)
+    if tables:
+        parts = text.split(_TABLE_MARK)
+        if len(parts) != len(tables) + 1:
+            raise ValueError("a report string renders as the table placeholder")
+        out = [parts[0]]
+        for table, part in zip(tables, parts[1:]):
+            line = out[-1][out[-1].rfind("\n") + 1 :]
+            level = (len(line) - len(line.lstrip(" "))) // indent
+            out += [table.render_json(indent, level), part]
+        text = "".join(out)
+    return text + "\n"
 
 
 def _csv_rows(report: dict) -> tuple[list[str], list[list]]:
@@ -354,10 +397,10 @@ def _csv_rows(report: dict) -> tuple[list[str], list[list]]:
     q = report["field"]["q"]
     if cmd == "n3":
         header = ["q", "qpoly", "alpha", "n3_bruteforce", "n3_formula", "r3"]
+        cols = [res["rows"].columns[name].tolist() for name in header[1:]]
         rows = [
-            [q, json.dumps(r["qpoly"]), json.dumps(r["alpha"]),
-             r["n3_bruteforce"], r["n3_formula"], r["r3"]]
-            for r in res["rows"]
+            [q, json.dumps(qpoly), json.dumps(alpha), bf, formula, r3]
+            for qpoly, alpha, bf, formula, r3 in zip(*cols)
         ]
         return header, rows
     if cmd == "family":
@@ -419,6 +462,10 @@ def report_diff(a: dict, b: dict) -> list[dict]:
 
 
 def _diff_walk(a, b, path, out):
+    if isinstance(a, Table):
+        a = a.rows()
+    if isinstance(b, Table):
+        b = b.rows()
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
             sub = f"{path}.{key}" if path else str(key)

@@ -321,20 +321,6 @@ class GF:
         """Canonical order of encodings: 1, 2, ..., q-1, 0."""
         return tuple(range(1, self.q)) + (0,)
 
-    def elements(self) -> tuple["FieldElement", ...]:
-        return tuple(FieldElement(self, r) for r in self.element_reprs())
-
-    def element(self, r: int) -> "FieldElement":
-        return FieldElement(self, r)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
     # -- lookup tables ------------------------------------------------------
 
     def _np_table(self, kind: str) -> np.ndarray:
@@ -369,98 +355,6 @@ class GF:
     @property
     def mul_table(self) -> np.ndarray:
         return self._np_table("mul")
-
-
-class FieldElement:
-    """An element of a GF instance; thin wrapper around the encoding."""
-
-    __slots__ = ("field", "r")
-
-    def __init__(self, field: GF, r: int):
-        if not 0 <= r < field.q:
-            raise ValueError(f"encoding {r} out of range for {field!r}")
-        self.field = field
-        self.r = r
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError(f"mismatched fields {self.field!r} / {other.field!r}")
-            return other.r
-        if isinstance(other, int):
-            return other % self.field.p  # ints live in the prime subfield
-        return NotImplemented
-
-    def __add__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.r, r))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.r, r))
-
-    def __rsub__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(r, self.r))
-
-    def __mul__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.r, r))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.r, r))
-
-    def __rtruediv__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(r, self.r))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.r))
-
-    def __pow__(self, n):
-        return FieldElement(self.field, self.field.pow(self.r, n))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.r))
-
-    def is_square(self) -> bool:
-        return self.field.is_square(self.r)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.r == other.r
-        if isinstance(other, int):
-            return self.r == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.r))
-
-    def __bool__(self):
-        return self.r != 0
-
-    def __int__(self):
-        return self.r
-
-    def __repr__(self):
-        return f"{self.field!r}:{self.r}"
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,19 +7,24 @@ onto GF(q^2), so cubic-residue counting and the order-3 character both run on
 ordinary field arithmetic.  The brute-force count still enumerates every monic
 irreducible cubic: all of them are lifted into GF(q^2) in one table-gather
 evaluation (``poly.evaluate``), and each ring's counts at l*alpha are gathered
-over arrays.  The character-based count is computed per class with scalar
-arithmetic and never reads the brute force, so one checks the other.
+over arrays.  The character-based count is gathered over arrays from the
+discrete logs of GF(q^2) and never reads the brute force, so one checks the
+other; ``n3_sweep`` returns both as columns of a ``table.Table``, and the
+scalar ``n3_formula`` and ``r3`` stay as the per-class reference.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
+from deephole.errors import TheoremAssertionError
 from deephole.gf import GF, make_field
 from deephole.poly import Poly, evaluate, is_irreducible, monic_irreducibles
+from deephole.table import Table
 
 # -- subset sums -------------------------------------------------------------
 
@@ -48,6 +53,26 @@ def subset_sum_row(field: GF, D, k: int) -> list[int]:
                 if c:
                     nxt[field.add(s, d)] += c
     return dp[k]
+
+
+def subset_sum_closed_row(field: GF, k: int, nonzero: bool = False) -> list[int]:
+    """N(k, g, D) for every g, indexed by encoding, for D = GF(q), or
+    D = GF(q)* when `nonzero`, by the closed forms of Li and Wan ("On the
+    subset sum problem over finite fields", Finite Fields Appl. 14, 2008).
+    With v(0) = q-1 and v(g) = -1 otherwise, q*N is
+    C(q, k) + [p | k] (-1)^(k + k/p) v(g) C(q/p, k/p) for GF(q), and
+    C(q-1, k) + (-1)^(k + floor(k/p)) v(g) C(q/p - 1, floor(k/p)) for GF(q)*."""
+    q, p = field.q, field.p
+    j = k // p
+    if nonzero:
+        base, corr = math.comb(q - 1, k), (-1) ** (k + j) * math.comb(q // p - 1, j)
+    else:
+        base = math.comb(q, k)
+        corr = (-1) ** (k + j) * math.comb(q // p, j) if k % p == 0 else 0
+    totals = [base + (q - 1) * corr] + [base - corr] * (q - 1)
+    if any(t % q for t in totals):
+        raise TheoremAssertionError(f"Li-Wan totals {totals[:2]} are not multiples of q = {q}")
+    return [t // q for t in totals]
 
 
 def is_zero_sum_free(field: GF, D, r: int) -> bool:
@@ -196,27 +221,45 @@ def n3_formula(ring: QuadraticExtension, alpha: int) -> int:
     return t // 3
 
 
-def n3_sweep(field: GF) -> list[dict]:
-    """Rows (q(x), alpha, brute force, formula, r3) over every monic
-    irreducible quadratic and every nonzero residue class.  The brute-force
-    column of each ring is one gather over (scalar l, class alpha) of the
-    cubic residue counts at l*alpha, still over every irreducible cubic; the
-    formula column is computed per alpha, independently of it."""
+def n3_sweep(field: GF) -> Table:
+    """Columns (q(x), alpha, brute force, formula, r3) over every monic
+    irreducible quadratic and every nonzero residue class, quadratic-major.
+    Every irreducible cubic is lifted into every ring by one evaluation at
+    the rings' roots theta; the brute-force column of each ring is then one
+    gather over (scalar l, class alpha) of its cubic residue counts at
+    l*alpha.  The formula and r3 columns are gathered from the discrete logs
+    of GF(q^2) and never read the brute force."""
     ext, embed = _embedding(field)
-    rows = []
-    for qpoly in monic_irreducibles(field, 2):
-        ring = QuadraticExtension(qpoly)
-        alphas = ring.residue_classes()
-        counts = ring.cubic_residue_counts()
-        brute = counts[ext.mul_table[embed[1:]][:, alphas]].sum(axis=0).tolist()
-        for alpha, bf in zip(alphas, brute):
-            rows.append(
-                {
-                    "qpoly": list(qpoly.coeffs),
-                    "alpha": list(ring.residue(alpha)),
-                    "n3_bruteforce": bf,
-                    "n3_formula": n3_formula(ring, alpha),
-                    "r3": r3(ring, alpha),
-                }
-            )
-    return rows
+    q = field.q
+    quadratics = monic_irreducibles(field, 2)
+    rings = [QuadraticExtension(qpoly) for qpoly in quadratics]
+    cubics = embed[[p.coeffs for p in monic_irreducibles(field, 3)]]
+    lifted = evaluate(ext, cubics, [ring.theta for ring in rings])
+    scaled = ext.mul_table[embed[1:]]  # (l, beta) -> l*beta
+    alphas, brute = [], []
+    for ring, lifts in zip(rings, lifted.T):
+        classes = ring.residue_classes()
+        counts = np.bincount(lifts, minlength=ext.q)
+        brute.append(counts[scaled[:, classes]].sum(axis=0))
+        alphas.append(classes)
+    alphas = np.concatenate(alphas)
+    if q % 3 == 2:
+        logs = np.array([ext.discrete_log(a) for a in range(1, ext.q)])
+        r3_col = np.where(logs[alphas - 1] % 3 == 0, 2, -1)
+    else:
+        r3_col = np.zeros(len(alphas), dtype=np.int64)
+    t = q * (q - 1) - r3_col
+    if np.any(t % 3):
+        raise AssertionError("character formula did not produce a multiple of 3")
+    # residue_classes() lists class c0 + c1 x at position c0 + q*c1 - 1
+    codes = np.arange(1, q * q)
+    residues = np.stack([codes % q, codes // q], axis=1)
+    return Table(
+        {
+            "qpoly": np.repeat([p.coeffs for p in quadratics], len(codes), axis=0),
+            "alpha": np.tile(residues, (len(quadratics), 1)),
+            "n3_bruteforce": np.concatenate(brute),
+            "n3_formula": t // 3,
+            "r3": r3_col,
+        }
+    )

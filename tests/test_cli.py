@@ -1,9 +1,11 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from deephole.cli import (
 )
 from deephole.codes import prs, rs
 from deephole.gf import make_field
+from deephole.table import Table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -41,6 +44,26 @@ def _cli(*args):
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _rows_view(obj):
+    if isinstance(obj, Table):
+        return obj.rows()
+    if isinstance(obj, dict):
+        return {k: _rows_view(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rows_view(v) for v in obj]
+    return obj
+
+
+def _first_difference(a: str, b: str):
+    """None when the texts are equal, else the first differing line of each
+    (pytest's own diff of two long texts takes minutes)."""
+    if a == b:
+        return None
+    la, lb = a.split("\n"), b.split("\n")
+    i = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
+    return i, la[i : i + 1], lb[i : i + 1]
 
 
 def test_enum_matches_library():
@@ -84,6 +107,33 @@ def test_n3_report():
     assert report["result"]["zero_classes"] == 1
     csv_text = render_csv(report)
     assert csv_text.splitlines()[0] == "q,qpoly,alpha,n3_bruteforce,n3_formula,r3"
+
+
+def test_n3_csv_matches_golden_fixture():
+    report, code = _run(["n3", "--q", "3", "--format", "csv"])
+    assert code == 0
+    golden = (FIXTURES / "n3_q3.csv").read_bytes().decode()
+    assert _first_difference(render_csv(report), golden) is None
+
+
+def test_ssp_counts_are_checked_against_the_closed_forms(monkeypatch):
+    for q in (4, 5, 8, 9):
+        nonzero = ",".join(map(str, range(1, q)))
+        for extra in ([], ["--set", nonzero]):
+            report, code = _run(["ssp", "--q", str(q), "--k", "2", *extra])
+            assert code == 0
+    real = numbertheory.subset_sum_closed_row
+
+    def off_by_one(field, k, nonzero=False):
+        return [c + (g == 1) for g, c in enumerate(real(field, k, nonzero))]
+
+    monkeypatch.setattr(numbertheory, "subset_sum_closed_row", off_by_one)
+    for extra in ([], ["--set", "1,2,3,4"]):
+        report, code = _run(["ssp", "--q", "5", "--k", "2", *extra])
+        assert report is None and code == 2
+    # other sets have no closed form to check against
+    report, code = _run(["ssp", "--q", "5", "--k", "2", "--set", "0,1,2"])
+    assert code == 0
 
 
 def test_family_command():
@@ -131,6 +181,31 @@ def test_zero_sum_free_command():
     report, code = _run(["zero-sum-free", "--q", "13", "--set", "0,1,2,3,4", "--r", "2"])
     assert code == 0
     assert report["result"]["zero_sum_free"] is True
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_zero_sum_free_verdict_matches_enumeration(p):
+    explicit = tuple(range(1, p, 2))
+    cases = [(None, r) for r in range(2, p + 1) if p // r + r <= p]
+    cases += [(explicit, r) for r in range(2, len(explicit) + 1)]
+    for D, r in cases:
+        argv = ["zero-sum-free", "--p", str(p), "--r", str(r)]
+        if D is not None:
+            argv += ["--set", ",".join(map(str, D))]
+        report, code = _run(argv)
+        assert code == 0, argv
+        res = report["result"]
+        zero_sums = [
+            list(s) for s in itertools.combinations(res["set"], r) if sum(s) % p == 0
+        ]
+        assert res["zero_sum_free"] == (not zero_sums), argv
+        assert res["violations"] == zero_sums[:10], argv
+
+
+def test_zero_sum_free_disagreement_exits_2(monkeypatch):
+    monkeypatch.setattr(numbertheory, "zero_sum_violations", lambda *a, **kw: [])
+    report, code = _run(["zero-sum-free", "--p", "7", "--r", "2"])  # 3 + 4 = 0
+    assert report is None and code == 2
 
 
 def test_exit_codes():
@@ -254,6 +329,50 @@ def test_reports_are_deterministic():
     x, _ = _run(["n3", "--q", "3"])
     y, _ = _run(["n3", "--q", "3"])
     assert render_json(x) == render_json(y)
+
+
+SMALL_ARGVS = [
+    ["covering-radius", "--code", "prs", "--q", "5", "--k", "3"],
+    ["covering-radius", "--q", "4", "--k", "2"],
+    ["enum-deep-cosets", "--q", "5", "--k", "3"],
+    ["family", "quadratic", "--q", "5", "--k", "3"],
+    ["family", "cubic", "--q", "5"],
+    ["family", "degree_k", "--q", "5", "--k", "3"],
+    ["family", "inverse_monomial", "--q", "5", "--set", "1,2,3,4", "--k", "2"],
+    ["family", "zero_sum_free", "--q", "7", "--set", "0,1,2,3", "--r", "2"],
+    ["completeness", "--q", "5"],
+    ["hypergraph", "--q", "5"],
+    ["cubic-coverage", "--q", "5"],
+    ["ssp", "--q", "7", "--k", "3"],
+    ["zero-sum-free", "--p", "7", "--r", "2"],
+    *(["n3", "--q", str(q)] for q in (2, 3, 4, 5, 7, 8, 9)),
+]
+
+
+@pytest.mark.parametrize("argv", SMALL_ARGVS, ids=" ".join)
+def test_render_json_equals_json_dumps_of_the_rows(argv):
+    report, code = _run(argv)
+    assert code == 0
+    if argv[0] == "n3":
+        assert isinstance(report["result"]["rows"], Table)
+    expected = json.dumps(_rows_view(report), sort_keys=True, indent=2) + "\n"
+    assert _first_difference(render_json(report), expected) is None
+
+
+def test_render_json_splices_tables_at_every_depth():
+    def table(n):
+        return Table({"b": np.arange(n), "a": np.arange(2 * n).reshape(n, 2)})
+
+    report = {
+        "z": table(3),
+        "m": {"x": [table(1), "s", {"deep": table(2)}], "e": table(0)},
+        "a": 1,
+        "t": [table(2)],
+    }
+    expected = json.dumps(_rows_view(report), sort_keys=True, indent=2) + "\n"
+    assert _first_difference(render_json(report), expected) is None
+    with pytest.raises(ValueError):
+        render_json({"t": table(1), "s": "\0table"})
 
 
 def test_report_diff():

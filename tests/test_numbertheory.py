@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from deephole.codes import rs
-from deephole.gf import make_field
+from deephole.gf import field_of_order, make_field
 from deephole.numbertheory import (
     QuadraticExtension,
     degree_k1_nondeephole,
@@ -15,6 +15,7 @@ from deephole.numbertheory import (
     n3_formula,
     n3_sweep,
     r3,
+    subset_sum_closed_row,
     subset_sum_count,
     subset_sum_row,
     zero_sum_violations,
@@ -76,6 +77,17 @@ def test_full_field_positivity():
     for k in range(3, 6):
         row = subset_sum_row(g8, g8.element_reprs(), k)
         assert all(c > 0 for c in row)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_subset_sum_closed_forms_match_dp(q):
+    # Li-Wan closed forms for D = GF(q) and D = GF(q)*, every k and every g
+    field = field_of_order(q)
+    for nonzero, D in ((False, range(q)), (True, range(1, q))):
+        for k in range(len(D) + 1):
+            assert subset_sum_closed_row(field, k, nonzero) == subset_sum_row(
+                field, D, k
+            ), (nonzero, k)
 
 
 def test_is_zero_sum_free():
@@ -224,8 +236,28 @@ def test_n3_sweep_rows_match_per_alpha_functions():
                     "r3": r3(ring, alpha),
                 }
             )
-    assert rows == expected
+    assert rows.rows() == expected
     assert len(rows) == 10 * 24
+
+
+def test_n3_sweep_columns_match_per_alpha_functions_on_small_fields():
+    # both r3 branches (q = 2 mod 3 or not), prime and extension fields
+    for q in (2, 3, 4, 7, 8, 9):
+        base = field_of_order(q)
+        table = n3_sweep(base)
+        cols = {name: col.tolist() for name, col in table.columns.items()}
+        expected = {name: [] for name in cols}
+        for qpoly in monic_irreducibles(base, 2):
+            ring = QuadraticExtension(qpoly)
+            for alpha in ring.residue_classes():
+                expected["qpoly"].append(list(qpoly.coeffs))
+                expected["alpha"].append(list(ring.residue(alpha)))
+                expected["n3_bruteforce"].append(n3_bruteforce(ring, alpha))
+                expected["n3_formula"].append(n3_formula(ring, alpha))
+                expected["r3"].append(r3(ring, alpha))
+        assert list(cols) == ["qpoly", "alpha", "n3_bruteforce", "n3_formula", "r3"]
+        assert cols == expected, q
+        assert len(table) == (q * q - q) // 2 * (q * q - 1)
 
 
 def test_n3_pair_accounting():
