@@ -6,8 +6,10 @@ syndrome avoids the span of every (rho-1)-subset of the normal rational curve
 (the parity-check columns).
 The primary enumeration below marks those spans with Code.span_ids; the
 coset-leader weight table of the code is computed independently and the two
-routes are required to agree.  The experiments run one family construction
-per irreducible polynomial, in order, on one thread.
+routes are required to agree.  The experiments build the families of all
+monic irreducible quadratics or cubics with families.quadratic_families or
+families.cubic_families, which take the basis words, syndromes and spans of
+a block of polynomials in array passes and check each family on its own.
 """
 
 from __future__ import annotations
@@ -114,9 +116,10 @@ def build_hypergraph(field: GF) -> Hypergraph:
     if q % 2 == 0 or q < 5:
         raise ValueError("the hypergraph is defined for odd q >= 5")
     code = prs(field, q - 2)
+    quads = monic_irreducibles(field, 2)
     edges = {
-        p.coeffs: families.quadratic_family(code, p).projective_cosets()
-        for p in monic_irreducibles(field, 2)
+        p.coeffs: fam.projective_cosets()
+        for p, fam in zip(quads, families.quadratic_families(code, quads))
     }
     vertices = frozenset().union(*edges.values())
     if len(edges) != (q * q - q) // 2:
@@ -176,7 +179,7 @@ def completeness_check(field: GF) -> dict:
     code = prs(field, q - 2)
     deep = deep_syndromes(code)
     quads = monic_irreducibles(field, 2)
-    fams = [families.quadratic_family(code, p).cosets for p in quads]
+    fams = [f.cosets for f in families.quadratic_families(code, quads)]
     union = frozenset().union(*fams)
     return {
         "q": q,
@@ -199,7 +202,7 @@ def cubic_coverage_experiment(field: GF) -> dict:
     code = prs(field, q - 3)
     deep = deep_syndromes(code)
     cubics = monic_irreducibles(field, 3)
-    fams = [families.cubic_family(code, p).cosets for p in cubics]
+    fams = [f.cosets for f in families.cubic_families(code, cubics)]
     union = frozenset().union(*fams)
     if not union <= deep:
         raise TheoremAssertionError("cubic families produced a non-deep coset")

@@ -158,13 +158,13 @@ def run_family(cfg: ExperimentConfig) -> dict:
         if cfg.degree not in (None, 2):
             raise UsageError("quadratic families use --degree 2")
         code = prs(field, cfg.k)
-        fams = [families.quadratic_family(code, p) for p in monic_irreducibles(field, 2)]
+        fams = families.quadratic_families(code, monic_irreducibles(field, 2))
     elif tag == "cubic":
         if cfg.degree not in (None, 3):
             raise UsageError("cubic families use --degree 3")
         k = field.q - 3 if cfg.k is None else cfg.k
         code = prs(field, k)
-        fams = [families.cubic_family(code, p) for p in monic_irreducibles(field, 3)]
+        fams = families.cubic_families(code, monic_irreducibles(field, 3))
     elif tag == "inverse_monomial":
         if cfg.set is None or cfg.k is None:
             raise UsageError("family inverse_monomial requires --set and --k")

@@ -107,33 +107,38 @@ class Code:
         return self.scale if self.kind == "affine" else (1,) * len(self.D)
 
     def parity_check_matrix(self) -> list[list[int]]:
-        return [list(row) for row in self._h]
+        return self._h.tolist()
 
     @functools.cached_property
-    def _h(self) -> tuple[tuple[int, ...], ...]:
-        """The parity-check matrix as row tuples, built once per code."""
+    def _h(self) -> np.ndarray:
+        """The parity-check matrix as a read-only (r, n) array, built once
+        per code."""
         f = self.field
         r = self.redundancy
         if self.kind == "projective":
-            return tuple(
-                tuple(f.pow(x, t) for x in self.D) + (1 if t == r - 1 else 0,)
+            rows = [
+                [f.pow(x, t) for x in self.D] + [1 if t == r - 1 else 0]
                 for t in range(r)
-            )
-        # dual of a generalized RS code is generalized RS with the classical
-        # column multipliers u_i = (v_i * prod_{j != i} (x_i - x_j))^(-1)
-        us = []
-        for i, xi in enumerate(self.D):
-            prod = 1
-            for j, xj in enumerate(self.D):
-                if j != i:
-                    prod = f.mul(prod, f.sub(xi, xj))
-            us.append(f.inv(f.mul(self.scale[i], prod)))
-        return tuple(
-            tuple(f.mul(u, f.pow(x, t)) for x, u in zip(self.D, us)) for t in range(r)
-        )
+            ]
+        else:
+            # dual of a generalized RS code is generalized RS with the classical
+            # column multipliers u_i = (v_i * prod_{j != i} (x_i - x_j))^(-1)
+            us = []
+            for i, xi in enumerate(self.D):
+                prod = 1
+                for j, xj in enumerate(self.D):
+                    if j != i:
+                        prod = f.mul(prod, f.sub(xi, xj))
+                us.append(f.inv(f.mul(self.scale[i], prod)))
+            rows = [
+                [f.mul(u, f.pow(x, t)) for x, u in zip(self.D, us)] for t in range(r)
+            ]
+        h = np.array(rows, dtype=np.intp)
+        h.setflags(write=False)
+        return h
 
     def h_columns(self) -> list[tuple[int, ...]]:
-        return list(zip(*self._h))
+        return list(zip(*self._h.tolist()))
 
     # -- encoding and words ---------------------------------------------------
 
@@ -160,32 +165,52 @@ class Code:
         return evals + (0 if last is None else last,)
 
     def word_from_rational(self, r: RationalFunction, last: int = 0) -> tuple[int, ...]:
+        (word,) = self.rational_words([r.num.coeffs], [r.den.coeffs], last)
+        return tuple(word.tolist())
+
+    def rational_words(self, nums, dens, last: int = 0) -> np.ndarray:
+        """The words (num_i/den_i evaluated on D, last) as an (N, n) array,
+        for N numerator and denominator coefficient rows (low degree first):
+        one poly.evaluate call over D for all 2N rows, then a gather through
+        the field's inverse table."""
         if self.kind != "projective":
             raise ValueError("rational-function words are projective")
         fld = self.field
-        width = max(len(r.num.coeffs), len(r.den.coeffs))
-        rows = np.zeros((2, width), dtype=np.intp)
-        rows[0, : len(r.num.coeffs)] = r.num.coeffs
-        rows[1, : len(r.den.coeffs)] = r.den.coeffs
+        nums, dens = list(nums), list(dens)
+        if len(nums) != len(dens):
+            raise ValueError(f"{len(nums)} numerators for {len(dens)} denominators")
+        width = max(map(len, nums + dens), default=1)
+        rows = np.zeros((2 * len(nums), width), dtype=np.intp)
+        for row, coeffs in zip(rows, nums + dens):
+            row[: len(coeffs)] = coeffs
+        num, den = np.split(evaluate(fld, rows, self.D), 2)
         # D is the whole field, so a zero of the denominator on D is a pole
-        num, den = evaluate(fld, rows, self.D).tolist()
-        if 0 in den:
+        if (den == 0).any():
             raise ValueError("denominator has a root in the field")
-        return tuple(fld.div(a, b) for a, b in zip(num, den)) + (last,)
+        words = np.full((len(nums), self.n), last, dtype=num.dtype)
+        words[:, :-1] = fld.mul_table[num, fld.inv_table[den]]
+        return words
 
     # -- syndromes and cosets ---------------------------------------------------
 
     def syndrome(self, word) -> tuple[int, ...]:
-        if len(word) != self.n:
-            raise ValueError(f"word length {len(word)} != n = {self.n}")
-        f = self.field
-        out = []
-        for row in self._h:
-            acc = 0
-            for h, w in zip(row, word):
-                acc = f.add(acc, f.mul(h, w))
-            out.append(acc)
-        return tuple(out)
+        return tuple(self.syndromes(word).tolist())
+
+    def syndromes(self, words) -> np.ndarray:
+        """The syndromes H*w of an (..., n) array of words as an (..., r)
+        array, accumulated one column of H at a time by table gathers."""
+        fld = self.field
+        words = np.asarray(words)
+        if words.shape[-1:] != (self.n,):
+            raise ValueError(f"words of shape {words.shape} are not of length {self.n}")
+        # a gather would wrap a negative symbol silently
+        if words.size and not (0 <= words.min() and words.max() < fld.q):
+            raise ValueError(f"word has a symbol outside {fld!r}")
+        add_t, mul_t = fld.add_table, fld.mul_table
+        out = np.zeros(words.shape[:-1] + (self.redundancy,), dtype=add_t.dtype)
+        for j, col in enumerate(self._h.T):
+            out = add_t[out, mul_t[col, words[..., j, None]]]
+        return out
 
     def pack_syndrome(self, s) -> int:
         q = self.field.q
@@ -201,14 +226,32 @@ class Code:
     def span_ids(self, syndromes) -> np.ndarray:
         """Packed coset id of every combination sum c_j*s_j of the given
         syndromes, indexed by (c_0, c_1, ...) packed base q with c_0 the least
-        significant digit; no syndromes span only the zero coset."""
+        significant digit; no syndromes span only the zero coset.  An
+        (..., m, r) array of syndromes gives (..., q^m) ids, one span per
+        leading index."""
         fld = self.field
         r = self.redundancy
         if fld.q**r > MAX_SYNDROME_SPACE:  # also keeps the packed ids within int64
             raise BoundExceededError(
                 f"syndrome space {fld.q}^{r} exceeds bound {MAX_SYNDROME_SPACE}"
             )
-        return _combinations(fld, syndromes, r) @ fld.q ** np.arange(r)
+        combos = _combinations(fld, syndromes, r)
+        # packed by Horner's rule, with no int64 copy of the whole array
+        ids = np.zeros(combos.shape[:-1], dtype=np.int64)
+        for i in range(r - 1, -1, -1):
+            ids *= fld.q
+            ids += combos[..., i]
+        return ids
+
+    def projective_ids(self, ids) -> np.ndarray:
+        """The packed ids of the syndromes of the given packed ids, each scaled
+        so that its first nonzero coordinate is 1; the zero id stays 0."""
+        fld = self.field
+        q = fld.q
+        powers = q ** np.arange(self.redundancy)
+        digits = np.asarray(ids)[..., None] // powers % q
+        lead = np.take_along_axis(digits, (digits != 0).argmax(axis=-1)[..., None], -1)
+        return fld.mul_table[fld.inv_table[lead], digits] @ powers
 
     def normalize_syndrome(self, s) -> tuple[int, ...]:
         """Scale so the first nonzero coordinate is 1 (projective coset id)."""
@@ -252,24 +295,29 @@ class Code:
             # coordinates above and below it pack into short index vectors
             i = min((j for j, hj in enumerate(h) if hj), key=lambda j: abs(2 * j - r + 1))
             view = weights.reshape(q ** (r - 1 - i), q, q**i)
-
-            def moved(c):
-                """Packed indices of the coordinates above and below the pivot,
-                each translated by its entry of c*h."""
-                rows = [add_t[mul_t[c, hj]] for hj in reversed(h)]
-                return _packed(q, rows[: r - 1 - i]), _packed(q, rows[r - i :])
-
+            # moved[c]: packed indices of the coordinates above and below the
+            # pivot, each translated by its entry of c*h.  They are made once
+            # per distinct translation: a column that is zero off the pivot
+            # has the longest vectors, q^(r-1) entries, and one pair for all c
+            moved, made = [], {}
+            for c in range(q):
+                shift = [mul_t[c, hj] for hj in reversed(h)]
+                key = tuple(shift[: r - 1 - i] + shift[r - i :])
+                if key not in made:
+                    rows, split = [add_t[s] for s in key], r - 1 - i
+                    made[key] = _packed(q, rows[:split]), _packed(q, rows[split:])
+                moved.append(made[key])
             # every line {s + t*h} meets the slice s_i = 0 once; take its
             # minimum there
             line_min = view[:, 0, :].copy()
             for t in range(1, q):
-                above, below = moved(t)
+                above, below = moved[t]
                 np.minimum(line_min, view[above, mul_t[t, h[i]]][:, below], out=line_min)
             line_min += 1
             inv = fld.inv(h[i])
             for a in range(q):
                 # slice s_i = a reaches slice 0 by adding -(a/h_i)*h
-                above, below = moved(fld.neg(fld.mul(a, inv)))
+                above, below = moved[fld.neg(fld.mul(a, inv))]
                 target = view[:, a, :]
                 np.minimum(target, line_min[above][:, below], out=target)
         if (weights == unreached).any():
@@ -383,18 +431,24 @@ class Code:
 
 
 def _combinations(field: GF, rows, width: int) -> np.ndarray:
-    """Every combination sum c_j*rows_j as a (q^len(rows), width) array,
-    indexed by (c_0, c_1, ...) packed base q with c_0 the least significant
-    digit; uint8 for q <= 256, else uint16."""
+    """Every combination sum c_j*rows_j of an (..., m, width) array of rows
+    as a (..., q^m, width) array, indexed by (c_0, c_1, ...) packed base q
+    with c_0 the least significant digit; uint8 for q <= 256, else uint16."""
     dt = np.uint8 if field.q <= 256 else np.uint16
     add_t = field.add_table.astype(dt, copy=False)
     mul_t = field.mul_table.astype(dt, copy=False)
-    combos = np.zeros((1, width), dtype=dt)  # one row per combination so far
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(f"row length {len(row)} != {width}")
-        multiples = mul_t[:, list(row)]  # row c holds c*row
-        combos = add_t[multiples[:, None], combos].reshape(-1, width)
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.shape == (0,):  # no rows span only the zero combination
+        rows = rows.reshape(0, width)
+    if rows.ndim < 2 or rows.shape[-1] != width:
+        raise ValueError(f"row length {rows.shape[-1]} != {width}")
+    # one row per combination so far, for every leading index
+    combos = np.zeros(rows.shape[:-2] + (1, width), dtype=dt)
+    coeffs = np.arange(field.q)[:, None]
+    for j in range(rows.shape[-2]):
+        multiples = mul_t[coeffs, rows[..., j, None, :]]  # row c holds c*row
+        combos = add_t[multiples[..., None, :], combos[..., None, :, :]]
+        combos = combos.reshape(rows.shape[:-2] + (-1, width))
     return combos
 
 

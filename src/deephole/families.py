@@ -3,12 +3,23 @@
 Each construction returns a DeepHoleFamily holding the set of raw coset ids
 (packed syndromes) plus a few representative words.  The degree-k, quadratic
 and cubic families are GF(q)-spans of two or three syndromes, so their coset
-ids come from one Code.span_ids call, in the order of the coefficient tuples,
-and only the sample words are built as words.  Every emitted coset is verified
-to sit at distance equal to the covering radius by exact computation; the
-structural hypotheses behind a construction (covering radius q-k, expected
-coset counts) are machine-checked and raise TheoremAssertionError when they
-fail at the tested size.
+ids come from Code.span_ids, in the order of the coefficient tuples, and the
+sample words are the combinations of the basis words at a few of those
+indices, taken by one table gather.
+
+quadratic_families and cubic_families build many polynomials p at once: per
+block of at most codes.SCAN_CHUNK span entries, one Code.rational_words call
+gives the basis words x^i/p(x) of every p in the block, one Code.syndromes
+call their syndromes and one Code.span_ids call every span.  Each
+polynomial's row then goes to quadratic_family or cubic_family, which runs
+every check of a standalone call on it; a standalone call builds its row as
+a block of one.
+
+Every emitted coset is verified to sit at distance equal to the covering
+radius by exact computation; the structural hypotheses behind a construction
+(covering radius q-k, expected coset counts) are machine-checked and raise
+TheoremAssertionError when they fail at the tested size.  Input outside a
+construction's range, such as a reducible polynomial, raises ValueError.
 """
 
 from __future__ import annotations
@@ -18,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from deephole import numbertheory
+from deephole import codes, numbertheory
 from deephole.codes import Code, rs
 from deephole.errors import TheoremAssertionError
 from deephole.gf import GF
-from deephole.poly import Poly, RationalFunction, is_irreducible, mod_inverse
+from deephole.poly import Poly, is_irreducible, mod_inverse
 
 TAGS = ("degree_k", "inverse_monomial", "zero_sum_free", "quadratic", "cubic")
 
@@ -44,11 +55,8 @@ class DeepHoleFamily:
         }
 
     def projective_cosets(self) -> frozenset[int]:
-        code = self.code
-        return frozenset(
-            code.pack_syndrome(code.normalize_syndrome(code.unpack_syndrome(c)))
-            for c in self.cosets
-        )
+        ids = np.fromiter(self.cosets, dtype=np.int64, count=len(self.cosets))
+        return frozenset(self.code.projective_ids(ids).tolist())
 
 
 def _check_prs_k_range(code: Code):
@@ -80,17 +88,32 @@ def _verify_deep(code: Code, cosets, rho: int, what: str):
         )
 
 
-def _span_words(field: GF, basis, indices) -> tuple[tuple[int, ...], ...]:
-    """The words sum c_j*basis_j at the given Code.span_ids indices."""
-    q = field.q
-    out = []
-    for i in indices:
-        w = (0,) * len(basis[0])
-        for j, b in enumerate(basis):
-            c = i // q**j % q
-            w = tuple(field.add(x, field.mul(c, y)) for x, y in zip(w, b))
-        out.append(w)
-    return tuple(out)
+def _sample_words(field: GF, basis, indices) -> tuple[tuple[int, ...], ...]:
+    """The words sum c_j*basis_j at the given Code.span_ids indices: one
+    gather of every product c_j*basis_j, then a sum over j."""
+    basis = np.asarray(basis)
+    digits = np.asarray(indices)[:, None] // field.q ** np.arange(len(basis)) % field.q
+    terms = field.mul_table[digits[..., None], basis]  # (len(indices), m, n)
+    words = terms[:, 0]
+    for j in range(1, len(basis)):
+        words = field.add_table[words, terms[:, j]]
+    return tuple(map(tuple, words.tolist()))
+
+
+def _rational_spans(code: Code, polys, d: int):
+    """(p, (basis, ids)) for each p in polys, in order: basis is the (d, n)
+    array of the words of x^i/p(x), i < d, and ids their Code.span_ids.
+    Built per block of polynomials whose combinations hold at most
+    codes.SCAN_CHUNK entries, each block by one Code.rational_words, one
+    Code.syndromes and one Code.span_ids call."""
+    polys = list(polys)
+    monomials = [(0,) * i + (1,) for i in range(d)]
+    block = max(1, codes.SCAN_CHUNK // (code.field.q**d * code.redundancy))
+    for start in range(0, len(polys), block):
+        chunk = polys[start : start + block]
+        dens = [p.coeffs for p in chunk for _ in monomials]
+        basis = code.rational_words(monomials * len(chunk), dens).reshape(-1, d, code.n)
+        yield from zip(chunk, zip(basis, code.span_ids(code.syndromes(basis))))
 
 
 def degree_k_family(code: Code) -> DeepHoleFamily:
@@ -132,7 +155,7 @@ def inverse_monomial_family(code: Code, delta: int) -> DeepHoleFamily:
     rho = code.covering_radius()
     # a*u has index a in the span of the syndrome of u
     cosets = frozenset(code.span_ids((code.syndrome(u),))[1:].tolist())
-    words = _span_words(field, (u,), range(1, min(q, 4)))
+    words = _sample_words(field, (u,), range(1, min(q, 4)))
     if len(cosets) != q - 1:
         raise TheoremAssertionError(
             f"inverse-monomial family has {len(cosets)} cosets, expected {q - 1}"
@@ -183,21 +206,30 @@ def zero_sum_free_family(field: GF, D, r: int) -> DeepHoleFamily:
     )
 
 
-def quadratic_family(code: Code, p: Poly) -> DeepHoleFamily:
+def quadratic_families(code: Code, polys) -> list[DeepHoleFamily]:
+    """[quadratic_family(code, p) for p in polys], with the basis words and
+    span ids of the polynomials built in blocks."""
+    _check_prs_k_range(code)
+    spans = _rational_spans(code, polys, 2)
+    return [quadratic_family(code, p, span) for p, span in spans]
+
+
+def quadratic_family(code: Code, p: Poly, span=None) -> DeepHoleFamily:
     """DH(p): the q^2 - 1 deep-hole cosets of (a + b x)/p(x) on PRS(q+1,k)
-    for a monic irreducible quadratic p."""
+    for a monic irreducible quadratic p.  span is p's (basis, ids) pair from
+    quadratic_families, or None to build it as a block of one."""
     _check_prs_k_range(code)
     if p.degree != 2 or not p.is_monic or not is_irreducible(p):
         raise ValueError(f"{p!r} is not a monic irreducible quadratic")
     rho = _require_max_distance(code)
     field = code.field
     q = field.q
-    w1 = code.word_from_rational(RationalFunction(Poly.one(field), p))
-    wx = code.word_from_rational(RationalFunction(Poly.x(field), p))
-    ids = code.span_ids((code.syndrome(w1), code.syndrome(wx)))
+    if span is None:
+        [(_, span)] = _rational_spans(code, [p], 2)
+    basis, ids = span
     cosets = frozenset(ids[1:].tolist())
     # numerator a + b x has index a + q*b
-    words = _span_words(field, (w1, wx), range(1, 4))
+    words = _sample_words(field, basis, range(1, 4))
     if len(cosets) != q * q - 1:
         raise TheoremAssertionError(
             f"|DH(p)| = {len(cosets)}, expected q^2-1 = {q * q - 1}"
@@ -206,23 +238,34 @@ def quadratic_family(code: Code, p: Poly) -> DeepHoleFamily:
     return DeepHoleFamily("quadratic", {"poly": list(p.coeffs)}, cosets, words, code)
 
 
-def cubic_family(code: Code, p: Poly) -> DeepHoleFamily:
-    """Deep-hole cosets of (a + b x + c x^2)/p(x) on PRS(q+1,q-3) for a monic
-    irreducible cubic p, found by exact distance filtering of all nonzero
-    numerator triples."""
-    field = code.field
-    q = field.q
-    if code.kind != "projective" or code.k != q - 3:
+def _check_cubic_code(code: Code):
+    if code.kind != "projective" or code.k != code.field.q - 3:
         raise ValueError("cubic construction requires the PRS code with k = q-3")
     _check_prs_k_range(code)
+
+
+def cubic_families(code: Code, polys) -> list[DeepHoleFamily]:
+    """[cubic_family(code, p) for p in polys], with the basis words and span
+    ids of the polynomials built in blocks."""
+    _check_cubic_code(code)
+    spans = _rational_spans(code, polys, 3)
+    return [cubic_family(code, p, span) for p, span in spans]
+
+
+def cubic_family(code: Code, p: Poly, span=None) -> DeepHoleFamily:
+    """Deep-hole cosets of (a + b x + c x^2)/p(x) on PRS(q+1,q-3) for a monic
+    irreducible cubic p, found by exact distance filtering of all nonzero
+    numerator triples.  span is p's (basis, ids) pair from cubic_families, or
+    None to build it as a block of one."""
+    _check_cubic_code(code)
     if p.degree != 3 or not p.is_monic or not is_irreducible(p):
         raise ValueError(f"{p!r} is not a monic irreducible cubic")
     rho = _require_max_distance(code)
-    basis = [
-        code.word_from_rational(RationalFunction(Poly.monomial(field, i), p))
-        for i in range(3)
-    ]
-    ids = code.span_ids([code.syndrome(w) for w in basis])
+    field = code.field
+    q = field.q
+    if span is None:
+        [(_, span)] = _rational_spans(code, [p], 3)
+    basis, ids = span
     # numerator a + b x + c x^2 has index a + q*b + q^2*c; index 0 has weight 0
     deep = np.flatnonzero(code.coset_leader_weights()[ids] == rho)
     cosets = frozenset(ids[deep].tolist())
@@ -232,7 +275,7 @@ def cubic_family(code: Code, p: Poly) -> DeepHoleFamily:
             f"cubic family of {p!r} has {len(cosets)} cosets "
             f"({len(deep)} generators), expected {expected}"
         )
-    words = _span_words(field, basis, deep[:3].tolist())
+    words = _sample_words(field, basis, deep[:3])
     return DeepHoleFamily("cubic", {"poly": list(p.coeffs)}, cosets, words, code)
 
 
@@ -286,16 +329,15 @@ def dh_intersection(code: Code, p1: Poly, p2: Poly) -> frozenset[int]:
         raise ValueError("the two quadratics must differ")
     xq_x = Poly(field, (0,) * q + (1,)) - Poly.x(field)
     base = (xq_x % p1) * mod_inverse(p2 % p1, p1) % p1
-    shared = set()
-    for a in range(1, q):
-        lin = base.scale(a)
-        w = code.word_from_rational(RationalFunction(lin, p1))
-        shared.add(code.coset_id(w))
+    # the words of a*base/p1, a != 0, are the nonzero multiples of one word
+    w = code.rational_words([base.coeffs], [p1.coeffs])
+    shared = set(code.span_ids(code.syndromes(w))[1:].tolist())
     if len(shared) != q - 1:
         raise TheoremAssertionError(
             f"congruence sweep produced {len(shared)} cosets, expected {q - 1}"
         )
-    brute = quadratic_family(code, p1).cosets & quadratic_family(code, p2).cosets
+    dh1, dh2 = quadratic_families(code, (p1, p2))
+    brute = dh1.cosets & dh2.cosets
     if frozenset(shared) != brute:
         raise TheoremAssertionError(
             "congruence construction disagrees with brute-force intersection"

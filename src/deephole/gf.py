@@ -324,8 +324,9 @@ class GF:
     # -- lookup tables ------------------------------------------------------
 
     def _np_table(self, kind: str) -> np.ndarray:
-        """(q, q) uint16 operation table for vectorised code, built on first
-        use: `add` digit by digit, `mul` from the log and exp tables.  Every
+        """uint16 lookup table for vectorised code, built on first use: the
+        (q, q) `add` table digit by digit, the (q, q) `mul` table from the log
+        and exp tables, and the (q,) `inv` table with inv[0] = 0.  Every
         intermediate is below 2 * TABLE_LIMIT, so uint16 never wraps."""
         tab = self._np_tables.get(kind)
         if tab is None:
@@ -335,7 +336,10 @@ class GF:
                 )
             q, p = self.q, self.p
             tab = np.zeros((q, q), dtype=np.uint16)
-            if kind == "add":
+            if kind == "inv":
+                # row 0 of the product table holds no 1, so inv[0] = 0
+                tab = np.argmax(self.mul_table == 1, axis=1).astype(np.uint16)
+            elif kind == "add":
                 elems = np.arange(q, dtype=np.uint16)
                 for pw in self._powers:
                     d = elems // pw % p
@@ -355,6 +359,10 @@ class GF:
     @property
     def mul_table(self) -> np.ndarray:
         return self._np_table("mul")
+
+    @property
+    def inv_table(self) -> np.ndarray:
+        return self._np_table("inv")
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -402,6 +403,16 @@ def test_golden_fixtures():
         fresh, code = _run(argv)
         assert code == 0
         assert report_diff(golden, fresh) == []
+
+
+def test_family_reports_match_recorded_digests():
+    # SHA-256 of render_json for the family, hypergraph, completeness and
+    # cubic-coverage reports up to the sizes of the benchmark sweep
+    digests = json.loads((FIXTURES / "report_digests.json").read_text())
+    for argv, digest in digests.items():
+        report, code = _run(argv.split())
+        assert code == 0, argv
+        assert hashlib.sha256(render_json(report).encode()).hexdigest() == digest, argv
 
 
 def test_out_file(tmp_path):

@@ -10,7 +10,7 @@ from deephole import codes, linalg
 from deephole.codes import Code, prs, rs
 from deephole.errors import BoundExceededError
 from deephole.gf import field_of_order, make_field
-from deephole.poly import Poly, RationalFunction
+from deephole.poly import Poly, RationalFunction, monic_irreducibles
 
 G5 = make_field(5)
 
@@ -344,8 +344,9 @@ def test_weight_table_matches_exhaustive_distances(code):
 
 @given(small_codes(scan_budget=float("inf")), st.data())
 def test_span_ids_is_syndrome_linearity(code, data):
-    # every combination word is built with scalar field arithmetic, so the
-    # check does not go through the numpy tables that span_ids reads
+    # every combination word is built with scalar field arithmetic; the
+    # syndromes themselves are checked against a scalar H*w in
+    # test_syndromes_match_scalar_h_times_w
     f, q = code.field, code.field.q
     words = data.draw(
         st.lists(
@@ -361,6 +362,107 @@ def test_span_ids_is_syndrome_linearity(code, data):
             c = i // q**j % q
             combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, w)]
         assert cid == code.coset_id(combo)
+
+
+@st.composite
+def syndrome_cases(draw):
+    """An affine or projective code over GF(2)-GF(16) and a (rows, n), (n,)
+    or (a, b, n) array of words of it."""
+    field = field_of_order(draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 11, 13, 16))))
+    q = field.q
+    projective = draw(st.booleans())
+    n = q + 1 if projective else draw(st.integers(2, q))
+    code = _draw_code(draw, field, n, draw(st.integers(1, n - 1)), projective)
+    shape = draw(st.sampled_from(((), (1,), (5,), (2, 3))))
+    size = int(np.prod(shape, dtype=int)) * n
+    symbols = draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+    return code, np.array(symbols, dtype=np.intp).reshape(shape + (n,))
+
+
+@given(syndrome_cases())
+def test_syndromes_match_scalar_h_times_w(case):
+    code, words = case
+    f, h = code.field, code.parity_check_matrix()
+    out = code.syndromes(words)
+    assert out.shape == words.shape[:-1] + (code.redundancy,)
+    for idx in np.ndindex(words.shape[:-1]):
+        w = words[idx].tolist()
+        expected = []
+        for row in h:
+            acc = 0
+            for hj, wj in zip(row, w):
+                acc = f.add(acc, f.mul(hj, wj))
+            expected.append(acc)
+        assert out[idx].tolist() == expected
+    if words.ndim == 1:
+        assert code.syndrome(tuple(words.tolist())) == tuple(out.tolist())
+
+
+@pytest.mark.parametrize(
+    "code, word",
+    [
+        (prs(5, 3), (7, 1, 2, 3, 4, -1)),
+        (prs(5, 3), (0, 1, 2, 3, 4, -1)),
+        (prs(5, 3), (0, 1, 2, 3, 5, 4)),
+        (prs(9, 6), (10, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        (prs(9, 6), (0, 0, 0, 0, 0, 0, 0, 0, 0, -3)),
+        (rs(8, 5), (0, 1, 2, 3, 4, 5, 6, 8)),
+    ],
+)
+def test_both_oracles_reject_symbols_outside_the_field(code, word):
+    messages = set()
+    for method in ("syndrome_span", "exhaustive"):
+        with pytest.raises(ValueError) as err:
+            code.error_distance(word, method=method)
+        messages.add(str(err.value))
+    with pytest.raises(ValueError) as err:
+        code.syndromes(np.array([word, (0,) * code.n]))
+    messages.add(str(err.value))
+    assert messages == {f"word has a symbol outside {code.field!r}"}
+
+
+@given(small_codes(scan_budget=float("inf")), st.data())
+def test_span_ids_over_a_batch_axis_match_one_span_each(code, data):
+    q, r = code.field.q, code.redundancy
+    m = data.draw(st.integers(0, 2))
+    shape = data.draw(st.sampled_from(((1,), (3,), (2, 2))))
+    size = int(np.prod(shape, dtype=int)) * m * r
+    symbols = data.draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+    syns = np.array(symbols, dtype=np.intp).reshape(shape + (m, r))
+    ids = code.span_ids(syns)
+    assert ids.shape == shape + (q**m,)
+    for idx in np.ndindex(shape):
+        assert ids[idx].tolist() == code.span_ids(syns[idx].tolist()).tolist()
+
+
+@pytest.mark.parametrize("q, k", [(4, 1), (5, 3), (8, 5), (9, 6)])
+def test_projective_ids_match_normalize_syndrome(q, k):
+    code = prs(q, k)
+    ids = np.arange(q**code.redundancy)
+    expected = [
+        code.pack_syndrome(code.normalize_syndrome(code.unpack_syndrome(i)))
+        for i in ids.tolist()
+    ]
+    assert code.projective_ids(ids).tolist() == expected
+    assert code.projective_ids(ids.reshape(q, -1)).ravel().tolist() == expected
+
+
+def test_rational_words_match_pointwise_evaluation():
+    field = make_field(3, 2)
+    code = prs(field, 6)
+    dens = [monic_irreducibles(field, d)[3].coeffs for d in (2, 3)]
+    nums = [(0, 1), (4, 3, 5)]
+    words = code.rational_words(nums, dens, last=7)
+    for word, num, den in zip(words.tolist(), nums, dens):
+        rat = RationalFunction(Poly(field, num), Poly(field, den))
+        assert word == [rat(x) for x in code.D] + [7]
+    assert code.rational_words([], []).shape == (0, code.n)
+    with pytest.raises(ValueError):
+        code.rational_words([(1,)], [(0, 1)])  # x has the root 0
+    with pytest.raises(ValueError):
+        code.rational_words([(1,)], [])
+    with pytest.raises(ValueError):
+        rs(field, 3).rational_words([(1,)], [dens[0]])
 
 
 def test_bounds():

@@ -1,19 +1,25 @@
 import itertools
+import re
+import tracemalloc
 from math import comb
 
+import numpy as np
 import pytest
 
-from deephole import classify
-from deephole.codes import prs, rs
+from deephole import classify, codes
+from deephole.codes import Code, prs, rs
+from deephole.errors import TheoremAssertionError
 from deephole.gf import make_field
 from deephole.poly import Poly, RationalFunction, monic_irreducibles
 from deephole.families import (
+    cubic_families,
     cubic_family,
     cubic_nondeep_by_splitting,
     degree_k_family,
     dh_intersection,
     inverse_monomial_family,
     is_deep_hole,
+    quadratic_families,
     quadratic_family,
     same_coset,
     zero_sum_free_family,
@@ -22,6 +28,17 @@ from deephole.families import (
 G5 = make_field(5)
 G7 = make_field(7)
 G13 = make_field(13)
+G8 = make_field(2, 3)
+G9 = make_field(3, 2)
+
+# (blocked construction, per-polynomial construction, field, k, degree)
+BLOCK_CASES = [
+    (quadratic_families, quadratic_family, G7, 5, 2),
+    (quadratic_families, quadratic_family, G9, 6, 2),
+    (quadratic_families, quadratic_family, G8, 5, 2),
+    (cubic_families, cubic_family, G7, 4, 3),
+    (cubic_families, cubic_family, G8, 5, 3),
+]
 
 
 def test_degree_k_family_counts_and_distance():
@@ -317,3 +334,67 @@ def test_family_describe():
     assert d["coset_count"] == 24
     assert d["params"] == {"poly": [2, 0, 1]}
     assert len(d["sample_words"]) == 3
+
+
+def _same_family(a, b):
+    assert (a.tag, a.params, a.cosets, a.words) == (b.tag, b.params, b.cosets, b.words)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3000])
+@pytest.mark.parametrize("build_all, build_one, field, k, d", BLOCK_CASES)
+def test_blocked_families_equal_one_family_per_polynomial(
+    monkeypatch, chunk, build_all, build_one, field, k, d
+):
+    code = prs(field, k)
+    polys = monic_irreducibles(field, d)[:7]
+    expected = [build_one(code, p) for p in polys]
+    if chunk is not None:
+        # one polynomial's span holds q^d * r entries, so 3000 splits the
+        # seven polynomials into blocks of 1, 2, 6 or 20 depending on the case
+        monkeypatch.setattr(codes, "SCAN_CHUNK", chunk)
+    got = build_all(code, iter(polys))
+    assert len(got) == len(polys)
+    for a, b in zip(got, expected):
+        _same_family(a, b)
+    assert build_all(code, []) == []
+
+
+@pytest.mark.parametrize("build_all, build_one, field, k, d", BLOCK_CASES)
+def test_a_failing_family_in_the_middle_of_a_block_is_named(
+    monkeypatch, build_all, build_one, field, k, d
+):
+    code = Code("projective", field, k)  # uncached, so the patch stays local
+    polys = monic_irreducibles(field, d)
+    fams = build_all(code, polys)
+    # the first family past the middle with a coset no earlier family reaches
+    seen = frozenset()
+    for mid, fam in enumerate(fams):
+        fresh = fam.cosets - seen
+        if mid >= len(polys) // 2 and fresh:
+            break
+        seen |= fam.cosets
+    assert fresh and mid < len(polys) - 1
+    coset = min(fresh)
+    weights = code.coset_leader_weights().copy()
+    weights[coset] -= 1
+    monkeypatch.setattr(code, "_weights", weights)
+    monkeypatch.setattr(codes, "SCAN_CHUNK", 1 << 30)  # one block holds them all
+    with pytest.raises(TheoremAssertionError, match=re.escape(repr(polys[mid]))):
+        build_all(code, polys)
+
+
+def test_cubic_families_memory_is_bounded():
+    code = prs(13, 10)
+    cubics = monic_irreducibles(code.field, 3)
+    code.coset_leader_weights()  # built once per code, not per block
+    code.field.add_table, code.field.mul_table, code.field.inv_table
+    tracemalloc.start()
+    try:
+        fams = cubic_families(code, cubics)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fams) == 728
+    # built in one block, the spans of all 728 cubics peak about 12 MB above
+    # what the families keep; in blocks of SCAN_CHUNK entries, under 1 MB
+    assert peak - retained < 4 * 2**20
