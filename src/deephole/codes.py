@@ -8,26 +8,36 @@ the base-q integer sum(s_i * q^i).
 
 Two independent error-distance algorithms are provided and cross-validated in
 the test suite: an exhaustive scan over all codewords, and a coset-leader
-weight table over the full syndrome space.  The scan reads only the generator
-matrix and never holds the q^k-row codeword table.  It writes each codeword as
-a + b, with a spanned by the first k-t generator rows and b by the last t,
-t the least value for which the q^(k-t) words a fit in SCAN_CHUNK symbols, so
-d(w, a+b) = #{i : a_i != (w-b)_i}.  The words a are stored column-major, the
-targets w-b are made for a block of high messages at a time, and mismatches
-are counted one column at a time into buffers of SCAN_CHUNK entries; the
-distance is the minimum count over every block, with no early exit.  The
-weight table is built one
-parity-check column h at a time: a syndrome's weight becomes the smaller of
-its weight so far and one more than the least weight so far on its line
-{s + t*h : t in GF(q)}.  Every line meets the slice where a pivot coordinate
-of h is zero exactly once, so the line minima are gathered onto that slice
-and then gathered back, about 2*q^r table reads per column.
+weight table over the full syndrome space.
+
+The scan reads only the generator matrix, never H, a syndrome or the weight
+table, and never holds the q^k-row codeword table.  G in reduced echelon form
+[I_k | P] encodes a message m as m on the pivot columns I and m*P on the
+parity columns J.  With m split into low digits (the first k-t pivots) and
+high digits (the last t), d(w, c) = A + B + C: A counts the mismatches on
+the low pivots, one q^(k-t) vector per word; B those on the high pivots, one
+integer per high message; C those on J between m_low*P_low and
+w - m_high*P_high, the only per-codeword comparisons.  t is the least value
+with q^(k-t)*n <= SCAN_CHUNK.  The parity symbols of every low and every
+high message are kept on the code from its first scan, for the SCAN_CHUNK
+in effect; the pivot symbols are the message digits and are not stored.
+Mismatches are counted one parity column at a time into buffers of
+SCAN_CHUNK entries; the distance is the minimum over every block, with no
+early exit.
+
+The weight table is built one parity-check column h at a time: a syndrome's
+weight becomes the smaller of its weight so far and one more than the least
+weight so far on its line {s + t*h : t in GF(q)}.  Every line meets the slice
+where a pivot coordinate of h is zero exactly once, so the line minima are
+gathered onto that slice and then gathered back, about 2*q^r table reads per
+column.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +49,7 @@ from deephole.poly import Poly, RationalFunction, evaluate
 MAX_EXHAUSTIVE_CODEWORDS = 10**7
 MAX_SYNDROME_SPACE = 10**7
 MAX_SPAN_REDUNDANCY = 6
-# entries in one block of the exhaustive scan; the low codeword table and each
+# entries in one block of the exhaustive scan; the low message table and each
 # per-block buffer hold at most this many, a few hundred KB, so they stay in L2
 SCAN_CHUNK = 1 << 18
 
@@ -70,6 +80,7 @@ class Code:
         if not 0 < k < self.n:
             raise ValueError(f"dimension k = {k} out of range for n = {self.n}")
         self._weights = None
+        self._scan = None
 
     @property
     def n(self) -> int:
@@ -341,34 +352,62 @@ class Code:
             raise BoundExceededError(f"q^k = {big} exceeds bound {max_codewords}")
         return _combinations(self.field, self.generator_matrix(), self.n)
 
+    def systematic_generator(self) -> tuple[list[list[int]], list[int]]:
+        """The generator matrix in reduced echelon form [I_k | P] and its k
+        pivot columns: a message m encodes to the codeword that is m on the
+        pivots and m*P on the other n-k columns."""
+        return linalg.rref(self.field, self.generator_matrix())
+
+    def _scan_tables(self) -> _ScanTables:
+        """The exhaustive scan's tables for the SCAN_CHUNK in effect: built on
+        the first call, and again only when SCAN_CHUNK has changed."""
+        if self._scan is not None and self._scan.chunk == SCAN_CHUNK:
+            return self._scan
+        fld = self.field
+        q, n, k = fld.q, self.n, self.k
+        rows, pivots = self.systematic_generator()
+        parity = [j for j in range(n) if j not in pivots]
+        p = [[row[j] for j in parity] for row in rows]
+        t = next(t for t in range(k + 1) if q ** (k - t) * n <= SCAN_CHUNK)
+        low = np.ascontiguousarray(_combinations(fld, p[: k - t], n - k).T)
+        # row h is -(m*P) for the high message m with the digits of h
+        neg = [[fld.neg(v) for v in row] for row in p[k - t :]]
+        high = _combinations(fld, neg, n - k)
+        self._scan = _ScanTables(SCAN_CHUNK, k - t, pivots, parity, low, high)
+        return self._scan
+
     def _scan_distance(self, word, max_codewords: int) -> int:
-        """min over all codewords a + b of #{i : a_i != (w - b)_i}, where a
-        spans the first k-t generator rows and b the last t."""
+        """min over all messages m of A + B + C, the mismatches of the word
+        with the codeword of m on the first k-t pivots (A, a function of the
+        low digits of m), on the last t pivots (B, of the high digits) and on
+        the n-k parity columns (C, the only per-codeword comparisons)."""
         fld = self.field
         q, n, k = fld.q, self.n, self.k
         if q**k > max_codewords:
             raise BoundExceededError(f"q^k = {q**k} exceeds bound {max_codewords}")
         if any(not 0 <= x < q for x in word):
             raise ValueError(f"word has a symbol outside {fld!r}")
-        t = next(t for t in range(k + 1) if q ** (k - t) * n <= SCAN_CHUNK)
-        g = self.generator_matrix()
-        low = np.ascontiguousarray(_combinations(fld, g[: k - t], n).T)
-        # w - b runs over w + b as b runs over the span of the last t rows
-        high = _combinations(fld, g[k - t :], n)
-        add_t = fld.add_table.astype(low.dtype, copy=False)
+        tab = self._scan_tables()
+        low, high, s = tab.low, tab.high, tab.split
         w = np.asarray(word, dtype=low.dtype)
+        info = w[tab.pivots]
+        ct = np.min_scalar_type(n)  # A + B + C <= n
+        a = _digit_mismatches(q, info[:s], ct)
+        b = _digit_mismatches(q, info[s:], ct)
+        # (w - m_high*P)_J for every high message
+        targets = fld.add_table.astype(low.dtype, copy=False)[high, w[tab.parity]]
         rows = SCAN_CHUNK // low.shape[1]
         buf = np.empty((rows, low.shape[1]), dtype=bool)
-        counts = np.empty(buf.shape, dtype=np.min_scalar_type(n))
+        counts = np.empty(buf.shape, dtype=ct)
         best = n
-        for start in range(0, len(high), rows):
-            targets = add_t[high[start : start + rows], w]
-            m = len(targets)
-            counts[:m] = 0
-            for i in range(n):
-                np.not_equal(low[i][None, :], targets[:, i][:, None], out=buf[:m])
+        for start in range(0, len(targets), rows):
+            block = targets[start : start + rows]
+            m = len(block)
+            counts[:m] = a
+            for j, parity_row in enumerate(low):
+                np.not_equal(parity_row[None, :], block[:, j, None], out=buf[:m])
                 counts[:m] += buf[:m]
-            best = min(best, int(counts[:m].min()))
+            best = min(best, int((counts[:m].min(axis=1) + b[start : start + m]).min()))
         return best
 
     # -- distances -------------------------------------------------------------
@@ -450,6 +489,27 @@ def _combinations(field: GF, rows, width: int) -> np.ndarray:
         combos = add_t[multiples[..., None, :], combos[..., None, :, :]]
         combos = combos.reshape(rows.shape[:-2] + (-1, width))
     return combos
+
+
+class _ScanTables(NamedTuple):
+    """What the exhaustive scan keeps per code (see the module docstring);
+    split is the number k-t of low message digits."""
+
+    chunk: int
+    split: int
+    pivots: list[int]
+    parity: list[int]
+    low: np.ndarray
+    high: np.ndarray
+
+
+def _digit_mismatches(q: int, digits, dtype) -> np.ndarray:
+    """#{i : d_i != digits[i]} for every digit tuple d packed base q with
+    d_0 the least significant, as a (q^len(digits),) array."""
+    out = np.zeros(1, dtype=dtype)
+    for x in digits:
+        out = ((np.arange(q) != x)[:, None] + out).reshape(-1)
+    return out
 
 
 def _packed(q: int, rows) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Exact Gaussian elimination over GF(q) for small dense matrices.
 
 Matrices are lists of row lists of field-element encodings; all routines are
-pure and leave their inputs untouched.
+pure and leave their inputs untouched.  ``rref`` is the one elimination loop;
+``rank`` and ``solve`` read its pivots.
 """
 
 from __future__ import annotations
@@ -9,13 +10,16 @@ from __future__ import annotations
 from deephole.gf import GF
 
 
-def rank(field: GF, rows) -> int:
+def rref(field: GF, rows) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of the rows and its pivot columns, in order:
+    row i is 1 at pivots[i] and 0 at every other pivot; rows past the last
+    pivot are zero."""
     m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
         pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if pivot is None:
             continue
@@ -26,10 +30,12 @@ def rank(field: GF, rows) -> int:
             if i != r and m[i][col] != 0:
                 c = m[i][col]
                 m[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+        pivots.append(col)
+    return m, pivots
+
+
+def rank(field: GF, rows) -> int:
+    return len(rref(field, rows)[1])
 
 
 def matmul(field: GF, a, b) -> list[list[int]]:
@@ -49,17 +55,8 @@ def matmul(field: GF, a, b) -> list[list[int]]:
 def solve(field: GF, a, b) -> list[int]:
     """Solution x of the square system a x = b; raises if singular."""
     n = len(a)
-    m = [list(row) + [bv] for row, bv in zip(a, b)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = field.inv(m[col][col])
-        m[col] = [field.mul(inv, v) for v in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                c = m[i][col]
-                m[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
-
+    m, pivots = rref(field, [list(row) + [bv] for row, bv in zip(a, b)])
+    # a is invertible exactly when its n columns are the n pivots
+    if pivots != list(range(n)):
+        raise ValueError("singular system")
+    return [row[n] for row in m]

@@ -6,8 +6,11 @@ Coefficients are field-element encodings (see ``gf``), which is also the
 serialization format used in reports.
 
 ``evaluate`` and ``monic_irreducibles`` work on arrays of coefficients by
-gathers from the field's add and mul tables, so they need q <= TABLE_LIMIT;
-the scalar ``Poly`` operations and ``is_irreducible`` are their reference.
+gathers from the field's add and mul tables, so they need q <= TABLE_LIMIT.
+The scalar ``Poly`` operations are the reference for ``evaluate``.
+``is_irreducible`` finds the roots of a quadratic or cubic with one
+``evaluate`` call, and is the reference for the ``monic_irreducibles``
+sieve, which multiplies factors by ``_convolve`` and evaluates nothing.
 """
 
 from __future__ import annotations
@@ -237,10 +240,12 @@ def mod_inverse(a: Poly, mod: Poly) -> Poly:
 
 
 def distinct_roots(f: Poly) -> set[int]:
-    """Exact root set {x in GF(q) : f(x) = 0}, by full scan."""
+    """Exact root set {x in GF(q) : f(x) = 0}, by one evaluate call over
+    all of GF(q)."""
     if not f:
         raise ValueError("zero polynomial vanishes everywhere")
-    return {x for x in range(f.field.q) if f(x) == 0}
+    (values,) = evaluate(f.field, [f.coeffs], np.arange(f.field.q))
+    return {x for x, v in enumerate(values.tolist()) if v == 0}
 
 
 def splits_into_distinct_linear(f: Poly) -> bool:
@@ -276,12 +281,14 @@ def is_irreducible(f: Poly) -> bool:
 def evaluate(field: GF, coeffs, xs) -> np.ndarray:
     """Every row of an (N, d+1) array of coefficients (low degree first)
     evaluated at every point of xs, as an (N, len(xs)) array: Horner's rule
-    by table gathers, acc = add[mul[acc, x], c_j]."""
+    by table gathers, acc = add[mul[acc, x], c_j], from acc = c_d."""
     add_t, mul_t = field.add_table, field.mul_table
     coeffs = np.asarray(coeffs, dtype=np.intp)
     xs = np.asarray(xs, dtype=np.intp)
     acc = np.zeros((len(coeffs), len(xs)), dtype=add_t.dtype)
-    for j in range(coeffs.shape[1] - 1, -1, -1):
+    if coeffs.shape[1]:
+        acc[:] = coeffs[:, -1, None]
+    for j in range(coeffs.shape[1] - 2, -1, -1):
         acc = add_t[mul_t[acc, xs], coeffs[:, j, None]]
     return acc
 

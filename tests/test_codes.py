@@ -334,6 +334,54 @@ def test_exhaustive_scan_memory_is_bounded():
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        prs(G5, 3),
+        prs(field_of_order(8), 4),
+        prs(field_of_order(9), 1),
+        rs(field_of_order(7), 3, D=(6, 2, 5, 0, 3), scale=(3, 1, 5, 2, 6)),
+        rs(field_of_order(9), 4, D=(8, 0, 3, 1, 7, 5, 2), scale=(2, 7, 1, 4, 8, 3, 6)),
+    ],
+)
+def test_systematic_generator_spans_the_code(code):
+    rows, pivots = code.systematic_generator()
+    assert len(pivots) == code.k
+    assert [[row[j] for j in pivots] for row in rows] == np.eye(code.k, dtype=int).tolist()
+    spanned = codes._combinations(code.field, rows, code.n)
+    assert sorted(map(tuple, spanned.tolist())) == sorted(map(tuple, code.codewords().tolist()))
+
+
+def test_scan_tables_follow_scan_chunk():
+    code = prs(7, 4)  # cached, so both chunks scan the same Code
+    q, n, k = code.field.q, code.n, code.k
+    table = code.codewords()
+    rng = random.Random(5)
+    words = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(10)]
+    for chunk, split in ((codes.SCAN_CHUNK, k), (q * n, 1)):
+        _assert_scan_matches_table(code, chunk, table, words)
+        tables = code._scan
+        assert (tables.chunk, tables.split) == (chunk, split)
+        assert tables.low.shape == (n - k, q**split)
+        assert tables.high.shape == (q ** (k - split), n - k)
+
+
+@pytest.mark.parametrize("q, k", [(9, 7), (11, 6)])
+def test_scan_tables_kept_per_code_are_bounded(q, k):
+    field = field_of_order(q)
+    field.add_table, field.mul_table  # built once per field, not per code
+    code = prs(field, k)  # a fresh Code, with no tables yet
+    word = tuple(range(q)) + (4,)
+    tracemalloc.start()
+    try:
+        code.error_distance(word, method="exhaustive")
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code._scan is not None
+    assert kept <= codes.SCAN_CHUNK + 2**14
+
+
 @given(small_codes())
 def test_weight_table_matches_exhaustive_distances(code):
     weights = code.coset_leader_weights()
