@@ -27,10 +27,24 @@ early exit.
 
 The weight table is built one parity-check column h at a time: a syndrome's
 weight becomes the smaller of its weight so far and one more than the least
-weight so far on its line {s + t*h : t in GF(q)}.  Every line meets the slice
-where a pivot coordinate of h is zero exactly once, so the line minima are
-gathered onto that slice and then gathered back, about 2*q^r table reads per
-column.
+weight so far on its line {s + t*h : t in GF(q)}.  A weight is the same on
+every nonzero multiple of a syndrome, so the table is built on one
+representative per scalar class, the syndrome whose first nonzero
+coordinate (lowest index) is 1.  Box j holds the q^(r-1-j) representatives
+whose first nonzero coordinate is j, packed by their later coordinates,
+(q^r - 1)/(q - 1) int8 entries in all.  For h with first nonzero coordinate
+i, the lines through [h] are indexed by the representatives u with u_i = 0,
+and every other representative lies on exactly one of them.  Their points
+u + t*h normalise coordinate by coordinate: for u in a box j < i each is a
+representative as it stands, and for j > i each point with t != 0 is t
+times the representative h + u/t, in box i.  So each box is updated by one
+(q, lines) array of positions, one gather, a minimum over the line, and one
+scatter; each entry is written once per column, and [h] itself takes
+weight at most 1.  At the end the table over all q^r packed syndromes is
+filled by full[c*s] = compact[s]: for each box j and scalar c, the
+syndromes whose first nonzero coordinate j equals c are a strided slice of
+it, gathered from box j by two index vectors, one for each half of the
+coordinates after j.
 """
 
 from __future__ import annotations
@@ -297,41 +311,8 @@ class Code:
             raise BoundExceededError(
                 f"syndrome space {q}^{r} exceeds bound {max_syndromes}"
             )
-        add_t, mul_t = fld.add_table, fld.mul_table
-        unreached = r + 1
-        weights = np.full(q**r, unreached, dtype=np.int8)
-        weights[0] = 0
-        for h in self.h_columns():
-            # pivot on a nonzero coordinate near the middle, so that the
-            # coordinates above and below it pack into short index vectors
-            i = min((j for j, hj in enumerate(h) if hj), key=lambda j: abs(2 * j - r + 1))
-            view = weights.reshape(q ** (r - 1 - i), q, q**i)
-            # moved[c]: packed indices of the coordinates above and below the
-            # pivot, each translated by its entry of c*h.  They are made once
-            # per distinct translation: a column that is zero off the pivot
-            # has the longest vectors, q^(r-1) entries, and one pair for all c
-            moved, made = [], {}
-            for c in range(q):
-                shift = [mul_t[c, hj] for hj in reversed(h)]
-                key = tuple(shift[: r - 1 - i] + shift[r - i :])
-                if key not in made:
-                    rows, split = [add_t[s] for s in key], r - 1 - i
-                    made[key] = _packed(q, rows[:split]), _packed(q, rows[split:])
-                moved.append(made[key])
-            # every line {s + t*h} meets the slice s_i = 0 once; take its
-            # minimum there
-            line_min = view[:, 0, :].copy()
-            for t in range(1, q):
-                above, below = moved[t]
-                np.minimum(line_min, view[above, mul_t[t, h[i]]][:, below], out=line_min)
-            line_min += 1
-            inv = fld.inv(h[i])
-            for a in range(q):
-                # slice s_i = a reaches slice 0 by adding -(a/h_i)*h
-                above, below = moved[fld.neg(fld.mul(a, inv))]
-                target = view[:, a, :]
-                np.minimum(target, line_min[above][:, below], out=target)
-        if (weights == unreached).any():
+        weights = _leader_weights(fld, self._h.T)
+        if weights.max() > r:
             raise AssertionError("parity-check columns do not span the syndromes")
         self._weights = weights
         return weights
@@ -510,6 +491,106 @@ def _digit_mismatches(q: int, digits, dtype) -> np.ndarray:
     for x in digits:
         out = ((np.arange(q) != x)[:, None] + out).reshape(-1)
     return out
+
+
+def _leader_weights(field: GF, columns) -> np.ndarray:
+    """int8 table over the packed syndromes of length r: the least number of
+    the given columns, an (m, r) array, whose span holds each syndrome, and
+    r + 1 where none does.  Built on one entry per scalar class, then
+    expanded (see the module docstring)."""
+    q = field.q
+    columns = np.asarray(columns, dtype=np.intp)
+    r = columns.shape[1]
+    add_t, mul_t = field.add_table, field.mul_table
+    # box j holds the q^(r-1-j) representatives whose first nonzero coordinate
+    # is j, packed base q by their coordinates after j
+    offsets = np.cumsum([0] + [q ** (r - 1 - j) for j in range(r)]).tolist()
+    compact = np.full(offsets[-1], r + 1, dtype=np.int8)
+    for h in columns:
+        nonzero = np.flatnonzero(h)
+        if not len(nonzero):
+            continue
+        i = int(nonzero[0])
+        h = mul_t[field.inv(int(h[i])), h].astype(np.intp)  # scaled so that h_i = 1
+        for j in range(r):
+            if j == i:
+                continue
+            # every point other than [h] lies on one line through [h]: its
+            # weight becomes the smaller of its own and one more than the
+            # line's least
+            at = _line_positions(add_t, mul_t, h, i, j, offsets)
+            on_line = compact[at]
+            least = on_line.min(axis=0)
+            least += 1
+            np.minimum(on_line, least, out=on_line)
+            compact[at] = on_line
+        home = offsets[i] + int(h[i + 1 :] @ q ** np.arange(r - 1 - i))
+        compact[home] = min(compact[home], 1)
+    return _expand(mul_t, field, compact, offsets)
+
+
+def _line_positions(add_t, mul_t, h, i: int, j: int, offsets) -> np.ndarray:
+    """Compact positions of the points of the lines through [h] (h_i = 1 its
+    first nonzero coordinate) that meet box j at a representative u with
+    u_i = 0, as a (q, L) array with one line per column.  For j < i row t is
+    u + t*h, a representative as it stands; for j > i row 0 is u and row
+    s != 0 is h + s*u, the representative of u + h/s.  Either way each
+    coordinate after j adds one (rows, digits) term, broadcast onto the
+    lines so far.  The field tables are uint16, so every term is widened
+    before it is scaled."""
+    q, r = len(add_t), len(h)
+    digits = np.arange(q)
+    if j < i:
+        at = np.full((1, 1), offsets[j])
+        for k in range(r - 1, j, -1):
+            if k == i:
+                part = digits[:, None]
+            elif k < i:
+                part = digits[None, :]
+            else:
+                part = add_t[mul_t[:, h[k], None], digits].astype(np.intp)
+            at = _append_digit(at, part * q ** (k - j - 1))
+        return at
+    lead = add_t[h[j], digits].astype(np.intp) * q ** (j - i - 1)
+    lead += offsets[i] + int(h[i + 1 : j] @ q ** np.arange(j - i - 1))
+    lead[0] = offsets[j]
+    at = lead[:, None]
+    for k in range(r - 1, j, -1):
+        part = add_t[h[k], mul_t].astype(np.intp) * q ** (k - i - 1)
+        part[0] = digits * q ** (k - j - 1)
+        at = _append_digit(at, part)
+    return at
+
+
+def _append_digit(at, part) -> np.ndarray:
+    """at[row, line] + part[row, digit], with (line, digit) flattened into
+    one line axis."""
+    out = at[:, :, None] + part[:, None, :]
+    return out.reshape(len(out), -1)
+
+
+def _expand(mul_t, field: GF, compact, offsets) -> np.ndarray:
+    """The full table over packed syndromes from the compact one: full[c*s]
+    = compact[s] for every representative s and scalar c != 0, full[0] = 0.
+    The syndromes with first nonzero coordinate j equal to c are a strided
+    slice of the full table; each is filled from box j by two gathers, one
+    over the high and one over the low half of the coordinates after j,
+    each scaled by 1/c."""
+    q = field.q
+    r = len(offsets) - 1
+    full = np.empty(q**r, dtype=compact.dtype)
+    full[0] = 0
+    for j in range(r):
+        lo_digits = (r - 1 - j) // 2
+        hi_digits = r - 1 - j - lo_digits
+        box = compact[offsets[j] : offsets[j + 1]].reshape(q**hi_digits, q**lo_digits)
+        view = full.reshape(q**hi_digits, q**lo_digits, q, q**j)
+        for c in range(1, q):
+            scale = mul_t[field.inv(c)]
+            hi = _packed(q, [scale] * hi_digits)
+            lo = _packed(q, [scale] * lo_digits)
+            view[:, :, c, 0] = box[hi][:, lo]
+    return full
 
 
 def _packed(q: int, rows) -> np.ndarray:

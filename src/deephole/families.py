@@ -80,9 +80,9 @@ def _require_max_distance(code: Code) -> int:
 
 
 def _verify_deep(code: Code, cosets, rho: int, what: str):
-    weights = code.coset_leader_weights()
-    bad = [c for c in cosets if int(weights[c]) != rho]
-    if bad:
+    ids = np.fromiter(cosets, dtype=np.int64, count=len(cosets))
+    bad = ids[code.coset_leader_weights()[ids] != rho]
+    if len(bad):
         raise TheoremAssertionError(
             f"{what}: {len(bad)} cosets not at distance {rho} (e.g. {bad[0]})"
         )

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -388,6 +389,102 @@ def test_weight_table_matches_exhaustive_distances(code):
     for s in range(code.field.q**code.redundancy):
         word = code.word_from_syndrome(code.unpack_syndrome(s))
         assert weights[s] == code.error_distance(word, method="exhaustive")
+
+
+@st.composite
+def column_sets(draw):
+    """(field, columns): 0 to r+3 random columns of length r, q^r <= 1000,
+    each coordinate zero about half the time, so that every coordinate is
+    some column's first nonzero one and zero columns occur."""
+    field = field_of_order(draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9))))
+    q = field.q
+    r = draw(st.integers(1, max(r for r in range(1, 11) if q**r <= 1000)))
+    symbol = st.just(0) | st.integers(1, q - 1)
+    column = st.lists(symbol, min_size=r, max_size=r)
+    columns = draw(st.lists(column, max_size=r + 3))
+    return field, np.array(columns, dtype=np.intp).reshape(-1, r)
+
+
+def _bfs_leader_weights(field, columns, r) -> list[int]:
+    """Breadth-first search from the zero syndrome, one step adding a nonzero
+    multiple of a column, in scalar field arithmetic over syndrome tuples;
+    r + 1 for a syndrome no column set reaches."""
+    q = field.q
+    steps = {tuple(field.mul(c, x) for x in col) for col in columns.tolist() for c in range(1, q)}
+    steps.discard((0,) * r)
+    dist = {(0,) * r: 0}
+    frontier = [(0,) * r]
+    while frontier:
+        reached = []
+        for s in frontier:
+            for step in steps:
+                t = tuple(field.add(a, b) for a, b in zip(s, step))
+                if t not in dist:
+                    dist[t] = dist[s] + 1
+                    reached.append(t)
+        frontier = reached
+    # packed ids put coordinate 0 in the least significant digit
+    return [
+        dist.get(tuple(idx // q**i % q for i in range(r)), r + 1) for idx in range(q**r)
+    ]
+
+
+@given(column_sets())
+def test_leader_weight_kernel_matches_scalar_bfs(case):
+    field, columns = case
+    r = columns.shape[1]
+    table = codes._leader_weights(field, columns)
+    assert table.dtype == np.int8
+    assert table.tolist() == _bfs_leader_weights(field, columns, r)
+
+
+# the six covering-radius codes of the benchmark, and a generalized RS code
+# on a proper evaluation set with a non-unit scale
+CLOSED_FORM_CODES = [
+    ("rs", 9, 3),
+    ("rs", 8, 1),
+    ("prs", 13, 8),
+    ("prs", 11, 6),
+    ("prs", 8, 2),
+    ("rs", 7, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "code",
+    [rs(q, k) if kind == "rs" else prs(q, k) for kind, q, k in CLOSED_FORM_CODES]
+    + [rs(field_of_order(9), 3, D=(8, 0, 3, 1, 7, 5, 2), scale=(2, 7, 1, 4, 8, 3, 6))],
+    ids=repr,
+)
+def test_weight_table_counts_match_mds_closed_form(code):
+    # in an MDS code every vector of weight w <= r/2 is the only leader of its
+    # coset, so C(n, w)*(q-1)^w syndromes have weight w
+    fld = code.field
+    q, n, r = fld.q, code.n, code.redundancy
+    assert code.is_mds()
+    weights = code.coset_leader_weights()
+    counts = np.bincount(weights)
+    assert len(counts) <= r + 1 and counts.sum() == q**r
+    for w in range(r // 2 + 1):
+        assert counts[w] == comb(n, w) * (q - 1) ** w
+    # w(c*s) = w(s): scaling by a generator of GF(q)* reaches every c != 0
+    scaled = codes._packed(q, [fld.mul_table[fld.generator()]] * r)
+    assert np.array_equal(weights[scaled], weights)
+
+
+def test_weight_table_memory_is_bounded():
+    field = field_of_order(13)
+    field.add_table, field.mul_table, field.inv_table  # built once per field
+    code = prs(field, 8)  # a fresh Code: 13^6 syndromes
+    tracemalloc.start()
+    try:
+        code.coset_leader_weights()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the int8 table itself is 13^6 bytes; the DP runs on (13^6 - 1)/12
+    # entries before it is expanded
+    assert peak <= 1.5 * 13**6
 
 
 @given(small_codes(scan_budget=float("inf")), st.data())

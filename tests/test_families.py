@@ -54,6 +54,20 @@ def test_degree_k_family_counts_and_distance():
         assert c.coset_id(scaled) in fam.cosets
 
 
+def test_a_family_off_the_covering_radius_names_its_first_coset(monkeypatch):
+    code = prs(G7, 4)  # a fresh Code, so its table can be patched
+    cosets = degree_k_family(code).cosets
+    rho = code.covering_radius()
+    weights = code.coset_leader_weights().copy()
+    weights[list(cosets)[3::5]] -= 1
+    monkeypatch.setattr(code, "_weights", weights)
+    # the message of the scalar check, which walked the cosets in this order
+    bad = [c for c in cosets if int(weights[c]) != rho]
+    expected = f"degree-k family: {len(bad)} cosets not at distance {rho} (e.g. {bad[0]})"
+    with pytest.raises(TheoremAssertionError, match=f"^{re.escape(expected)}$"):
+        degree_k_family(code)
+
+
 def test_degree_k_family_range_validation():
     with pytest.raises(ValueError):
         degree_k_family(prs(G5, 4))  # k = q-1 outside the admissible range
