@@ -10,6 +10,7 @@ machine-checked structural expectation fails.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import csv
 import io
 import json
@@ -17,11 +18,10 @@ import os
 import sys
 from dataclasses import dataclass, asdict
 
-import deephole.codes as codes_mod
-from deephole import classify, families, numbertheory
+from deephole import classify, codes, families, numbertheory
 from deephole.codes import prs, rs
 from deephole.errors import BoundExceededError, TheoremAssertionError
-from deephole.gf import GF, field_of_order, is_prime, make_field
+from deephole.gf import GF, field_of_order, make_field
 from deephole.poly import monic_irreducibles
 from deephole.table import Table
 
@@ -69,8 +69,11 @@ class ExperimentConfig:
         guard = int(os.environ.get("DEEPHOLE_MAX_Q", DEFAULT_MAX_Q))
         if self.unsafe_bounds:
             return
-        q = self.field().q
-        if q > guard:
+        # checked before the field is built, and p^m taken only for small p, m
+        p, m = (self.q, 1) if self.q is not None else (self.p, self.m)
+        m = 1 if m is None else m
+        if m >= 1 and (p > guard or m > guard.bit_length() or p**m > guard):
+            q = p if m == 1 else f"{p}^{m}"
             raise BoundExceededError(
                 f"q = {q} exceeds the size guard {guard} "
                 "(set DEEPHOLE_MAX_Q or pass --unsafe-bounds)"
@@ -332,25 +335,11 @@ def run(cfg: ExperimentConfig) -> tuple[dict, int]:
     q = cfg.field().q
     if cfg.set is not None and any(not 0 <= x < q for x in cfg.set):
         raise UsageError(f"--set encodings must lie in 0..{q - 1}, got {list(cfg.set)}")
-    saved = None
+    # the lift is set in a copy of the context, so it ends with this run
+    ctx = contextvars.copy_context()
     if cfg.unsafe_bounds:
-        saved = (
-            codes_mod.MAX_EXHAUSTIVE_CODEWORDS,
-            codes_mod.MAX_SYNDROME_SPACE,
-            codes_mod.MAX_SPAN_REDUNDANCY,
-        )
-        codes_mod.MAX_EXHAUSTIVE_CODEWORDS = sys.maxsize
-        codes_mod.MAX_SYNDROME_SPACE = sys.maxsize
-        codes_mod.MAX_SPAN_REDUNDANCY = sys.maxsize
-    try:
-        report = _RUNNERS[cfg.command](cfg)
-    finally:
-        if saved is not None:
-            (
-                codes_mod.MAX_EXHAUSTIVE_CODEWORDS,
-                codes_mod.MAX_SYNDROME_SPACE,
-                codes_mod.MAX_SPAN_REDUNDANCY,
-            ) = saved
+        ctx.run(codes.LIMITS.set, codes.Limits(sys.maxsize, sys.maxsize))
+    report = ctx.run(_RUNNERS[cfg.command], cfg)
     ok = all(report.get("assertions", {}).values())
     return report, 0 if ok else 2
 
@@ -530,8 +519,6 @@ def config_from_args(args) -> ExperimentConfig:
         raise UsageError("give exactly one of --q or --p (with optional --m)")
     if args.q is not None and args.m is not None:
         raise UsageError("--m only combines with --p")
-    if args.p is not None and not is_prime(args.p):
-        raise UsageError(f"--p {args.p} is not prime")
     return ExperimentConfig(
         command=args.command,
         q=args.q,
@@ -567,6 +554,9 @@ def run_command(argv) -> tuple[dict | None, int]:
         return None, 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return None, 1
+    except MemoryError as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return None, 1
 
 

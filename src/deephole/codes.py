@@ -45,10 +45,18 @@ filled by full[c*s] = compact[s]: for each box j and scalar c, the
 syndromes whose first nonzero coordinate j equals c are a strided slice of
 it, gathered from box j by two index vectors, one for each half of the
 coordinates after j.
+
+The tables are bounded by one Limits value, the context variable LIMITS:
+the weight table and every span of syndromes need q^r <= LIMITS.syndromes,
+and the scan and the codeword table q^k <= LIMITS.codewords.  Each check reads
+LIMITS when a table is built or a scan starts, so a caller lifts the limits
+for one piece of work by setting LIMITS in a copied context and running the
+work there, as the CLI's --unsafe-bounds does.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 from typing import NamedTuple
@@ -60,12 +68,20 @@ from deephole.errors import BoundExceededError
 from deephole.gf import GF, field_of_order
 from deephole.poly import Poly, RationalFunction, evaluate
 
-MAX_EXHAUSTIVE_CODEWORDS = 10**7
-MAX_SYNDROME_SPACE = 10**7
-MAX_SPAN_REDUNDANCY = 6
 # entries in one block of the exhaustive scan; the low message table and each
 # per-block buffer hold at most this many, a few hundred KB, so they stay in L2
 SCAN_CHUNK = 1 << 18
+
+
+class Limits(NamedTuple):
+    """The largest tables built: q^k codewords scanned or listed, and q^r
+    syndromes in a weight table or a span."""
+
+    codewords: int = 10**7
+    syndromes: int = 10**7
+
+
+LIMITS = contextvars.ContextVar("LIMITS", default=Limits())
 
 
 class Code:
@@ -256,10 +272,7 @@ class Code:
         leading index."""
         fld = self.field
         r = self.redundancy
-        if fld.q**r > MAX_SYNDROME_SPACE:  # also keeps the packed ids within int64
-            raise BoundExceededError(
-                f"syndrome space {fld.q}^{r} exceeds bound {MAX_SYNDROME_SPACE}"
-            )
+        self._check_syndromes()  # also keeps the packed ids within int64
         combos = _combinations(fld, syndromes, r)
         # packed by Horner's rule, with no int64 copy of the whole array
         ids = np.zeros(combos.shape[:-1], dtype=np.int64)
@@ -298,39 +311,38 @@ class Code:
 
     # -- coset-leader weights -----------------------------------------------------
 
-    def coset_leader_weights(self, max_syndromes: int | None = None) -> np.ndarray:
+    def _check_syndromes(self):
+        q, r, bound = self.field.q, self.redundancy, LIMITS.get().syndromes
+        if q**r > bound:
+            raise BoundExceededError(f"syndrome space {q}^{r} exceeds bound {bound}")
+
+    def coset_leader_weights(self) -> np.ndarray:
         """int8 array over packed syndromes: minimum number of parity-check
         columns whose span contains the syndrome (= coset leader weight)."""
         if self._weights is not None:
             return self._weights
-        if max_syndromes is None:
-            max_syndromes = MAX_SYNDROME_SPACE
-        fld = self.field
-        q, r = fld.q, self.redundancy
-        if q**r > max_syndromes:
-            raise BoundExceededError(
-                f"syndrome space {q}^{r} exceeds bound {max_syndromes}"
-            )
-        weights = _leader_weights(fld, self._h.T)
-        if weights.max() > r:
+        self._check_syndromes()
+        weights = _leader_weights(self.field, self._h.T)
+        if weights.max() > self.redundancy:
             raise AssertionError("parity-check columns do not span the syndromes")
         self._weights = weights
         return weights
 
-    def covering_radius(self, max_syndromes: int | None = None) -> int:
-        return int(self.coset_leader_weights(max_syndromes=max_syndromes).max())
+    def covering_radius(self) -> int:
+        return int(self.coset_leader_weights().max())
 
     # -- exhaustive codeword enumeration ---------------------------------------
 
-    def codewords(self, max_codewords: int | None = None) -> np.ndarray:
+    def _check_codewords(self):
+        big, bound = self.field.q**self.k, LIMITS.get().codewords
+        if big > bound:
+            raise BoundExceededError(f"q^k = {big} exceeds bound {bound}")
+
+    def codewords(self) -> np.ndarray:
         """All q^k codewords as an (N, n) array, row i encoding the message
         with coefficient digits of i (base q, low degree first); built on
         each call and kept by nobody, the exhaustive distance included."""
-        if max_codewords is None:
-            max_codewords = MAX_EXHAUSTIVE_CODEWORDS
-        big = self.field.q**self.k
-        if big > max_codewords:
-            raise BoundExceededError(f"q^k = {big} exceeds bound {max_codewords}")
+        self._check_codewords()
         return _combinations(self.field, self.generator_matrix(), self.n)
 
     def systematic_generator(self) -> tuple[list[list[int]], list[int]]:
@@ -357,15 +369,14 @@ class Code:
         self._scan = _ScanTables(SCAN_CHUNK, k - t, pivots, parity, low, high)
         return self._scan
 
-    def _scan_distance(self, word, max_codewords: int) -> int:
+    def _scan_distance(self, word) -> int:
         """min over all messages m of A + B + C, the mismatches of the word
         with the codeword of m on the first k-t pivots (A, a function of the
         low digits of m), on the last t pivots (B, of the high digits) and on
         the n-k parity columns (C, the only per-codeword comparisons)."""
         fld = self.field
-        q, n, k = fld.q, self.n, self.k
-        if q**k > max_codewords:
-            raise BoundExceededError(f"q^k = {q**k} exceeds bound {max_codewords}")
+        q, n = fld.q, self.n
+        self._check_codewords()
         if any(not 0 <= x < q for x in word):
             raise ValueError(f"word has a symbol outside {fld!r}")
         tab = self._scan_tables()
@@ -393,56 +404,36 @@ class Code:
 
     # -- distances -------------------------------------------------------------
 
-    def error_distance(
-        self,
-        word,
-        method: str = "auto",
-        max_codewords: int | None = None,
-        max_span_redundancy: int | None = None,
-    ) -> int:
-        """Exact minimum Hamming distance from the word to the code."""
-        if max_codewords is None:
-            max_codewords = MAX_EXHAUSTIVE_CODEWORDS
-        if max_span_redundancy is None:
-            max_span_redundancy = MAX_SPAN_REDUNDANCY
+    def error_distance(self, word, method: str = "auto") -> int:
+        """Exact minimum Hamming distance from the word to the code; "auto"
+        reads the weight table when q^r is within LIMITS, else scans."""
         if len(word) != self.n:
             raise ValueError(f"word length {len(word)} != n = {self.n}")
         if method == "auto":
-            method = (
-                "syndrome_span"
-                if self.redundancy <= max_span_redundancy
-                and self.field.q**self.redundancy <= MAX_SYNDROME_SPACE
-                else "exhaustive"
-            )
+            fits = self.field.q**self.redundancy <= LIMITS.get().syndromes
+            method = "syndrome_span" if fits else "exhaustive"
         if method == "syndrome_span":
-            if self.redundancy > max_span_redundancy:
-                raise BoundExceededError(
-                    f"redundancy {self.redundancy} exceeds bound {max_span_redundancy}"
-                )
-            weights = self.coset_leader_weights()
-            return int(weights[self.coset_id(word)])
+            return int(self.coset_leader_weights()[self.coset_id(word)])
         if method == "exhaustive":
-            return self._scan_distance(word, max_codewords)
+            return self._scan_distance(word)
         raise ValueError(f"unknown method {method!r}")
 
-    def minimum_distance(
-        self, method: str = "auto", max_codewords: int | None = None
-    ) -> int:
+    def minimum_distance(self, method: str = "dual") -> int:
         """Exact minimum distance; "dual" searches for the smallest linearly
         dependent set of parity-check columns, "exhaustive" scans codewords."""
-        if max_codewords is None:
-            max_codewords = MAX_EXHAUSTIVE_CODEWORDS
-        if method == "auto":
-            method = "dual" if self.redundancy <= MAX_SPAN_REDUNDANCY else "exhaustive"
         if method == "dual":
-            cols = self.h_columns()
-            for w in range(1, self.redundancy + 1):
-                for sub in itertools.combinations(cols, w):
-                    if linalg.rank(self.field, sub) < w:
-                        return w
-            return self.redundancy + 1
+            fld, cols, r = self.field, self.h_columns(), self.redundancy
+
+            def dependent(w):
+                subsets = itertools.combinations(cols, w)
+                return any(linalg.rank(fld, sub) < w for sub in subsets)
+
+            # when no r columns are dependent, no fewer are, and any r + 1 are
+            if not dependent(r):
+                return r + 1
+            return next(w for w in range(1, r + 1) if dependent(w))
         if method == "exhaustive":
-            cw = self.codewords(max_codewords=max_codewords)
+            cw = self.codewords()
             return int((cw[1:] != 0).sum(axis=1).min())
         raise ValueError(f"unknown method {method!r}")
 

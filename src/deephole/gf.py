@@ -21,7 +21,7 @@ import numpy as np
 
 from deephole.errors import BoundExceededError
 
-DEFAULT_MAX_Q = 1 << 20
+MAX_Q = 1 << 20
 # full q*q numpy lookup tables are only built below this size
 TABLE_LIMIT = 4096
 
@@ -144,14 +144,15 @@ class GF:
     immutable after construction and safe to share across threads.
     """
 
-    def __init__(self, p: int, m: int = 1, max_q: int = DEFAULT_MAX_Q):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
+    def __init__(self, p: int, m: int = 1):
         if m < 1:
             raise ValueError(f"extension degree m = {m} must be >= 1")
+        # p and m are bounded before p is tested or p^m taken
+        if p > MAX_Q or m > MAX_Q.bit_length() or p**m > MAX_Q:
+            raise BoundExceededError(f"field size {p}^{m} exceeds bound {MAX_Q}")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         q = p**m
-        if q > max_q:
-            raise BoundExceededError(f"field size {p}^{m} = {q} exceeds bound {max_q}")
         self.p = p
         self.m = m
         self.q = q
@@ -366,17 +367,19 @@ class GF:
 
 
 @functools.lru_cache(maxsize=None)
-def _cached_field(p: int, m: int, max_q: int) -> GF:
-    return GF(p, m, max_q=max_q)
+def _cached_field(p: int, m: int) -> GF:
+    return GF(p, m)
 
 
-def make_field(p: int, m: int = 1, max_q: int = DEFAULT_MAX_Q) -> GF:
+def make_field(p: int, m: int = 1) -> GF:
     """Construct (or fetch the cached) GF(p^m) with the canonical modulus."""
-    return _cached_field(p, m, max_q)
+    return _cached_field(p, m)
 
 
-def field_of_order(q: int, max_q: int = DEFAULT_MAX_Q) -> GF:
+def field_of_order(q: int) -> GF:
     """GF(q) for a prime power q, factoring q as p^m."""
+    if q > MAX_Q:  # before the trial division
+        raise BoundExceededError(f"field size {q} exceeds bound {MAX_Q}")
     for p in prime_factors(q):
         m = 0
         n = q
@@ -384,6 +387,6 @@ def field_of_order(q: int, max_q: int = DEFAULT_MAX_Q) -> GF:
             n //= p
             m += 1
         if n == 1:
-            return make_field(p, m, max_q=max_q)
+            return make_field(p, m)
         break
     raise ValueError(f"{q} is not a prime power")

@@ -236,9 +236,7 @@ def test_criterion_11_oracle_equivalence():
         for _ in range(200):
             w = tuple(rng.randrange(q) for _ in range(code.n))
             a = code.error_distance(w, method="exhaustive")
-            b = code.error_distance(
-                w, method="syndrome_span", max_span_redundancy=code.redundancy
-            )
+            b = code.error_distance(w, method="syndrome_span")
             assert a == b, (code, w, a, b)
     print(
         f"\nACCEPTANCE 11 PASS: exhaustive and syndrome-span distances agree on "

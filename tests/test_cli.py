@@ -1,9 +1,12 @@
+import contextvars
 import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deephole
-from deephole import classify, families, numbertheory
+from deephole import classify, codes, families, numbertheory
 from deephole.cli import (
     COMMANDS,
     ExperimentConfig,
@@ -317,6 +320,64 @@ def test_size_guard_env(monkeypatch):
 def test_unsafe_bounds_flag():
     report, code = _run(["enum-deep-cosets", "--q", "17", "--k", "15", "--unsafe-bounds"])
     assert code == 0 and report["result"]["total"] == 16 * 17 * 17
+
+
+@pytest.mark.parametrize("unsafe", [[], ["--unsafe-bounds"]], ids=["guarded", "unsafe"])
+@pytest.mark.parametrize(
+    "field",
+    [
+        ["--q", "1000000000000000009"],
+        ["--p", "1000000000000000009"],
+        ["--p", "3", "--m", "100000000"],
+    ],
+    ids=" ".join,
+)
+def test_huge_fields_are_rejected_before_any_work(field, unsafe, monkeypatch, capsys):
+    # the size is compared with the bound before factoring, testing
+    # primality or taking p^m
+    monkeypatch.delenv("DEEPHOLE_MAX_Q", raising=False)
+    start = time.perf_counter()
+    report, code = _run(["ssp", *field, "--k", "2", *unsafe])
+    assert time.perf_counter() - start < 2
+    assert report is None and code == 1
+    err = capsys.readouterr().err
+    assert "exceeds" in err and "Traceback" not in err
+
+
+def test_out_of_memory_exits_1(monkeypatch, capsys):
+    def no_memory(field, columns):
+        raise MemoryError("Unable to allocate 1.77 TiB for an array")
+
+    monkeypatch.setattr(codes, "_leader_weights", no_memory)
+    report, code = _run(["covering-radius", "--code", "prs", "--q", "5", "--k", "2"])
+    assert report is None and code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+
+
+def test_unsafe_bounds_lifts_the_limits_for_one_run():
+    tight = codes.Limits(codewords=10, syndromes=100)
+    ctx = contextvars.copy_context()
+    ctx.run(codes.LIMITS.set, tight)
+    argv = ["covering-radius", "--code", "prs", "--q", "5", "--k", "2"]  # 5^4 syndromes
+    assert ctx.run(_run, argv) == (None, 1)
+    report, code = ctx.run(_run, argv + ["--unsafe-bounds"])
+    assert code == 0 and report["result"]["rho"] == 3
+    assert ctx.run(codes.LIMITS.get) == tight
+    assert codes.LIMITS.get() == codes.Limits()
+
+
+def _readme_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    lines = (line.split("#")[0].split() for block in blocks for line in block.splitlines())
+    return [words[1:] for words in lines if words[:1] == ["deephole"]]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_run(argv):
+    report, code = _run(argv)
+    assert code == 0 and report is not None
 
 
 def test_reports_are_deterministic():

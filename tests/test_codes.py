@@ -1,5 +1,9 @@
+import contextvars
+import functools
+import itertools
 import random
 import tracemalloc
+import types
 from math import comb
 
 import numpy as np
@@ -185,6 +189,34 @@ def test_minimum_distance():
     c = rs(make_field(7), 3)
     assert c.minimum_distance() == 5
     assert c.minimum_distance(method="exhaustive") == 5
+
+
+@st.composite
+def parity_columns(draw):
+    """n random columns of length r over GF(2)-GF(5), zero and repeated
+    columns included, with r < n and q^n <= 3125."""
+    field = make_field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)])))
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(r + 1, r + 3).filter(lambda n: field.q**n <= 3125))
+    column = st.tuples(*[st.integers(0, field.q - 1)] * r)
+    return field, r, draw(st.lists(column, min_size=n, max_size=n))
+
+
+@given(parity_columns())
+def test_dual_minimum_distance_matches_kernel_enumeration(case):
+    # RS and PRS codes are MDS, so the upward search runs only on these
+    field, r, cols = case
+    expected = min(
+        sum(1 for v in x if v)
+        for x in itertools.product(range(field.q), repeat=len(cols))
+        if any(x)
+        and all(
+            functools.reduce(field.add, (field.mul(v, c[t]) for v, c in zip(x, cols)), 0) == 0
+            for t in range(r)
+        )
+    )
+    fake = types.SimpleNamespace(field=field, redundancy=r, h_columns=lambda: cols)
+    assert Code.minimum_distance(fake) == expected
 
 
 def test_all_small_codes_are_mds():
@@ -612,14 +644,29 @@ def test_rational_words_match_pointwise_evaluation():
 
 def test_bounds():
     big = prs(make_field(13), 2)
-    with pytest.raises(BoundExceededError):
-        big.coset_leader_weights(max_syndromes=1000)
-    with pytest.raises(BoundExceededError):
-        big.codewords(max_codewords=10)
-    with pytest.raises(BoundExceededError):
-        big.error_distance((0,) * big.n, method="exhaustive", max_codewords=10)
-    with pytest.raises(BoundExceededError):
-        big.error_distance((0,) * big.n, method="syndrome_span", max_span_redundancy=6)
+    word = (0,) * big.n
+    tight = contextvars.copy_context()
+    tight.run(codes.LIMITS.set, codes.Limits(codewords=10, syndromes=1000))
+    for build in (
+        big.coset_leader_weights,
+        big.codewords,
+        lambda: big.error_distance(word, method="exhaustive"),
+        lambda: big.error_distance(word, method="syndrome_span"),
+    ):
+        with pytest.raises(BoundExceededError):
+            tight.run(build)
+    assert codes.LIMITS.get() == codes.Limits()
+
+
+def test_auto_distance_scans_when_the_weight_table_is_over_the_limit():
+    code = prs(make_field(5), 2)  # 5^4 = 625 syndromes, 25 codewords
+    word = (0, 0, 0, 1, 2, 3)  # a deep hole, at distance 3
+    no_table = contextvars.copy_context()
+    no_table.run(codes.LIMITS.set, codes.Limits(syndromes=100))
+    assert no_table.run(code.error_distance, word) == 3
+    assert code._weights is None
+    assert code.error_distance(word) == 3
+    assert code._weights is not None
 
 
 def test_code_validation():
