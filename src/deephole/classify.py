@@ -10,11 +10,18 @@ routes are required to agree.  The experiments build the families of all
 monic irreducible quadratics or cubics with families.quadratic_families or
 families.cubic_families, which take the basis words, syndromes and spans of
 a block of polynomials in array passes and check each family on its own.
+
+Coset sets are coset arrays (families.coset_array).  A union of families is
+one boolean mask over the q^r syndromes (Code.syndrome_mask), compared with
+the deep set by one masked test.  The hypergraph's statistics are read from
+its (edges x vertices) 0/1 incidence matrix: degrees are its column sums,
+pairwise edge intersections the entries of E.E^T, and the even split of each
+edge one product with the indicator of the high degree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 from itertools import combinations
 from math import comb
 
@@ -40,10 +47,10 @@ def prs_covering_radius(q: int, k: int) -> int:
     return q - k + 1 if q % 2 == 0 and k in (2, q - 2) else q - k
 
 
-def deep_syndromes(code: Code) -> frozenset[int]:
-    """Packed syndromes of all deep-hole cosets of a PRS code with redundancy
-    3 or 4, by direct span enumeration, cross-checked against the coset-leader
-    weight table."""
+def deep_syndromes(code: Code) -> np.ndarray:
+    """Coset array of the packed syndromes of all deep-hole cosets of a PRS
+    code with redundancy 3 or 4, by direct span enumeration, cross-checked
+    against the coset-leader weight table."""
     if code.kind != "projective":
         raise ValueError("deep-coset enumeration is defined for PRS codes")
     field = code.field
@@ -55,15 +62,15 @@ def deep_syndromes(code: Code) -> frozenset[int]:
         raise TheoremAssertionError(
             f"covering radius of {code!r} is {rho}, not {prs_covering_radius(q, k)}"
         )
-    shallow = np.zeros(q**r, dtype=bool)
-    for sub in combinations(nrc_points(field, r), rho - 1):
-        shallow[code.span_ids(sub)] = True
+    shallow = code.syndrome_mask(
+        code.span_ids(sub) for sub in combinations(nrc_points(field, r), rho - 1)
+    )
     deep = np.flatnonzero(~shallow)
     if not np.array_equal(deep, np.flatnonzero(code.coset_leader_weights() == rho)):
         raise TheoremAssertionError(
             "span enumeration and coset-leader weights disagree on the deep set"
         )
-    return frozenset(deep.tolist())
+    return families.coset_array(deep)
 
 
 def deep_count_formula(q: int, r: int) -> int:
@@ -102,11 +109,13 @@ def count_deep_cosets(code: Code) -> int:
 # -- the irreducible-quadratic hypergraph -------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Hypergraph:
     code: Code
-    vertices: frozenset[int]
-    edges: dict  # monic irreducible quadratic coefficients -> frozenset of vertices
+    # coset arrays, left out of == as in families.DeepHoleFamily
+    vertices: np.ndarray = dataclasses.field(compare=False)
+    # monic irreducible quadratic coefficients -> coset array of its vertices
+    edges: dict = dataclasses.field(compare=False)
 
 
 def build_hypergraph(field: GF) -> Hypergraph:
@@ -121,11 +130,11 @@ def build_hypergraph(field: GF) -> Hypergraph:
         p.coeffs: fam.projective_cosets()
         for p, fam in zip(quads, families.quadratic_families(code, quads))
     }
-    vertices = frozenset().union(*edges.values())
     if len(edges) != (q * q - q) // 2:
         raise TheoremAssertionError(
             f"{len(edges)} edges, expected (q^2-q)/2 = {(q * q - q) // 2}"
         )
+    vertices = families.coset_array(np.concatenate(list(edges.values())))
     return Hypergraph(code, vertices, edges)
 
 
@@ -134,33 +143,31 @@ def hypergraph_stats(h: Hypergraph) -> dict:
     edge intersections of size 1, vertex degrees in {(q-1)/2, (q+1)/2} with
     each edge split evenly between the two."""
     q = h.code.field.q
-    degree = {v: 0 for v in h.vertices}
-    for verts in h.edges.values():
-        for v in verts:
-            degree[v] += 1
-    hist = {}
-    for d in degree.values():
-        hist[d] = hist.get(d, 0) + 1
+    edge_sets = list(h.edges.values())
+    sizes = np.array([len(verts) for verts in edge_sets])
+    # the (edges x vertices) 0/1 incidence matrix, by one scatter
+    incidence = np.zeros((len(edge_sets), len(h.vertices)), dtype=np.int64)
+    rows = np.repeat(np.arange(len(edge_sets)), sizes)
+    incidence[rows, np.searchsorted(h.vertices, np.concatenate(edge_sets))] = 1
+    degree = incidence.sum(axis=0)
+    degrees, counts = np.unique(degree, return_counts=True)
+    hist = dict(zip(degrees.tolist(), counts.tolist()))
     lo, hi = (q - 1) // 2, (q + 1) // 2
-    edge_list = list(h.edges.values())
-    pairwise_ok = all(
-        len(a & b) == 1 for a, b in combinations(edge_list, 2)
-    )
-    split_ok = all(
-        sum(1 for v in verts if degree[v] == hi) == (q + 1) // 2
-        and sum(1 for v in verts if degree[v] == lo) == (q + 1) // 2
-        for verts in h.edges.values()
-    )
+    meets = incidence @ incidence.T
+    half = (q + 1) // 2
     checks = {
         "vertex_count_is_q_squared": len(h.vertices) == q * q,
         "edge_count": len(h.edges) == (q * q - q) // 2,
-        "edges_have_q_plus_1_vertices": all(
-            len(v) == q + 1 for v in h.edges.values()
+        "edges_have_q_plus_1_vertices": bool((sizes == q + 1).all()),
+        "pairwise_intersections_size_1": bool(
+            (meets[np.triu_indices(len(edge_sets), 1)] == 1).all()
         ),
-        "pairwise_intersections_size_1": pairwise_ok,
         "degrees_in_two_classes": set(hist) <= {lo, hi},
-        "edges_split_evenly": split_ok,
-        "handshake": sum(degree.values()) == len(h.edges) * (q + 1),
+        "edges_split_evenly": bool(
+            (incidence @ (degree == hi) == half).all()
+            and (incidence @ (degree == lo) == half).all()
+        ),
+        "handshake": int(degree.sum()) == len(h.edges) * (q + 1),
     }
     return {
         "num_vertices": len(h.vertices),
@@ -180,14 +187,15 @@ def completeness_check(field: GF) -> dict:
     deep = deep_syndromes(code)
     quads = monic_irreducibles(field, 2)
     fams = [f.cosets for f in families.quadratic_families(code, quads)]
-    union = frozenset().union(*fams)
+    union = code.syndrome_mask(fams)
+    union_size = int(union.sum())
     return {
         "q": q,
         "k": q - 2,
         "num_quadratics": len(quads),
-        "union_size": len(union),
+        "union_size": union_size,
         "total_deep_cosets": len(deep),
-        "equal": union == deep,
+        "equal": union_size == len(deep) and bool(union[deep].all()),
         "per_family": [
             {"poly": list(p.coeffs), "cosets": len(f)} for p, f in zip(quads, fams)
         ],
@@ -203,16 +211,17 @@ def cubic_coverage_experiment(field: GF) -> dict:
     deep = deep_syndromes(code)
     cubics = monic_irreducibles(field, 3)
     fams = [f.cosets for f in families.cubic_families(code, cubics)]
-    union = frozenset().union(*fams)
-    if not union <= deep:
+    union = code.syndrome_mask(fams)
+    covered = int(union.sum())
+    if int(union[deep].sum()) != covered:
         raise TheoremAssertionError("cubic families produced a non-deep coset")
     return {
         "q": q,
         "k": q - 3,
         "num_cubics": len(cubics),
-        "covered": len(union),
+        "covered": covered,
         "total": len(deep),
-        "fraction": len(union) / len(deep),
+        "fraction": covered / len(deep),
         "per_family": [
             {"poly": list(p.coeffs), "cosets": len(f)} for p, f in zip(cubics, fams)
         ],

@@ -66,9 +66,15 @@ class ExperimentConfig:
         return make_field(self.p, 1 if self.m is None else self.m)
 
     def check_size_guard(self):
-        guard = int(os.environ.get("DEEPHOLE_MAX_Q", DEFAULT_MAX_Q))
         if self.unsafe_bounds:
             return
+        text = os.environ.get("DEEPHOLE_MAX_Q", str(DEFAULT_MAX_Q))
+        try:
+            guard = int(text)
+        except ValueError:
+            guard = 0
+        if guard < 1:
+            raise UsageError(f"DEEPHOLE_MAX_Q must be a positive integer, got {text!r}")
         # checked before the field is built, and p^m taken only for small p, m
         p, m = (self.q, 1) if self.q is not None else (self.p, self.m)
         m = 1 if m is None else m
@@ -130,7 +136,7 @@ def run_enum_deep_cosets(cfg: ExperimentConfig) -> dict:
     if cfg.k is None:
         raise UsageError("enum-deep-cosets requires --k")
     code = prs(field, cfg.k)
-    total = len(classify.deep_syndromes(code))
+    total = classify.count_deep_cosets(code)
     q, r = field.q, code.redundancy
     in_range = classify.in_theorem_range(q, cfg.k)
     formula = classify.deep_count_formula(q, r) if r in (3, 4) else None
@@ -154,7 +160,8 @@ def run_family(cfg: ExperimentConfig) -> dict:
     if tag == "degree_k":
         if cfg.k is None:
             raise UsageError("family degree_k requires --k")
-        fams = [families.degree_k_family(prs(field, cfg.k))]
+        code = prs(field, cfg.k)
+        fams = [families.degree_k_family(code)]
     elif tag == "quadratic":
         if cfg.k is None:
             raise UsageError("family quadratic requires --k")
@@ -181,13 +188,26 @@ def run_family(cfg: ExperimentConfig) -> dict:
         if cfg.set is None or cfg.r is None:
             raise UsageError("family zero_sum_free requires --set and --r")
         fams = [families.zero_sum_free_family(field, cfg.set, cfg.r)]
+        code = fams[0].code
     else:
         raise UsageError(f"unknown family tag {tag!r}; choose from {families.TAGS}")
+    # with no families (every delta in D) no mask is built, over a code whose
+    # q^r may exceed the table limits
+    total = int(code.syndrome_mask(f.cosets for f in fams).sum()) if fams else 0
+    q = field.q
+    if tag == "quadratic" and code.redundancy == 3 and q % 2:
+        # completeness: the families of k = q-2 cover every deep coset
+        expected = classify.deep_count_formula(q, 3)
+        if total != expected:
+            raise TheoremAssertionError(
+                f"the quadratic families cover {total} cosets, not the "
+                f"(q-1)q^2 = {expected} deep cosets"
+            )
     report = _base_report(cfg, field)
     report["result"] = {
         "families": [f.describe() for f in fams],
         "num_families": len(fams),
-        "total_distinct_cosets": len(frozenset().union(*(f.cosets for f in fams))),
+        "total_distinct_cosets": total,
     }
     report["assertions"] = {}
     return report
@@ -212,9 +232,9 @@ def run_hypergraph(cfg: ExperimentConfig) -> dict:
         "num_vertices": stats["num_vertices"],
         "num_edges": stats["num_edges"],
         "degree_histogram": stats["degree_histogram"],
-        "vertices": sorted(list(code.unpack_syndrome(v)) for v in h.vertices),
+        "vertices": sorted(list(code.unpack_syndrome(v)) for v in h.vertices.tolist()),
         "edges": [
-            {"poly": list(coeffs), "vertices": sorted(verts)}
+            {"poly": list(coeffs), "vertices": verts.tolist()}
             for coeffs, verts in sorted(h.edges.items())
         ],
     }

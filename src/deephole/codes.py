@@ -281,6 +281,15 @@ class Code:
             ids += combos[..., i]
         return ids
 
+    def syndrome_mask(self, id_arrays) -> np.ndarray:
+        """Boolean mask over the q^r packed syndromes, true on every id of the
+        given id arrays: their union, one scatter per array."""
+        self._check_syndromes()
+        mask = np.zeros(self.field.q**self.redundancy, dtype=bool)
+        for ids in id_arrays:
+            mask[ids] = True
+        return mask
+
     def projective_ids(self, ids) -> np.ndarray:
         """The packed ids of the syndromes of the given packed ids, each scaled
         so that its first nonzero coordinate is 1; the zero id stays 0."""

@@ -1,11 +1,13 @@
 """The explicit deep-hole families and their coset identities.
 
-Each construction returns a DeepHoleFamily holding the set of raw coset ids
-(packed syndromes) plus a few representative words.  The degree-k, quadratic
-and cubic families are GF(q)-spans of two or three syndromes, so their coset
-ids come from Code.span_ids, in the order of the coefficient tuples, and the
-sample words are the combinations of the basis words at a few of those
-indices, taken by one table gather.
+Each construction returns a DeepHoleFamily holding its raw coset ids (packed
+syndromes) as a coset array, a sorted, unique, read-only int64 array, plus a
+few representative words.  A union of families is one boolean mask over the
+q^r syndromes (Code.syndrome_mask), an intersection np.intersect1d.  The
+degree-k, quadratic and cubic families are GF(q)-spans of two or three
+syndromes, so their coset ids come from Code.span_ids, indexed by the
+coefficient tuples, and the sample words are the combinations of the basis
+words at a few of those indices, taken by one table gather.
 
 quadratic_families and cubic_families build many polynomials p at once: per
 block of at most codes.SCAN_CHUNK span entries, one Code.rational_words call
@@ -24,8 +26,8 @@ construction's range, such as a reducible polynomial, raises ValueError.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,11 +40,20 @@ from deephole.poly import Poly, is_irreducible, mod_inverse
 TAGS = ("degree_k", "inverse_monomial", "zero_sum_free", "quadratic", "cubic")
 
 
-@dataclass(frozen=True)
+def coset_array(ids) -> np.ndarray:
+    """ids as a coset set: a sorted, unique, read-only int64 array."""
+    out = np.unique(np.asarray(ids, dtype=np.int64))
+    out.flags.writeable = False
+    return out
+
+
+@dataclasses.dataclass(frozen=True)
 class DeepHoleFamily:
     tag: str
     params: dict
-    cosets: frozenset[int]
+    # a coset array; left out of ==, which it would make ambiguous, and fixed
+    # by the tag, params and code that are compared
+    cosets: np.ndarray = dataclasses.field(compare=False)
     words: tuple[tuple[int, ...], ...]
     code: Code
 
@@ -54,9 +65,8 @@ class DeepHoleFamily:
             "sample_words": [list(w) for w in self.words[:sample_words]],
         }
 
-    def projective_cosets(self) -> frozenset[int]:
-        ids = np.fromiter(self.cosets, dtype=np.int64, count=len(self.cosets))
-        return frozenset(self.code.projective_ids(ids).tolist())
+    def projective_cosets(self) -> np.ndarray:
+        return coset_array(self.code.projective_ids(self.cosets))
 
 
 def _check_prs_k_range(code: Code):
@@ -79,9 +89,8 @@ def _require_max_distance(code: Code) -> int:
     return rho
 
 
-def _verify_deep(code: Code, cosets, rho: int, what: str):
-    ids = np.fromiter(cosets, dtype=np.int64, count=len(cosets))
-    bad = ids[code.coset_leader_weights()[ids] != rho]
+def _verify_deep(code: Code, cosets: np.ndarray, rho: int, what: str):
+    bad = cosets[code.coset_leader_weights()[cosets] != rho]
     if len(bad):
         raise TheoremAssertionError(
             f"{what}: {len(bad)} cosets not at distance {rho} (e.g. {bad[0]})"
@@ -127,7 +136,7 @@ def degree_k_family(code: Code) -> DeepHoleFamily:
     # (a*u_{x^k}, v) has index a + q*v in the span of the syndromes of
     # (u_{x^k}, 0) and of (0, ..., 0, 1), the last parity-check column
     ids = code.span_ids((code.syndrome(code.word(xk)), code.h_columns()[-1]))
-    cosets = frozenset(ids.reshape(q, q)[:, 1:].ravel().tolist())
+    cosets = coset_array(ids.reshape(q, q)[:, 1:])
     words = tuple(code.word(xk, last=v) for v in range(3))
     if len(cosets) != q * (q - 1):
         raise TheoremAssertionError(
@@ -154,7 +163,7 @@ def inverse_monomial_family(code: Code, delta: int) -> DeepHoleFamily:
     u = code.word(f)
     rho = code.covering_radius()
     # a*u has index a in the span of the syndrome of u
-    cosets = frozenset(code.span_ids((code.syndrome(u),))[1:].tolist())
+    cosets = coset_array(code.span_ids((code.syndrome(u),))[1:])
     words = _sample_words(field, (u,), range(1, min(q, 4)))
     if len(cosets) != q - 1:
         raise TheoremAssertionError(
@@ -188,19 +197,19 @@ def zero_sum_free_family(field: GF, D, r: int) -> DeepHoleFamily:
     own = code.coset_id(w)
     # the words a*x^k, a != 0
     xk = code.syndrome(code.word(Poly.monomial(field, k)))
-    others = set(code.span_ids((xk,))[1:].tolist())
-    for delta in range(field.q):
-        if delta in D:
-            continue
-        others |= inverse_monomial_family(code, delta).cosets
-    if own in others:
+    others = [code.span_ids((xk,))[1:]] + [
+        inverse_monomial_family(code, delta).cosets
+        for delta in range(field.q)
+        if delta not in D
+    ]
+    if np.isin(own, np.concatenate(others)):
         raise TheoremAssertionError(
             "zero-sum-free coset coincides with a previously known family"
         )
     return DeepHoleFamily(
         "zero_sum_free",
         {"D": list(D), "r": r, "k": k},
-        frozenset({own}),
+        coset_array([own]),
         (w,),
         code,
     )
@@ -227,7 +236,7 @@ def quadratic_family(code: Code, p: Poly, span=None) -> DeepHoleFamily:
     if span is None:
         [(_, span)] = _rational_spans(code, [p], 2)
     basis, ids = span
-    cosets = frozenset(ids[1:].tolist())
+    cosets = coset_array(ids[1:])
     # numerator a + b x has index a + q*b
     words = _sample_words(field, basis, range(1, 4))
     if len(cosets) != q * q - 1:
@@ -268,7 +277,7 @@ def cubic_family(code: Code, p: Poly, span=None) -> DeepHoleFamily:
     basis, ids = span
     # numerator a + b x + c x^2 has index a + q*b + q^2*c; index 0 has weight 0
     deep = np.flatnonzero(code.coset_leader_weights()[ids] == rho)
-    cosets = frozenset(ids[deep].tolist())
+    cosets = coset_array(ids[deep])
     expected = (q - 1) * (q * q + q + 2) // 2
     if len(cosets) != expected or len(deep) != expected:
         raise TheoremAssertionError(
@@ -314,7 +323,7 @@ def same_coset(code: Code, w1, w2) -> bool:
     return code.syndrome(w1) == code.syndrome(w2)
 
 
-def dh_intersection(code: Code, p1: Poly, p2: Poly) -> frozenset[int]:
+def dh_intersection(code: Code, p1: Poly, p2: Poly) -> np.ndarray:
     """The q-1 cosets shared by DH(p1) and DH(p2) on PRS(q+1,q-2), built from
     the congruences a1 + b1 x = a (x^q - x)/p2 mod p1 and cross-checked against
     the brute-force intersection of the two families."""
@@ -331,15 +340,14 @@ def dh_intersection(code: Code, p1: Poly, p2: Poly) -> frozenset[int]:
     base = (xq_x % p1) * mod_inverse(p2 % p1, p1) % p1
     # the words of a*base/p1, a != 0, are the nonzero multiples of one word
     w = code.rational_words([base.coeffs], [p1.coeffs])
-    shared = set(code.span_ids(code.syndromes(w))[1:].tolist())
+    shared = coset_array(code.span_ids(code.syndromes(w))[1:])
     if len(shared) != q - 1:
         raise TheoremAssertionError(
             f"congruence sweep produced {len(shared)} cosets, expected {q - 1}"
         )
     dh1, dh2 = quadratic_families(code, (p1, p2))
-    brute = dh1.cosets & dh2.cosets
-    if frozenset(shared) != brute:
+    if not np.array_equal(shared, np.intersect1d(dh1.cosets, dh2.cosets)):
         raise TheoremAssertionError(
             "congruence construction disagrees with brute-force intersection"
         )
-    return frozenset(shared)
+    return shared

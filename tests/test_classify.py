@@ -1,9 +1,14 @@
+import dataclasses
 import itertools
+import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from deephole import classify, linalg
 from deephole.classify import (
+    Hypergraph,
     build_hypergraph,
     completeness_check,
     count_deep_cosets,
@@ -14,6 +19,7 @@ from deephole.classify import (
     nrc_points,
 )
 from deephole.codes import prs, rs
+from deephole.families import coset_array
 from deephole.gf import field_of_order, make_field
 
 G5 = make_field(5)
@@ -89,6 +95,76 @@ def test_hypergraph_small():
         build_hypergraph(make_field(2, 2))
 
 
+def _reference_hypergraph_stats(h):
+    """hypergraph_stats by sets and loops: a degree dict, and an
+    intersection for every pair of edges."""
+    q = h.code.field.q
+    vertices = set(h.vertices.tolist())
+    edges = [set(verts.tolist()) for verts in h.edges.values()]
+    degree = {v: 0 for v in vertices}
+    for verts in edges:
+        for v in verts:
+            degree[v] += 1
+    hist = {}
+    for d in degree.values():
+        hist[d] = hist.get(d, 0) + 1
+    lo, hi = (q - 1) // 2, (q + 1) // 2
+    pairwise_ok = all(len(a & b) == 1 for a, b in itertools.combinations(edges, 2))
+    split_ok = all(
+        sum(1 for v in verts if degree[v] == hi) == (q + 1) // 2
+        and sum(1 for v in verts if degree[v] == lo) == (q + 1) // 2
+        for verts in edges
+    )
+    checks = {
+        "vertex_count_is_q_squared": len(vertices) == q * q,
+        "edge_count": len(edges) == (q * q - q) // 2,
+        "edges_have_q_plus_1_vertices": all(len(v) == q + 1 for v in edges),
+        "pairwise_intersections_size_1": pairwise_ok,
+        "degrees_in_two_classes": set(hist) <= {lo, hi},
+        "edges_split_evenly": split_ok,
+        "handshake": sum(degree.values()) == len(edges) * (q + 1),
+    }
+    return {
+        "num_vertices": len(vertices),
+        "num_edges": len(edges),
+        "degree_histogram": {str(d): c for d, c in sorted(hist.items())},
+        "checks": checks,
+    }
+
+
+def _drop_one_edge(h):
+    first = next(iter(h.edges))
+    return {p: v for p, v in h.edges.items() if p != first}
+
+
+def _move_one_vertex(h):
+    # the first edge trades its smallest vertex for the smallest one it misses
+    first, verts = next(iter(h.edges.items()))
+    outside = h.vertices[~np.isin(h.vertices, verts)][0]
+    return {**h.edges, first: coset_array(np.append(verts[1:], outside))}
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+@pytest.mark.parametrize("edit", [None, _drop_one_edge, _move_one_vertex])
+def test_hypergraph_stats_match_the_set_reference(q, edit):
+    h = build_hypergraph(field_of_order(q))
+    if edit is not None:
+        h = dataclasses.replace(h, edges=edit(h))
+    stats = hypergraph_stats(h)
+    assert stats == _reference_hypergraph_stats(h)
+    assert all(type(v) is bool for v in stats["checks"].values())
+    json.dumps(stats)  # plain Python values only
+    assert all(stats["checks"].values()) == (edit is None)
+
+
+def test_hypergraph_holds_coset_arrays():
+    h = build_hypergraph(G5)
+    for ids in (h.vertices, *h.edges.values()):
+        assert ids.dtype == np.int64 and not ids.flags.writeable
+        assert (np.diff(ids) > 0).all()
+    assert h == Hypergraph(h.code, h.vertices[:1], {})  # arrays stay out of ==
+
+
 def test_vertex_count_multiset_identity():
     # |V| = (|E|(q+1)/2)/((q+1)/2) + (|E|(q+1)/2)/((q-1)/2) = q^2
     for q in (5, 7):
@@ -112,3 +188,18 @@ def test_cubic_coverage_q5():
     assert res["num_cubics"] == 40
     assert 0 < res["covered"] <= res["total"]
     assert res["fraction"] == res["covered"] / res["total"]
+
+
+def test_cubic_coverage_memory_is_bounded():
+    field = make_field(11)
+    cubic_coverage_experiment(field)  # field tables and irreducibles built once
+    tracemalloc.start()
+    try:
+        cubic_coverage_experiment(field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 440 families hold coset arrays and their union is one mask over the
+    # 11^4 syndromes, about 3.7 MB at the peak; frozensets of Python ints
+    # and a frozenset union peaked at 24 MB
+    assert peak < 8 * 2**20

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deephole
-from deephole import classify, codes, families, numbertheory
+from deephole import classify, cli, codes, families, numbertheory
 from deephole.cli import (
     COMMANDS,
     ExperimentConfig,
@@ -27,6 +27,7 @@ from deephole.cli import (
 )
 from deephole.codes import prs, rs
 from deephole.gf import make_field
+from deephole.poly import monic_irreducibles
 from deephole.table import Table
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -315,6 +316,34 @@ def test_size_guard_env(monkeypatch):
     monkeypatch.setenv("DEEPHOLE_MAX_Q", "5")
     _, code = _run(["enum-deep-cosets", "--q", "7", "--k", "5"])
     assert code == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
+def test_a_malformed_size_guard_is_named_unless_the_flag_lifts_it(
+    value, monkeypatch, capsys
+):
+    monkeypatch.setenv("DEEPHOLE_MAX_Q", value)
+    report, code = _run(["ssp", "--q", "5", "--k", "2", "--unsafe-bounds"])
+    assert code == 0 and report is not None
+    report, code = _run(["ssp", "--q", "5", "--k", "2"])
+    assert report is None and code == 1
+    err = capsys.readouterr().err
+    assert "DEEPHOLE_MAX_Q" in err and "Traceback" not in err
+
+
+def test_family_quadratic_total_is_checked_at_k_q_minus_2(monkeypatch, capsys):
+    # at odd q and k = q-2 the quadratic families cover all (q-1)q^2 deep
+    # cosets; one family alone covers q^2-1 of them
+    monkeypatch.setattr(
+        cli, "monic_irreducibles", lambda field, d: monic_irreducibles(field, d)[:1]
+    )
+    report, code = _run(["family", "quadratic", "--q", "5", "--k", "3"])
+    assert report is None and code == 2
+    err = capsys.readouterr().err
+    assert "cover 24 cosets" in err and "100 deep cosets" in err
+    # below k = q-2 the total is not a theorem's count, and is not checked
+    report, code = _run(["family", "quadratic", "--q", "5", "--k", "2"])
+    assert code == 0 and report["result"]["total_distinct_cosets"] == 24
 
 
 def test_unsafe_bounds_flag():

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import re
 import tracemalloc
@@ -12,6 +14,7 @@ from deephole.errors import TheoremAssertionError
 from deephole.gf import make_field
 from deephole.poly import Poly, RationalFunction, monic_irreducibles
 from deephole.families import (
+    TAGS,
     cubic_families,
     cubic_family,
     cubic_nondeep_by_splitting,
@@ -41,6 +44,46 @@ BLOCK_CASES = [
 ]
 
 
+def _assert_coset_array(ids):
+    assert ids.dtype == np.int64 and ids.ndim == 1
+    assert not ids.flags.writeable
+    assert (np.diff(ids) > 0).all()  # sorted and unique
+
+
+# one construction of each tag, all on GF(7) but zero_sum_free, whose smallest
+# tested example lives on GF(13)
+FAMILY_BUILDERS = {
+    "degree_k": lambda c, aff: degree_k_family(c),
+    "inverse_monomial": lambda c, aff: inverse_monomial_family(aff, 0),
+    "zero_sum_free": lambda c, aff: zero_sum_free_family(G13, (0, 1, 2, 3, 4), 2),
+    "quadratic": lambda c, aff: quadratic_family(c, monic_irreducibles(G7, 2)[0]),
+    "cubic": lambda c, aff: cubic_family(c, monic_irreducibles(G7, 3)[0]),
+}
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_cosets_are_sorted_unique_read_only_int64_arrays(tag):
+    c, aff = prs(G7, 4), rs(G7, 2, D=(1, 2, 3, 4, 5))
+    fam = FAMILY_BUILDERS[tag](c, aff)
+    assert fam.tag == tag
+    _assert_coset_array(fam.cosets)
+    _assert_coset_array(fam.projective_cosets())
+    with pytest.raises(ValueError):
+        fam.cosets[0] = 0
+    # == compares the fields that fix the cosets, and never the arrays
+    again = FAMILY_BUILDERS[tag](c, aff)
+    if tag == "zero_sum_free":  # builds its own code
+        again = dataclasses.replace(again, code=fam.code)
+    assert fam == again
+    assert fam != dataclasses.replace(fam, tag="other")
+
+
+def test_deep_set_and_intersection_are_coset_arrays():
+    _assert_coset_array(classify.deep_syndromes(prs(G7, 4)))
+    quads = monic_irreducibles(G5, 2)
+    _assert_coset_array(dh_intersection(prs(G5, 3), quads[0], quads[1]))
+
+
 def test_degree_k_family_counts_and_distance():
     c = prs(G5, 3)
     fam = degree_k_family(c)
@@ -59,7 +102,7 @@ def test_a_family_off_the_covering_radius_names_its_first_coset(monkeypatch):
     cosets = degree_k_family(code).cosets
     rho = code.covering_radius()
     weights = code.coset_leader_weights().copy()
-    weights[list(cosets)[3::5]] -= 1
+    weights[cosets[3::5]] -= 1
     monkeypatch.setattr(code, "_weights", weights)
     # the message of the scalar check, which walked the cosets in this order
     bad = [c for c in cosets if int(weights[c]) != rho]
@@ -133,7 +176,7 @@ def test_quadratic_families_disjoint_below_q_minus_2():
         c = prs(field, k)
         fams = [quadratic_family(c, p) for p in monic_irreducibles(field, 2)]
         for f1, f2 in itertools.combinations(fams, 2):
-            assert not (f1.cosets & f2.cosets)
+            assert len(np.intersect1d(f1.cosets, f2.cosets)) == 0
 
 
 def test_degree_k_disjoint_from_quadratic_below_q_minus_2():
@@ -143,17 +186,17 @@ def test_degree_k_disjoint_from_quadratic_below_q_minus_2():
         c = prs(field, k)
         dk = degree_k_family(c).cosets
         for p in monic_irreducibles(field, 2):
-            assert not (dk & quadratic_family(c, p).cosets)
+            assert len(np.intersect1d(dk, quadratic_family(c, p).cosets)) == 0
 
 
 def test_degree_k_contained_in_quadratic_union_at_q_minus_2():
     for field in (G5, G7):
         q = field.q
         c = prs(field, q - 2)
-        union = frozenset().union(
-            *(quadratic_family(c, p).cosets for p in monic_irreducibles(field, 2))
+        union = np.concatenate(
+            [quadratic_family(c, p).cosets for p in monic_irreducibles(field, 2)]
         )
-        assert degree_k_family(c).cosets <= union
+        assert np.isin(degree_k_family(c).cosets, union).all()
 
 
 def test_dh_intersection_all_pairs_q5():
@@ -179,8 +222,8 @@ def test_fact3_multiway_intersections():
         for j in range(2, jmax + 1):
             seen_nonempty = 0
             for combo in itertools.combinations(fams, j):
-                inter = frozenset.intersection(*combo)
-                if inter:
+                inter = functools.reduce(np.intersect1d, combo)
+                if len(inter):
                     seen_nonempty += 1
                     assert len(inter) == q - 1
             if j == 2:
@@ -193,13 +236,13 @@ def test_fact2_triple_intersection_criterion():
     quads = monic_irreducibles(G5, 2)
     fams = {p: quadratic_family(c, p).cosets for p in quads}
     for p1, p2, p3 in itertools.permutations(quads, 3):
-        nonempty = bool(fams[p1] & fams[p2] & fams[p3])
+        shared = functools.reduce(np.intersect1d, (fams[p1], fams[p2], fams[p3]))
         cs = [
             cc
             for cc in range(2, q)  # c outside {0, 1}
             if p2.scale(cc) + p3.scale(G5.sub(1, cc)) == p1
         ]
-        assert nonempty == bool(cs)
+        assert (len(shared) > 0) == bool(cs)
         assert len(cs) <= 1  # the affine coefficient is unique
 
 
@@ -219,12 +262,13 @@ def test_cubic_family_new_cosets():
     for field in (G5, G7):
         q = field.q
         c = prs(field, q - 3)
-        known = degree_k_family(c).cosets | frozenset().union(
-            *(quadratic_family(c, p).cosets for p in monic_irreducibles(field, 2))
+        known = np.concatenate(
+            [degree_k_family(c).cosets]
+            + [quadratic_family(c, p).cosets for p in monic_irreducibles(field, 2)]
         )
         for p in monic_irreducibles(field, 3)[:4]:
             fam = cubic_family(c, p)
-            assert len(fam.cosets - known) >= q - 1
+            assert len(np.setdiff1d(fam.cosets, known)) >= q - 1
 
 
 def test_cubic_splitting_count_cross_check():
@@ -246,7 +290,7 @@ def test_cubic_splitting_count_cross_check():
             ]
             ids = c.span_ids(syns)
             nondeep_ids = {int(ids[a + q * b + q * q * cc]) for a, b, cc in near | far}
-            assert not (nondeep_ids & fam.cosets)
+            assert not np.isin(list(nondeep_ids), fam.cosets).any()
             assert len(near | far) + len(fam.cosets) == q**3 - 1
 
 
@@ -267,7 +311,7 @@ def test_section5_footnote_degree_k_overlap():
                     field, k - 1, field.neg(field.mul(e, alpha))
                 )
                 predicted.add(c.coset_id(c.word(f, last=0)))
-            assert fam.cosets & dk == predicted
+            assert np.array_equal(np.intersect1d(fam.cosets, dk), sorted(predicted))
 
 
 def test_is_deep_hole():
@@ -351,7 +395,8 @@ def test_family_describe():
 
 
 def _same_family(a, b):
-    assert (a.tag, a.params, a.cosets, a.words) == (b.tag, b.params, b.cosets, b.words)
+    assert (a.tag, a.params, a.words) == (b.tag, b.params, b.words)
+    assert np.array_equal(a.cosets, b.cosets)
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 3000])
@@ -381,13 +426,13 @@ def test_a_failing_family_in_the_middle_of_a_block_is_named(
     polys = monic_irreducibles(field, d)
     fams = build_all(code, polys)
     # the first family past the middle with a coset no earlier family reaches
-    seen = frozenset()
+    seen = np.empty(0, dtype=np.int64)
     for mid, fam in enumerate(fams):
-        fresh = fam.cosets - seen
-        if mid >= len(polys) // 2 and fresh:
+        fresh = np.setdiff1d(fam.cosets, seen)
+        if mid >= len(polys) // 2 and len(fresh):
             break
-        seen |= fam.cosets
-    assert fresh and mid < len(polys) - 1
+        seen = np.union1d(seen, fam.cosets)
+    assert len(fresh) and mid < len(polys) - 1
     coset = min(fresh)
     weights = code.coset_leader_weights().copy()
     weights[coset] -= 1
@@ -412,3 +457,6 @@ def test_cubic_families_memory_is_bounded():
     # built in one block, the spans of all 728 cubics peak about 12 MB above
     # what the families keep; in blocks of SCAN_CHUNK entries, under 1 MB
     assert peak - retained < 4 * 2**20
+    # about 1104 int64 ids a family keep about 7.8 MB in all; as frozensets
+    # of Python ints the same cosets kept 47.7 MB
+    assert retained < 10 * 2**20
