@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextvars
 import csv
+import functools
 import io
 import json
 import os
@@ -396,7 +397,8 @@ def render_json(report: dict) -> str:
             line = out[-1][out[-1].rfind("\n") + 1 :]
             level = (len(line) - len(line.lstrip(" "))) // indent
             out += [table.render_json(indent, level), part]
-        text = "".join(out)
+        out.append("\n")
+        return "".join(out)  # one copy of the text, newline included
     return text + "\n"
 
 
@@ -557,12 +559,17 @@ def config_from_args(args) -> ExperimentConfig:
     )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command line, built on the first call."""
+    return build_parser()
+
+
 def run_command(argv) -> tuple[dict | None, int]:
     """Parse argv, run, and return (report, exit code); no output is produced
     for rejected configurations."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = config_from_args(args)
         report, code = run(cfg)
         return report, code

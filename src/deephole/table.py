@@ -4,8 +4,9 @@ A ``Table`` is the row format of a report: ordered column names, each with
 an integer array of one value per row, shape (N,), or of a fixed-width list
 per row, shape (N, w).  It renders its rows as the JSON text that
 ``json.dumps(table.rows(), sort_keys=True, indent=indent)`` would give at the
-same nesting level, through one ``%``-template built from the sorted column
-names and widths and applied once to the flattened column values.
+same nesting level, through a ``%``-template built from the sorted column
+names and widths and applied to the flattened column values of
+``RENDER_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ from __future__ import annotations
 import json
 
 import numpy as np
+
+# rows rendered by one template, so that the transient template, value tuple
+# and string of a block stay far below the text of a large table; of 1024 and
+# 4096 rows, 4096 gave the lower `sweep` peak RSS
+RENDER_ROWS = 4096
 
 
 class Table:
@@ -69,5 +75,13 @@ class Table:
                 fields.append(f"{key}[\n{items}\n{pad[2]}]")
             flat.append(col.reshape(self._n, -1))
         row = f"{pad[1]}{{\n" + ",\n".join(fields) + f"\n{pad[1]}}}"
-        template = "[\n" + ",\n".join([row] * self._n) + f"\n{pad[0]}]"
-        return template % tuple(np.concatenate(flat, axis=1).ravel().tolist())
+        values = np.concatenate(flat, axis=1)
+        out = ["[\n"]
+        for start in range(0, self._n, RENDER_ROWS):
+            block = values[start : start + RENDER_ROWS]
+            if start:
+                out.append(",\n")
+            template = ",\n".join([row] * len(block))
+            out.append(template % tuple(block.ravel().tolist()))
+        out.append(f"\n{pad[0]}]")
+        return "".join(out)

@@ -466,6 +466,46 @@ def test_render_json_splices_tables_at_every_depth():
         render_json({"t": table(1), "s": "\0table"})
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_render_json_is_the_same_in_any_row_blocks(rows, monkeypatch):
+    # 7 rows: one block, full blocks, and ragged last blocks
+    report = {"t": Table({"b": np.arange(7), "a": np.arange(14).reshape(7, 2)}), "x": 1}
+    expected = render_json(report)
+    monkeypatch.setattr(deephole.table, "RENDER_ROWS", rows)
+    assert render_json(report) == expected
+
+
+def test_the_parser_is_built_once_and_reused(monkeypatch, capsys):
+    # built on the first call, not at import
+    probe = "import deephole.cli as c; print(c._parser.cache_info().currsize)"
+    src = str(Path(deephole.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "0", out.stderr
+    build, built = cli.build_parser, []
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for argv, code in [
+        (["family", "bogus", "--q", "5"], 1),
+        (["ssp", "--q", "5", "--k", "2"], 0),
+        (["ssp", "--k", "2"], 1),
+        (["nonsense"], 1),
+        (["ssp", "--q", "5", "--k", "2"], 0),
+    ]:
+        assert run_command(argv)[1] == code, argv
+    assert len(built) == 1
+    assert capsys.readouterr().err.count("usage error") == 3
+
+
 def test_report_diff():
     a, _ = _run(["enum-deep-cosets", "--q", "5", "--k", "3"])
     b, _ = _run(["enum-deep-cosets", "--q", "5", "--k", "3"])

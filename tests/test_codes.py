@@ -1,4 +1,5 @@
 import contextvars
+import copy
 import functools
 import itertools
 import random
@@ -317,8 +318,8 @@ def _scan_cases(code, data):
     """A SCAN_CHUNK and eight words: codewords with 0 to n random symbols
     overwritten, the first left as it is."""
     q, n = code.field.q, code.n
-    # n forces t = k, a one-column low table; values in between give ragged
-    # last blocks
+    # n builds the information-set tables one set per block; values in
+    # between give ragged last blocks
     chunk = data.draw(
         st.sampled_from((n, codes.SCAN_CHUNK)) | st.integers(n, q**code.k * n)
     )
@@ -377,26 +378,67 @@ def test_exhaustive_scan_memory_is_bounded():
         rs(field_of_order(9), 4, D=(8, 0, 3, 1, 7, 5, 2), scale=(2, 7, 1, 4, 8, 3, 6)),
     ],
 )
-def test_systematic_generator_spans_the_code(code):
-    rows, pivots = code.systematic_generator()
-    assert len(pivots) == code.k
-    assert [[row[j] for j in pivots] for row in rows] == np.eye(code.k, dtype=int).tolist()
-    spanned = codes._combinations(code.field, rows, code.n)
-    assert sorted(map(tuple, spanned.tolist())) == sorted(map(tuple, code.codewords().tolist()))
+def test_information_set_tables_span_the_code(code):
+    n, k = code.n, code.k
+    # the same code from its generator rows reversed, so that the
+    # elimination needs row exchanges where a column is 0 in the last row
+    reversed_rows = copy.copy(code)
+    rows = code.generator_matrix()[::-1]
+    reversed_rows.generator_matrix = lambda: rows
+    tab = code._info_sets
+    for mine, theirs in zip(tab, reversed_rows._info_sets):
+        assert np.array_equal(mine, theirs)
+    assert tab.subsets.tolist() == [list(s) for s in itertools.combinations(range(n), k)]
+    powers = code.field.q ** np.arange(n)  # a word packed base q
+    codewords = np.sort(code.codewords() @ powers)
+    for i, (subset, complement) in enumerate(zip(tab.subsets, tab.complements)):
+        assert sorted(subset.tolist() + complement.tolist()) == list(range(n))
+        rows = np.zeros((k, n), dtype=np.intp)
+        rows[:, subset] = np.eye(k, dtype=np.intp)
+        rows[:, complement] = tab.parity[:, i]
+        spanned = codes._combinations(code.field, rows, n)
+        assert np.array_equal(np.sort(spanned @ powers), codewords)
 
 
-def test_scan_tables_follow_scan_chunk():
-    code = prs(7, 4)  # cached, so both chunks scan the same Code
-    q, n, k = code.field.q, code.n, code.k
-    table = code.codewords()
-    rng = random.Random(5)
-    words = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(10)]
-    for chunk, split in ((codes.SCAN_CHUNK, k), (q * n, 1)):
-        _assert_scan_matches_table(code, chunk, table, words)
-        tables = code._scan
-        assert (tables.chunk, tables.split) == (chunk, split)
-        assert tables.low.shape == (n - k, q**split)
-        assert tables.high.shape == (q ** (k - split), n - k)
+@pytest.mark.parametrize("chunk", [1, codes.SCAN_CHUNK])
+def test_dependent_generator_columns_raise(chunk, monkeypatch):
+    monkeypatch.setattr(codes, "SCAN_CHUNK", chunk)
+    code = prs(G5, 3)  # a fresh Code, with no tables yet
+    rows = code.generator_matrix()
+    for row in rows:
+        row[4] = row[1]  # so every k-set holding columns 1 and 4 is dependent
+    monkeypatch.setattr(code, "generator_matrix", lambda: rows)
+    for _ in range(2):  # a failed build is not kept
+        with pytest.raises(AssertionError):
+            code.error_distance((0,) * code.n, method="exhaustive")
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("the other oracle was consulted")
+
+
+def test_exhaustive_oracle_reads_only_the_generator_matrix(monkeypatch):
+    for name in ("_h", "syndromes", "coset_leader_weights"):
+        monkeypatch.setattr(Code, name, property(_raise) if name == "_h" else _raise)
+    rng = random.Random(3)
+    scaled = rs(make_field(7), 4, D=(1, 2, 4, 0, 6), scale=(1, 3, 2, 6, 5))
+    for code in (prs(G5, 3), scaled):  # fresh Codes
+        table = code.codewords()
+        for _ in range(20):
+            w = tuple(rng.randrange(code.field.q) for _ in range(code.n))
+            expected = int((table != np.asarray(w)).sum(axis=1).min())
+            assert code.error_distance(w, method="exhaustive") == expected
+        with pytest.raises(RuntimeError):
+            code.error_distance(w, method="syndrome_span")
+
+
+def test_syndrome_span_oracle_never_reads_the_generator_matrix(monkeypatch):
+    monkeypatch.setattr(Code, "generator_matrix", _raise)
+    code = prs(G5, 3)  # a fresh Code
+    assert code.error_distance((0, 0, 0, 1, 2, 3), method="syndrome_span") == 2
+    assert code.covering_radius() == 2
+    with pytest.raises(RuntimeError):
+        code.error_distance((0,) * code.n, method="exhaustive")
 
 
 @pytest.mark.parametrize("q, k", [(9, 7), (11, 6)])
@@ -411,7 +453,7 @@ def test_scan_tables_kept_per_code_are_bounded(q, k):
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code._scan is not None
+    assert "_info_sets" in vars(code)
     assert kept <= codes.SCAN_CHUNK + 2**14
 
 
