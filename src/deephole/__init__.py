@@ -2,8 +2,11 @@
 
 The package is organised as follows:
 
-- ``gf``           exact arithmetic in GF(p^m), element enumeration, discrete logs
-- ``poly``         univariate polynomial algebra over GF(q), rational functions
+- ``gf``           exact arithmetic in GF(p^m), element enumeration, discrete logs,
+                   numpy lookup tables
+- ``linalg``       Gaussian elimination and rank over GF(q)
+- ``poly``         univariate polynomial algebra over GF(q), array evaluation,
+                   the monic-irreducible sieve
 - ``codes``        affine RS(D,k) and projective PRS(q+1,k) codes, syndromes,
                    exact error distances and covering radii
 - ``families``     the explicit deep-hole families and their coset identities

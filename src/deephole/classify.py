@@ -2,8 +2,9 @@
 irreducible-quadratic hypergraph, and coverage experiments.
 
 A coset of PRS(q+1,k) with covering radius rho is deep exactly when its
-syndrome avoids the span of every (rho-1)-subset of the normal rational curve
-(the parity-check columns).
+syndrome avoids the span of every (rho-1)-subset of the normal rational curve.
+Its q+1 points (1, x, ..., x^(r-1)) and (0, ..., 0, 1) are the parity-check
+columns of the code, in order, so they are read from Code.h_columns.
 The primary enumeration below marks those spans with Code.span_ids; the
 coset-leader weight table of the code is computed independently and the two
 routes are required to agree.  The experiments build the families of all
@@ -34,13 +35,6 @@ from deephole.gf import GF
 from deephole.poly import monic_irreducibles
 
 
-def nrc_points(field: GF, r: int) -> list[tuple[int, ...]]:
-    """The q+1 points (1, x, ..., x^(r-1)) plus (0, ..., 0, 1)."""
-    pts = [tuple(field.pow(x, t) for t in range(r)) for x in field.element_reprs()]
-    pts.append((0,) * (r - 1) + (1,))
-    return pts
-
-
 def prs_covering_radius(q: int, k: int) -> int:
     """Covering radius of PRS(q+1,k): q-k, except q-k+1 at even q with
     k in {2, q-2}."""
@@ -53,8 +47,7 @@ def deep_syndromes(code: Code) -> np.ndarray:
     against the coset-leader weight table."""
     if code.kind != "projective":
         raise ValueError("deep-coset enumeration is defined for PRS codes")
-    field = code.field
-    q, k, r = field.q, code.k, code.redundancy
+    q, k, r = code.field.q, code.k, code.redundancy
     if r not in (3, 4):
         raise ValueError(f"redundancy {r} unsupported; classification needs 3 or 4")
     rho = code.covering_radius()
@@ -63,7 +56,7 @@ def deep_syndromes(code: Code) -> np.ndarray:
             f"covering radius of {code!r} is {rho}, not {prs_covering_radius(q, k)}"
         )
     shallow = code.syndrome_mask(
-        code.span_ids(sub) for sub in combinations(nrc_points(field, r), rho - 1)
+        code.span_ids(sub) for sub in combinations(code.h_columns(), rho - 1)
     )
     deep = np.flatnonzero(~shallow)
     if not np.array_equal(deep, np.flatnonzero(code.coset_leader_weights() == rho)):

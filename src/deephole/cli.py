@@ -27,17 +27,6 @@ from deephole.poly import monic_irreducibles
 from deephole.table import Table
 
 DEFAULT_MAX_Q = 13
-COMMANDS = (
-    "covering-radius",
-    "enum-deep-cosets",
-    "family",
-    "completeness",
-    "hypergraph",
-    "cubic-coverage",
-    "ssp",
-    "n3",
-    "zero-sum-free",
-)
 
 
 class UsageError(Exception):
@@ -348,6 +337,7 @@ _RUNNERS = {
     "n3": run_n3,
     "zero-sum-free": run_zero_sum_free,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(cfg: ExperimentConfig) -> tuple[dict, int]:
@@ -457,45 +447,6 @@ def render_csv(report: dict) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def report_diff(a: dict, b: dict) -> list[dict]:
-    """Field-by-field structured diff of two reports of the same kind;
-    an empty diff means the reports are equal."""
-    if a.get("command") != b.get("command"):
-        raise ValueError(
-            f"cannot diff reports of different kinds: "
-            f"{a.get('command')!r} vs {b.get('command')!r}"
-        )
-    diffs: list[dict] = []
-    _diff_walk(a, b, "", diffs)
-    return diffs
-
-
-def _diff_walk(a, b, path, out):
-    if isinstance(a, Table):
-        a = a.rows()
-    if isinstance(b, Table):
-        b = b.rows()
-    if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(set(a) | set(b)):
-            sub = f"{path}.{key}" if path else str(key)
-            if key not in a:
-                out.append({"path": sub, "a": None, "b": b[key]})
-            elif key not in b:
-                out.append({"path": sub, "a": a[key], "b": None})
-            else:
-                _diff_walk(a[key], b[key], sub, out)
-        return
-    if isinstance(a, list) and isinstance(b, list):
-        if len(a) != len(b):
-            out.append({"path": f"{path}.length", "a": len(a), "b": len(b)})
-            return
-        for i, (x, y) in enumerate(zip(a, b)):
-            _diff_walk(x, y, f"{path}[{i}]", out)
-        return
-    if a != b:
-        out.append({"path": path, "a": a, "b": b})
 
 
 # -- argument parsing ------------------------------------------------------------

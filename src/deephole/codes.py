@@ -71,7 +71,7 @@ import numpy as np
 from deephole import linalg
 from deephole.errors import BoundExceededError
 from deephole.gf import GF, field_of_order
-from deephole.poly import Poly, RationalFunction, evaluate
+from deephole.poly import Poly, evaluate
 
 # entries in one block of a batched table build: the arrays of one block of
 # information sets, or of one block of the families' spans, a few hundred KB,
@@ -111,8 +111,10 @@ class Code:
             if any(not 0 <= x < field.q for x in self.D):
                 raise ValueError("evaluation point out of range")
             self.scale = tuple(scale) if scale is not None else (1,) * len(self.D)
-            if len(self.scale) != len(self.D) or any(v == 0 for v in self.scale):
-                raise ValueError("scale vector must be nonzero of length n")
+            if len(self.scale) != len(self.D) or any(
+                not 0 < v < field.q for v in self.scale
+            ):
+                raise ValueError("scale vector must be n nonzero field elements")
         if not 0 < k < self.n:
             raise ValueError(f"dimension k = {k} out of range for n = {self.n}")
         self._weights = None
@@ -130,13 +132,6 @@ class Code:
             return f"PRS({self.n},{self.k}) over {self.field!r}"
         return f"RS(|D|={len(self.D)},{self.k}) over {self.field!r}"
 
-    def describe(self) -> dict:
-        out = {"kind": self.kind, "n": self.n, "k": self.k, "field": self.field.describe()}
-        if self.kind == "affine":
-            out["D"] = list(self.D)
-            out["scale"] = list(self.scale)
-        return out
-
     # -- matrices -----------------------------------------------------------
 
     def generator_matrix(self) -> list[list[int]]:
@@ -153,6 +148,8 @@ class Code:
         return self.scale if self.kind == "affine" else (1,) * len(self.D)
 
     def parity_check_matrix(self) -> list[list[int]]:
+        """H as row lists: the matrix that the tests multiply out by scalar
+        arithmetic to check syndromes()."""
         return self._h.tolist()
 
     @functools.cached_property
@@ -189,6 +186,9 @@ class Code:
     # -- encoding and words ---------------------------------------------------
 
     def encode(self, f: Poly) -> tuple[int, ...]:
+        """The codeword of a message polynomial of degree < k, by scalar
+        evaluation: the reference that the rows of codewords() are checked
+        against."""
         if f.degree > self.k - 1:
             raise ValueError(f"deg f = {f.degree} exceeds k-1 = {self.k - 1}")
         if self.kind == "projective":
@@ -210,10 +210,6 @@ class Code:
             raise ValueError(f"extension coordinate {last} out of range")
         return evals + (0 if last is None else last,)
 
-    def word_from_rational(self, r: RationalFunction, last: int = 0) -> tuple[int, ...]:
-        (word,) = self.rational_words([r.num.coeffs], [r.den.coeffs], last)
-        return tuple(word.tolist())
-
     def rational_words(self, nums, dens, last: int = 0) -> np.ndarray:
         """The words (num_i/den_i evaluated on D, last) as an (N, n) array,
         for N numerator and denominator coefficient rows (low degree first):
@@ -222,6 +218,8 @@ class Code:
         if self.kind != "projective":
             raise ValueError("rational-function words are projective")
         fld = self.field
+        if not 0 <= last < fld.q:
+            raise ValueError(f"extension coordinate {last} out of range")
         nums, dens = list(nums), list(dens)
         if len(nums) != len(dens):
             raise ValueError(f"{len(nums)} numerators for {len(dens)} denominators")
@@ -306,22 +304,14 @@ class Code:
         return fld.mul_table[fld.inv_table[lead], digits] @ powers
 
     def normalize_syndrome(self, s) -> tuple[int, ...]:
-        """Scale so the first nonzero coordinate is 1 (projective coset id)."""
+        """Scale so the first nonzero coordinate is 1 (projective coset id):
+        the scalar reference for projective_ids."""
         f = self.field
         c = next((si for si in s if si != 0), None)
         if c is None:
             return tuple(s)
         inv = f.inv(c)
         return tuple(f.mul(inv, si) for si in s)
-
-    def word_from_syndrome(self, s) -> tuple[int, ...]:
-        """A representative word with the given syndrome, supported on the
-        first `redundancy` coordinates."""
-        r = self.redundancy
-        cols = self.h_columns()[:r]
-        a = [[cols[j][t] for j in range(r)] for t in range(r)]
-        y = linalg.solve(self.field, a, list(s))
-        return tuple(y) + (0,) * (self.n - r)
 
     # -- coset-leader weights -----------------------------------------------------
 
@@ -355,7 +345,9 @@ class Code:
     def codewords(self) -> np.ndarray:
         """All q^k codewords as an (N, n) array, row i encoding the message
         with coefficient digits of i (base q, low degree first); built on
-        each call and kept by nobody."""
+        each call and kept by nobody.  minimum_distance("exhaustive") scans
+        it, and the tests check the information-set tables of the exhaustive
+        oracle against it."""
         self._check_codewords()
         return _combinations(self.field, self.generator_matrix(), self.n)
 
@@ -440,7 +432,8 @@ class Code:
 
     def minimum_distance(self, method: str = "dual") -> int:
         """Exact minimum distance; "dual" searches for the smallest linearly
-        dependent set of parity-check columns, "exhaustive" scans codewords."""
+        dependent set of parity-check columns, "exhaustive" scans codewords.
+        With is_mds, it checks the MDS premise of the acceptance criteria."""
         if method == "dual":
             fld, cols, r = self.field, self.h_columns(), self.redundancy
 
@@ -458,6 +451,7 @@ class Code:
         raise ValueError(f"unknown method {method!r}")
 
     def is_mds(self) -> bool:
+        """Whether the minimum distance is n - k + 1 (acceptance criterion)."""
         return self.minimum_distance() == self.n - self.k + 1
 
 

@@ -292,7 +292,8 @@ def cubic_nondeep_by_splitting(code: Code, p: Poly) -> tuple[set, set]:
     """Independent route to the non-deep numerators of the cubic construction:
     residues of d * prod(x - s) mod p over all (q-2)- and (q-1)-subsets S and
     d != 0 give exactly the numerators at distance q-k-1.  Returns the two
-    triple sets (as (a, b, c) tuples) from subset sizes q-2 and q-1."""
+    triple sets (as (a, b, c) tuples) from subset sizes q-2 and q-1.  The
+    tests check cubic_family against it; no command runs it."""
     field = code.field
     q = field.q
     if code.kind != "projective" or code.k != q - 3:
@@ -315,18 +316,11 @@ def cubic_nondeep_by_splitting(code: Code, p: Poly) -> tuple[set, set]:
     return sets[0], sets[1]
 
 
-def is_deep_hole(code: Code, word) -> bool:
-    return code.error_distance(word) == code.covering_radius()
-
-
-def same_coset(code: Code, w1, w2) -> bool:
-    return code.syndrome(w1) == code.syndrome(w2)
-
-
 def dh_intersection(code: Code, p1: Poly, p2: Poly) -> np.ndarray:
     """The q-1 cosets shared by DH(p1) and DH(p2) on PRS(q+1,q-2), built from
     the congruences a1 + b1 x = a (x^q - x)/p2 mod p1 and cross-checked against
-    the brute-force intersection of the two families."""
+    the brute-force intersection of the two families; a second route that the
+    tests run and no command does."""
     field = code.field
     q = field.q
     if q % 2 == 0 or code.kind != "projective" or code.k != q - 2:

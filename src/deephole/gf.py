@@ -292,6 +292,8 @@ class GF:
         return r
 
     def is_square(self, a: int) -> bool:
+        """Euler's criterion: the reference that poly.is_irreducible is
+        checked against at degree 2, by the discriminant at odd q."""
         if a == 0 or self.p == 2:
             return True
         return self.pow(a, (self.q - 1) // 2) == 1

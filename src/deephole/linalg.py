@@ -1,8 +1,10 @@
 """Exact Gaussian elimination over GF(q) for small dense matrices.
 
-Matrices are lists of row lists of field-element encodings; all routines are
-pure and leave their inputs untouched.  ``rref`` is the one elimination loop;
-``rank`` and ``solve`` read its pivots.
+Matrices are lists of row lists of field-element encodings; both routines
+are pure and leave their inputs untouched.  ``rref`` is the one elimination
+loop and ``rank`` counts its pivots.  ``Code.minimum_distance("dual")``
+finds dependent sets of parity-check columns by ``rank``; the tests check
+that route against ``minimum_distance("exhaustive")`` over the codewords.
 """
 
 from __future__ import annotations
@@ -36,27 +38,3 @@ def rref(field: GF, rows) -> tuple[list[list[int]], list[int]]:
 
 def rank(field: GF, rows) -> int:
     return len(rref(field, rows)[1])
-
-
-def matmul(field: GF, a, b) -> list[list[int]]:
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
-            acc = 0
-            for x, y in zip(row, col):
-                acc = field.add(acc, field.mul(x, y))
-            orow.append(acc)
-        out.append(orow)
-    return out
-
-
-def solve(field: GF, a, b) -> list[int]:
-    """Solution x of the square system a x = b; raises if singular."""
-    n = len(a)
-    m, pivots = rref(field, [list(row) + [bv] for row, bv in zip(a, b)])
-    # a is invertible exactly when its n columns are the n pivots
-    if pivots != list(range(n)):
-        raise ValueError("singular system")
-    return [row[n] for row in m]

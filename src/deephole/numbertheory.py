@@ -40,9 +40,11 @@ def subset_sum_row(field: GF, D, k: int) -> list[int]:
     D = tuple(D)
     if len(set(D)) != len(D):
         raise ValueError("D has repeated elements")
+    q = field.q
+    if any(not 0 <= d < q for d in D):
+        raise ValueError(f"D has an element outside {field!r}")
     if not 0 <= k <= len(D):
         raise ValueError(f"subset size k = {k} out of range for |D| = {len(D)}")
-    q = field.q
     dp = [[0] * q for _ in range(k + 1)]
     dp[0][0] = 1
     for idx, d in enumerate(D):
@@ -106,7 +108,8 @@ def initial_segment(p: int, r: int) -> list[int]:
 
 def degree_k1_nondeephole(field: GF, D, k: int, a: int) -> bool:
     """Whether x^(k+1) - a x^k (plus any lower-degree part) fails to be a deep
-    hole of RS(D,k): equivalent to N(k+1, a, D) > 0."""
+    hole of RS(D,k): equivalent to N(k+1, a, D) > 0.  An acceptance criterion,
+    checked against exact error distances."""
     return subset_sum_count(field, D, k + 1, a) > 0
 
 
@@ -164,7 +167,8 @@ class QuadraticExtension:
         return int(self._embed[a])
 
     def lift(self, f: Poly) -> int:
-        """Image in GF(q^2) of f(x) mod q(x)."""
+        """Image in GF(q^2) of f(x) mod q(x), by scalar Horner steps: the
+        reference for the cubic lifts of cubic_residue_counts and n3_sweep."""
         ext = self.ext
         acc = 0
         for c in reversed(f.coeffs):
@@ -172,7 +176,8 @@ class QuadraticExtension:
         return acc
 
     def residue(self, alpha: int) -> tuple[int, int]:
-        """Coefficients (c0, c1) of the residue class c0 + c1 x mapping to alpha."""
+        """Coefficients (c0, c1) of the residue class c0 + c1 x mapping to
+        alpha: the scalar reference for the alpha column of n3_sweep."""
         return divmod(int(self._codes[alpha]), self.base.q)[::-1]
 
     def residue_classes(self) -> list[int]:

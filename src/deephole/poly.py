@@ -52,19 +52,8 @@ class Poly:
         return cls(field, (0, 1))
 
     @classmethod
-    def constant(cls, field: GF, c: int) -> "Poly":
-        return cls(field, (c,))
-
-    @classmethod
     def monomial(cls, field: GF, deg: int, c: int = 1) -> "Poly":
         return cls(field, (0,) * deg + (c,))
-
-    @classmethod
-    def from_roots(cls, field: GF, roots) -> "Poly":
-        out = cls.one(field)
-        for r in roots:
-            out = out * cls(field, (field.neg(r), 1))
-        return out
 
     # -- structure --------------------------------------------------------
 
@@ -248,10 +237,6 @@ def distinct_roots(f: Poly) -> set[int]:
     return {x for x, v in enumerate(values.tolist()) if v == 0}
 
 
-def splits_into_distinct_linear(f: Poly) -> bool:
-    return len(distinct_roots(f)) == f.degree
-
-
 def is_irreducible(f: Poly) -> bool:
     """Irreducibility of a monic polynomial of degree >= 1.
 
@@ -341,27 +326,9 @@ def monic_irreducibles(field: GF, d: int) -> tuple[Poly, ...]:
     return tuple(Poly(field, row) for row in rows.tolist())
 
 
-def interpolate(field: GF, points) -> Poly:
-    """Unique polynomial of degree < len(points) through the given points."""
-    pts = list(points)
-    xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation points must have distinct x values")
-    acc = Poly.zero(field)
-    for i, (xi, yi) in enumerate(pts):
-        num = Poly.one(field)
-        den = 1
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
-            num = num * Poly(field, (field.neg(xj), 1))
-            den = field.mul(den, field.sub(xi, xj))
-        acc = acc + num.scale(field.div(yi, den))
-    return acc
-
-
 class RationalFunction:
-    """num/den with den monic and nonzero, evaluated pointwise."""
+    """num/den with den monic and nonzero, evaluated pointwise: the scalar
+    reference for Code.rational_words."""
 
     __slots__ = ("num", "den")
 
@@ -384,9 +351,6 @@ class RationalFunction:
         if d == 0:
             raise ZeroDivisionError(f"pole at {x}")
         return self.field.div(self.num(x), d)
-
-    def has_pole(self) -> bool:
-        return bool(distinct_roots(self.den))
 
     def __repr__(self):
         return f"({self.num!r})/({self.den!r})"

@@ -50,7 +50,8 @@ class Table:
         return self._n
 
     def rows(self) -> list[dict]:
-        """One dict per row, a list for each 2-D column."""
+        """One dict per row, a list for each 2-D column: the reference whose
+        json.dumps text render_json is checked against."""
         names = list(self.columns)
         values = [c.tolist() for c in self.columns.values()]
         return [dict(zip(names, row)) for row in zip(*values)]

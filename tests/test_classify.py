@@ -16,7 +16,6 @@ from deephole.classify import (
     deep_count_formula,
     deep_syndromes,
     hypergraph_stats,
-    nrc_points,
 )
 from deephole.codes import prs, rs
 from deephole.families import coset_array
@@ -29,8 +28,11 @@ G7 = make_field(7)
 def test_nrc_points_shape_and_independence():
     for q, r in [(5, 3), (5, 4), (7, 3), (7, 4), (8, 4), (9, 3), (9, 4), (3, 3)]:
         field = field_of_order(q)
-        pts = nrc_points(field, r)
+        pts = prs(field, q + 1 - r).h_columns()
         assert len(pts) == q + 1
+        assert pts[:-1] == [
+            tuple(field.pow(x, t) for t in range(r)) for x in field.element_reprs()
+        ]
         assert pts[-1] == (0,) * (r - 1) + (1,)
         for sub in itertools.combinations(pts, r):
             assert linalg.rank(field, sub) == r
@@ -64,8 +66,13 @@ def test_deep_syndromes_against_exhaustive_word_distances():
         code = prs(field, k)
         deep = deep_syndromes(code)
         rho = code.covering_radius()
-        for idx in range(q**code.redundancy):
-            w = code.word_from_syndrome(code.unpack_syndrome(idx))
+        # one word per packed syndrome, supported on the first r coordinates
+        r = code.redundancy
+        words = np.zeros((q**r, code.n), dtype=np.intp)
+        words[:, :r] = np.arange(q**r)[:, None] // q ** np.arange(r) % q
+        words = words[np.argsort(code.syndromes(words) @ q ** np.arange(r))]
+        for idx, w in enumerate(words.tolist()):
+            assert code.coset_id(w) == idx
             d = code.error_distance(w, method="exhaustive")
             assert (d == rho) == (idx in deep)
 

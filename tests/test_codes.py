@@ -3,6 +3,7 @@ import copy
 import functools
 import itertools
 import random
+import re
 import tracemalloc
 import types
 from math import comb
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deephole import codes, linalg
+from deephole import codes, linalg, numbertheory
 from deephole.codes import Code, prs, rs
 from deephole.errors import BoundExceededError
 from deephole.gf import field_of_order, make_field
@@ -30,18 +31,18 @@ def test_encode_examples():
         c.encode(Poly.monomial(G5, 3))
 
 
-def test_word_from_rational():
+def test_rational_words_examples():
     c = prs(G5, 3)
-    p = Poly(G5, (2, 0, 1))
-    assert c.word_from_rational(RationalFunction(Poly.one(G5), p)) == (2, 1, 1, 2, 3, 0)
-    assert c.word_from_rational(RationalFunction(Poly.x(G5), p)) == (2, 2, 3, 3, 0, 0)
+    p = (2, 0, 1)
+    assert c.rational_words([(1,), (0, 1)], [p, p]).tolist() == [
+        [2, 1, 1, 2, 3, 0],
+        [2, 2, 3, 3, 0, 0],
+    ]
     f = Poly(G5, (3, 1, 2))
-    asrat = c.word_from_rational(
-        RationalFunction(f, Poly.one(G5)), last=f.coeffs[2]
-    )
-    assert asrat == c.encode(f)
+    (asrat,) = c.rational_words([f.coeffs], [(1,)], last=f.coeffs[2])
+    assert tuple(asrat.tolist()) == c.encode(f)
     with pytest.raises(ValueError):
-        c.word_from_rational(RationalFunction(Poly.one(G5), Poly(G5, (4, 1))))
+        c.rational_words([(1,)], [(4, 1)])
 
 
 def test_generator_matrix_matches_classical_layout():
@@ -75,10 +76,8 @@ def test_parity_check_matrix():
         q = field.q
         for k in range(1, q + 1):
             c = prs(field, k)
-            h, g = c.parity_check_matrix(), c.generator_matrix()
-            prod = linalg.matmul(field, h, [list(col) for col in zip(*g)])
-            assert all(v == 0 for row in prod for v in row)
-            assert linalg.rank(field, h) == q + 1 - k
+            assert not c.syndromes(c.generator_matrix()).any()  # H G^T = 0
+            assert linalg.rank(field, c.parity_check_matrix()) == q + 1 - k
 
 
 def test_affine_parity_check_annihilates_generator():
@@ -90,10 +89,7 @@ def test_affine_parity_check_annihilates_generator():
         rs(g7, 3, D=(0, 1, 3, 5, 6), scale=(1, 2, 3, 1, 5)),
     ]
     for c in cases:
-        h = c.parity_check_matrix()
-        g = c.generator_matrix()
-        prod = linalg.matmul(c.field, h, [list(col) for col in zip(*g)])
-        assert all(v == 0 for row in prod for v in row)
+        assert not c.syndromes(c.generator_matrix()).any()  # H G^T = 0
         for _ in range(20):
             f = Poly(c.field, [rng.randrange(c.field.q) for _ in range(c.k)])
             assert c.syndrome(c.encode(f)) == (0,) * c.redundancy
@@ -115,13 +111,6 @@ def test_pack_unpack_roundtrip():
     c = prs(G5, 2)
     for idx in range(c.field.q**c.redundancy):
         assert c.pack_syndrome(c.unpack_syndrome(idx)) == idx
-
-
-def test_word_from_syndrome():
-    for c in (prs(G5, 3), rs(G5, 2), rs(make_field(7), 4)):
-        for idx in range(0, c.field.q**c.redundancy, 7):
-            s = c.unpack_syndrome(idx)
-            assert c.syndrome(c.word_from_syndrome(s)) == s
 
 
 def test_error_distance_examples():
@@ -459,9 +448,15 @@ def test_scan_tables_kept_per_code_are_bounded(q, k):
 
 @given(small_codes())
 def test_weight_table_matches_exhaustive_distances(code):
+    # one word per packed syndrome: the q^r words supported on the first r
+    # coordinates, whose r columns of H are independent, sorted by syndrome
+    q, r = code.field.q, code.redundancy
+    words = np.zeros((q**r, code.n), dtype=np.intp)
+    words[:, :r] = np.arange(q**r)[:, None] // q ** np.arange(r) % q
+    words = words[np.argsort(code.syndromes(words) @ q ** np.arange(r))]
     weights = code.coset_leader_weights()
-    for s in range(code.field.q**code.redundancy):
-        word = code.word_from_syndrome(code.unpack_syndrome(s))
+    for s, word in enumerate(words.tolist()):
+        assert code.syndrome(word) == code.unpack_syndrome(s)
         assert weights[s] == code.error_distance(word, method="exhaustive")
 
 
@@ -682,6 +677,25 @@ def test_rational_words_match_pointwise_evaluation():
         code.rational_words([(1,)], [])
     with pytest.raises(ValueError):
         rs(field, 3).rational_words([(1,)], [dens[0]])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: rs(G5, 2, scale=(6, 1, 1, 1, 1)), "scale vector"),
+        (lambda: rs(5, 2, scale=(-1, 1, 1, 1, 1)), "scale vector"),
+        (lambda: rs(make_field(3, 2), 2, scale=(10,) + (1,) * 8), "scale vector"),
+        (lambda: prs(5, 3).rational_words([(1,)], [(2, 0, 1)], last=9),
+         "extension coordinate 9 out of range"),
+        (lambda: prs(5, 3).rational_words([(1,)], [(2, 0, 1)], last=-1),
+         "extension coordinate -1 out of range"),
+        (lambda: numbertheory.subset_sum_row(G5, (0, 1, 7), 2), "outside GF(5)"),
+        (lambda: numbertheory.subset_sum_row(G5, (-1, 1), 1), "outside GF(5)"),
+    ],
+)
+def test_library_inputs_outside_the_field_raise(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_bounds():

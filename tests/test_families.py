@@ -12,7 +12,7 @@ from deephole import classify, codes
 from deephole.codes import Code, prs, rs
 from deephole.errors import TheoremAssertionError
 from deephole.gf import make_field
-from deephole.poly import Poly, RationalFunction, monic_irreducibles
+from deephole.poly import Poly, monic_irreducibles
 from deephole.families import (
     TAGS,
     cubic_families,
@@ -21,10 +21,8 @@ from deephole.families import (
     degree_k_family,
     dh_intersection,
     inverse_monomial_family,
-    is_deep_hole,
     quadratic_families,
     quadratic_family,
-    same_coset,
     zero_sum_free_family,
 )
 
@@ -282,13 +280,9 @@ def test_cubic_splitting_count_cross_check():
             assert not (near & far)
             fam = cubic_family(c, p)
             # splitting triples are exactly the complement of the deep ones
-            syns = [
-                c.syndrome(
-                    c.word_from_rational(RationalFunction(Poly.monomial(field, i), p))
-                )
-                for i in range(3)
-            ]
-            ids = c.span_ids(syns)
+            monomials = [(0,) * i + (1,) for i in range(3)]
+            words = c.rational_words(monomials, [p.coeffs] * 3)
+            ids = c.span_ids(c.syndromes(words))
             nondeep_ids = {int(ids[a + q * b + q * q * cc]) for a, b, cc in near | far}
             assert not np.isin(list(nondeep_ids), fam.cosets).any()
             assert len(near | far) + len(fam.cosets) == q**3 - 1
@@ -314,23 +308,23 @@ def test_section5_footnote_degree_k_overlap():
             assert np.array_equal(np.intersect1d(fam.cosets, dk), sorted(predicted))
 
 
-def test_is_deep_hole():
+def test_deep_holes_are_words_at_the_covering_radius():
     c = prs(G5, 3)
-    assert not is_deep_hole(c, c.encode(Poly(G5, (1, 2, 3))))
-    assert is_deep_hole(c, (2, 1, 1, 2, 3, 0))
+    assert c.error_distance(c.encode(Poly(G5, (1, 2, 3)))) != c.covering_radius()
+    assert c.error_distance((2, 1, 1, 2, 3, 0)) == c.covering_radius()
     # degree k+2 words are not deep holes of the affine code
     aff = rs(G5, 2)
-    assert not is_deep_hole(aff, aff.word(Poly.monomial(G5, 4)))
+    assert aff.error_distance(aff.word(Poly.monomial(G5, 4))) != aff.covering_radius()
 
 
-def test_same_coset():
+def test_cosets_are_syndromes():
     c = prs(G5, 3)
     w = (2, 1, 1, 2, 3, 0)
     cw = c.encode(Poly(G5, (1, 0, 2)))
     shifted = tuple(G5.add(a, b) for a, b in zip(w, cw))
-    assert same_coset(c, w, shifted)
+    assert c.syndrome(w) == c.syndrome(shifted)
     scaled = tuple(G5.mul(3, e) for e in w)
-    assert not same_coset(c, w, scaled)
+    assert c.syndrome(w) != c.syndrome(scaled)
     assert c.normalize_syndrome(c.syndrome(w)) == c.normalize_syndrome(
         c.syndrome(scaled)
     )
@@ -339,7 +333,7 @@ def test_same_coset():
     quads = monic_irreducibles(G5, 2)
     w1 = quadratic_family(c2, quads[0]).words[0]
     w2 = quadratic_family(c2, quads[1]).words[0]
-    assert not same_coset(c2, w1, w2)
+    assert c2.syndrome(w1) != c2.syndrome(w2)
 
 
 def test_deep_holes_of_k_are_not_deep_in_k_minus_1():
@@ -377,7 +371,7 @@ def test_families_on_extension_field():
     qf = quadratic_family(c, p)
     assert len(qf.cosets) == 80
     for w in qf.words:
-        assert is_deep_hole(c, w)
+        assert c.error_distance(w) == c.covering_radius()
     aff = rs(g9, 3, D=tuple(range(8)))
     imf = inverse_monomial_family(aff, 8)
     assert len(imf.cosets) == 8

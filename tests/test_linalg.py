@@ -26,12 +26,9 @@ def test_rref_is_reduced_and_keeps_the_row_space(q):
         assert linalg.rank(field, rows + reduced) == r
 
 
-def test_rref_leaves_its_input_and_solve_detects_singular():
+def test_rref_leaves_its_input():
     g5 = field_of_order(5)
     rows = [[0, 2, 4], [1, 1, 1]]
     assert linalg.rref(g5, rows) == ([[1, 0, 4], [0, 1, 2]], [0, 1])
     assert rows == [[0, 2, 4], [1, 1, 1]]
     assert linalg.rref(g5, []) == ([], [])
-    assert linalg.solve(g5, [[2, 1], [1, 4]], [4, 4]) == [1, 2]
-    with pytest.raises(ValueError):
-        linalg.solve(g5, [[1, 2], [2, 4]], [1, 2])
