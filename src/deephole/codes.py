@@ -43,11 +43,16 @@ representative as it stands, and for j > i each point with t != 0 is t
 times the representative h + u/t, in box i.  So each box is updated a block
 of lines at a time, by one (q, lines) array of positions, one gather, a
 minimum over the line, and one scatter; each entry is written once per
-column, and [h] itself takes weight at most 1.  At the end the table over
-all q^r packed syndromes is filled by full[c*s] = compact[s]: for each box j
-and scalar c, the syndromes whose first nonzero coordinate j equals c are a
-strided slice of it, gathered from box j by two index vectors, one for each
-half of the coordinates after j.
+column, and [h] itself takes weight at most 1.  This compact table is the
+one a Code keeps: the covering radius is its maximum, and the weight of one
+syndrome s != 0 is one entry, at offsets[j] + id // q^(j+1) for the packed id
+of the representative of s and j its first nonzero coordinate.  Only
+coset_leader_weights(), for callers that index the weights by arrays of
+packed ids, expands it on first call to the table over all q^r packed
+syndromes, by full[c*s] = compact[s]: for each box j and scalar c, the
+syndromes whose first nonzero coordinate j equals c are a strided slice of
+it, gathered from box j by two index vectors, one for each half of the
+coordinates after j.
 
 The tables are bounded by one Limits value, the context variable LIMITS:
 the weight table and every span of syndromes need q^r <= LIMITS.syndromes,
@@ -117,6 +122,7 @@ class Code:
                 raise ValueError("scale vector must be n nonzero field elements")
         if not 0 < k < self.n:
             raise ValueError(f"dimension k = {k} out of range for n = {self.n}")
+        self._compact = None
         self._weights = None
 
     @property
@@ -227,6 +233,10 @@ class Code:
         rows = np.zeros((2 * len(nums), width), dtype=np.intp)
         for row, coeffs in zip(rows, nums + dens):
             row[: len(coeffs)] = coeffs
+        # a gather would wrap a negative coefficient silently
+        outside = rows[(rows < 0) | (rows >= fld.q)]
+        if len(outside):
+            raise ValueError(f"coefficient {outside[0]} out of range")
         num, den = np.split(evaluate(fld, rows, self.D), 2)
         # D is the whole field, so a zero of the denominator on D is a pole
         if (den == 0).any():
@@ -320,20 +330,29 @@ class Code:
         if q**r > bound:
             raise BoundExceededError(f"syndrome space {q}^{r} exceeds bound {bound}")
 
+    def _compact_weights(self) -> np.ndarray:
+        """The coset-leader weight of every scalar class of nonzero
+        syndromes, an int8 array built once per code (see the module
+        docstring); LIMITS is checked on every call."""
+        self._check_syndromes()
+        if self._compact is None:
+            compact = _leader_weights(self.field, self._h.T)
+            if compact.max() > self.redundancy:
+                raise AssertionError("parity-check columns do not span the syndromes")
+            self._compact = compact
+        return self._compact
+
     def coset_leader_weights(self) -> np.ndarray:
         """int8 array over packed syndromes: minimum number of parity-check
-        columns whose span contains the syndrome (= coset leader weight)."""
-        if self._weights is not None:
-            return self._weights
-        self._check_syndromes()
-        weights = _leader_weights(self.field, self._h.T)
-        if weights.max() > self.redundancy:
-            raise AssertionError("parity-check columns do not span the syndromes")
-        self._weights = weights
-        return weights
+        columns whose span contains the syndrome (= coset leader weight);
+        the compact table, expanded on the first call."""
+        if self._weights is None:
+            compact = self._compact_weights()
+            self._weights = _expand(self.field, compact, self.redundancy)
+        return self._weights
 
     def covering_radius(self) -> int:
-        return int(self.coset_leader_weights().max())
+        return int(self._compact_weights().max())
 
     # -- exhaustive codeword enumeration ---------------------------------------
 
@@ -425,7 +444,16 @@ class Code:
             fits = self.field.q**self.redundancy <= LIMITS.get().syndromes
             method = "syndrome_span" if fits else "exhaustive"
         if method == "syndrome_span":
-            return int(self.coset_leader_weights()[self.coset_id(word)])
+            compact = self._compact_weights()
+            s = self.coset_id(word)
+            if s == 0:
+                return 0
+            q, r = self.field.q, self.redundancy
+            # the class representative, its first nonzero coordinate j, and
+            # its place in box j
+            s = int(self.projective_ids(s))
+            j = next(i for i in range(r) if s % q ** (i + 1))
+            return int(compact[_box_offsets(q, r)[j] + s // q ** (j + 1)])
         if method == "exhaustive":
             return self._info_set_distance(word)
         raise ValueError(f"unknown method {method!r}")
@@ -489,17 +517,15 @@ class _InfoSets(NamedTuple):
 
 
 def _leader_weights(field: GF, columns) -> np.ndarray:
-    """int8 table over the packed syndromes of length r: the least number of
-    the given columns, an (m, r) array, whose span holds each syndrome, and
-    r + 1 where none does.  Built on one entry per scalar class, then
-    expanded (see the module docstring)."""
+    """int8 table over the scalar classes of nonzero syndromes of length r,
+    the compact table of the module docstring: the least number of the given
+    columns, an (m, r) array, whose span holds the class, and r + 1 where
+    none does."""
     q = field.q
     columns = np.asarray(columns, dtype=np.intp)
     r = columns.shape[1]
     add_t, mul_t = field.add_table, field.mul_table
-    # box j holds the q^(r-1-j) representatives whose first nonzero coordinate
-    # is j, packed base q by their coordinates after j
-    offsets = np.cumsum([0] + [q ** (r - 1 - j) for j in range(r)]).tolist()
+    offsets = _box_offsets(q, r)
     compact = np.full(offsets[-1], r + 1, dtype=np.int8)
     for h in columns:
         nonzero = np.flatnonzero(h)
@@ -521,7 +547,14 @@ def _leader_weights(field: GF, columns) -> np.ndarray:
                 compact[at] = on_line
         home = offsets[i] + int(h[i + 1 :] @ q ** np.arange(r - 1 - i))
         compact[home] = min(compact[home], 1)
-    return _expand(mul_t, field, compact, offsets)
+    return compact
+
+
+def _box_offsets(q: int, r: int) -> list[int]:
+    """Where each box of the compact table starts, and its length last: box
+    j holds the q^(r-1-j) representatives whose first nonzero coordinate is
+    j, packed base q by their coordinates after j."""
+    return np.cumsum([0] + [q ** (r - 1 - j) for j in range(r)]).tolist()
 
 
 def _line_positions(add_t, mul_t, h, i: int, j: int, offsets):
@@ -574,15 +607,15 @@ def _append_digit(at, part) -> np.ndarray:
     return out.reshape(len(out), -1)
 
 
-def _expand(mul_t, field: GF, compact, offsets) -> np.ndarray:
+def _expand(field: GF, compact, r: int) -> np.ndarray:
     """The full table over packed syndromes from the compact one: full[c*s]
     = compact[s] for every representative s and scalar c != 0, full[0] = 0.
     The syndromes with first nonzero coordinate j equal to c are a strided
     slice of the full table; each is filled from box j, a block of rows at
     a time, by two gathers, one over the high and one over the low half of
     the coordinates after j, each scaled by 1/c."""
-    q = field.q
-    r = len(offsets) - 1
+    q, mul_t = field.q, field.mul_table
+    offsets = _box_offsets(q, r)
     full = np.empty(q**r, dtype=compact.dtype)
     full[0] = 0
     for j in range(r):

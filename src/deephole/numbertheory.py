@@ -88,8 +88,11 @@ def is_zero_sum_free(field: GF, D, r: int) -> bool:
 
 def zero_sum_violations(field: GF, D, r: int, limit: int = 10) -> list[tuple[int, ...]]:
     """Up to `limit` r-subsets of D summing to zero, in enumeration order."""
+    D = tuple(D)
+    if any(not 0 <= d < field.q for d in D):
+        raise ValueError(f"D has an element outside {field!r}")
     out = []
-    for sub in itertools.combinations(tuple(D), r):
+    for sub in itertools.combinations(D, r):
         total = 0
         for s in sub:
             total = field.add(total, s)

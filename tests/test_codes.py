@@ -502,9 +502,53 @@ def _bfs_leader_weights(field, columns, r) -> list[int]:
 def test_leader_weight_kernel_matches_scalar_bfs(case):
     field, columns = case
     r = columns.shape[1]
-    table = codes._leader_weights(field, columns)
-    assert table.dtype == np.int8
+    compact = codes._leader_weights(field, columns)
+    assert compact.dtype == np.int8
+    assert len(compact) == (field.q**r - 1) // (field.q - 1)
+    table = codes._expand(field, compact, r)
     assert table.tolist() == _bfs_leader_weights(field, columns, r)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        prs(field_of_order(4), 1),
+        prs(G5, 2),
+        prs(field_of_order(8), 5),
+        prs(field_of_order(9), 6),
+        rs(field_of_order(7), 2, D=(6, 2, 5, 0, 3), scale=(3, 1, 5, 2, 6)),
+    ],
+    ids=repr,
+)
+def test_one_compact_entry_is_the_distance_of_every_syndrome(code):
+    # one word per packed syndrome, supported on the first r coordinates,
+    # whose r columns of H are independent
+    q, r = code.field.q, code.redundancy
+    words = np.zeros((q**r, code.n), dtype=np.intp)
+    words[:, :r] = np.arange(q**r)[:, None] // q ** np.arange(r) % q
+    ids = code.syndromes(words) @ q ** np.arange(r)
+    assert np.array_equal(np.sort(ids), np.arange(q**r))
+    # a fresh Code: the distances and the radius read the compact table only
+    distances = [code.error_distance(w, "syndrome_span") for w in words.tolist()]
+    rho = code.covering_radius()
+    assert code._weights is None
+    assert distances == code.coset_leader_weights()[ids].tolist()
+    assert rho == int(code.coset_leader_weights().max())
+
+
+def test_covering_radius_keeps_the_table_compact():
+    field = field_of_order(13)
+    field.add_table, field.mul_table, field.inv_table  # built once per field
+    code = prs(field, 8)  # a fresh Code: 13^6 syndromes
+    tracemalloc.start()
+    try:
+        rho = code.covering_radius()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rho == 13 - 8
+    assert code._weights is None
+    assert peak < 13**6 / 4
 
 
 # the six covering-radius codes of the benchmark, and a generalized RS code
@@ -691,6 +735,10 @@ def test_rational_words_match_pointwise_evaluation():
          "extension coordinate -1 out of range"),
         (lambda: numbertheory.subset_sum_row(G5, (0, 1, 7), 2), "outside GF(5)"),
         (lambda: numbertheory.subset_sum_row(G5, (-1, 1), 1), "outside GF(5)"),
+        (lambda: prs(5, 3).rational_words([(-1,)], [(2, 0, 1)]), "coefficient -1 out of range"),
+        (lambda: prs(5, 3).rational_words([(1,)], [(2, 0, 5)]), "coefficient 5 out of range"),
+        (lambda: numbertheory.zero_sum_violations(G5, (7, 3), 2), "outside GF(5)"),
+        (lambda: numbertheory.zero_sum_violations(G5, (-1, 1), 2), "outside GF(5)"),
     ],
 )
 def test_library_inputs_outside_the_field_raise(build, message):
@@ -720,9 +768,9 @@ def test_auto_distance_scans_when_the_weight_table_is_over_the_limit():
     no_table = contextvars.copy_context()
     no_table.run(codes.LIMITS.set, codes.Limits(syndromes=100))
     assert no_table.run(code.error_distance, word) == 3
-    assert code._weights is None
+    assert code._compact is None
     assert code.error_distance(word) == 3
-    assert code._weights is not None
+    assert code._compact is not None
 
 
 def test_code_validation():

@@ -15,6 +15,7 @@ from deephole.gf import make_field
 from deephole.poly import Poly, monic_irreducibles
 from deephole.families import (
     TAGS,
+    coset_array,
     cubic_families,
     cubic_family,
     cubic_nondeep_by_splitting,
@@ -74,6 +75,14 @@ def test_cosets_are_sorted_unique_read_only_int64_arrays(tag):
         again = dataclasses.replace(again, code=fam.code)
     assert fam == again
     assert fam != dataclasses.replace(fam, tag="other")
+
+
+def test_coset_array_matches_np_unique():
+    rng = np.random.default_rng(5)
+    for ids in ([], [7], [[3, 3], [1, 9]], rng.integers(0, 50, size=(40, 3))):
+        out = coset_array(ids)
+        _assert_coset_array(out)
+        assert out.tolist() == np.unique(np.asarray(ids, dtype=np.int64)).tolist()
 
 
 def test_deep_set_and_intersection_are_coset_arrays():

@@ -13,12 +13,15 @@ methods run by syntax, not by name, and are not checked.
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "deephole"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "deephole"
 
 # definitions that no src/ path calls, each with what it is kept for: the
 # production path that a test compares it against, an acceptance criterion, or
@@ -136,3 +139,38 @@ def test_an_unused_import_fails():
     modules = _modules()
     modules["codes"].body += ast.parse("from deephole.poly import RationalFunction").body
     assert unused_imports(modules) == ["codes: RationalFunction"]
+
+
+
+def _resolves(module: str, path: str) -> bool:
+    """Whether the attribute path is defined in the module of src/deephole,
+    the last part in its owner's own namespace, where a wrapper replaces it."""
+    try:
+        owner = importlib.import_module(module)
+    except ImportError:
+        return False
+    if Path(owner.__file__).resolve().parent != SRC:
+        return False
+    *cls_path, attr = path.split(".")
+    for part in cls_path:
+        owner = getattr(owner, part, None)
+    return attr in getattr(owner, "__dict__", {})
+
+
+def test_every_benchmark_entry_point_resolves():
+    # perfbench/spans.py wraps each one in the traced benchmark pass, which
+    # fails when one is missing
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    entries = [entry[:2] for entry in spans.ENTRY_POINTS]
+    assert len(entries) > 20
+    assert [e for e in entries if not _resolves(*e)] == []
+
+
+def test_a_renamed_entry_point_fails():
+    assert _resolves("deephole.codes", "Code.coset_leader_weights")
+    assert not _resolves("deephole.codes", "Code.leader_weights")
+    assert not _resolves("deephole.codes", "Table.rows")
+    assert not _resolves("deephole.nowhere", "run")
