@@ -159,6 +159,8 @@ def inverse_monomial_family(code: Code, delta: int) -> DeepHoleFamily:
     q = field.q
     if len(code.D) >= q:
         raise ValueError("evaluation set must be a proper subset of the field")
+    if not 0 <= delta < q:
+        raise ValueError(f"delta = {delta} is not an element of {field!r}")
     if delta in code.D:
         raise ValueError(f"delta = {delta} lies in the evaluation set")
     base = Poly(field, (field.neg(delta), 1))

@@ -6,9 +6,16 @@ identities and prime-field elements are just residues.  The canonical element
 order used throughout the package lists the nonzero elements ascending by
 encoding and puts 0 last.
 
-The reducing modulus of an extension field is the first monic irreducible of
-degree m when coefficient vectors (c_0, ..., c_{m-1}) are compared
-lexicographically, low-degree coefficient first.
+The field keeps no polynomial arithmetic of its own; it takes it from
+``poly``, over the prime field GF(p).  The reducing modulus of an extension
+field is the first monic irreducible of degree m that ``poly.is_irreducible``
+accepts when coefficient vectors (c_0, ..., c_{m-1}) are compared
+lexicographically, low-degree coefficient first; a prime field has the
+modulus x.  The generator is the smallest encoding whose powers, taken by
+``poly.pow_mod`` modulo the modulus, pass the prime-divisor test of order
+q-1.  The log and exp tables step through its powers by one vectorised map
+b -> g*b.  A prime field adds, multiplies and inverts residues directly and
+builds no log table for them.
 """
 
 from __future__ import annotations
@@ -54,91 +61,26 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# ----------------------------------------------------------------------
-# bootstrap arithmetic for polynomials over GF(p), as plain coefficient
-# lists (low degree first); used to select moduli and to multiply in the
-# extension before any tables exist
-# ----------------------------------------------------------------------
-
-def _pp_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pp_trim(out)
-
-
-def _pp_mod(a, mod, p):
-    a = list(a)
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) >= len(mod):
-        c = a[-1] * inv_lead % p
-        if c:
-            shift = len(a) - len(mod)
-            for i, mi in enumerate(mod):
-                a[shift + i] = (a[shift + i] - c * mi) % p
-        a.pop()
-    return _pp_trim(a)
-
-
-def _pp_powmod(base, e, mod, p):
-    result = [1]
-    base = _pp_mod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _pp_mod(_pp_mul(result, base, p), mod, p)
-        base = _pp_mod(_pp_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _pp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pp_mod(a, b, p)
-    return a
-
-
-def _pp_is_irreducible(f, p):
-    """Irreducibility of a monic f over GF(p) via the x^(p^i) criterion."""
-    d = len(f) - 1
-    if d < 1:
-        return False
-    x = [0, 1]
-    if _pp_powmod(x, p**d, f, p) != _pp_mod(x, f, p):
-        return False
-    for t in prime_factors(d):
-        g = _pp_powmod(x, p ** (d // t), f, p)
-        g = [(gi - xi) % p for gi, xi in itertools.zip_longest(g, x, fillvalue=0)]
-        if len(_pp_gcd(f, _pp_trim(g), p)) != 1:
-            return False
-    return True
-
-
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """First monic irreducible of degree m, coefficient vectors compared
-    lexicographically low-degree-first."""
-    for low in itertools.product(range(p), repeat=m):
-        f = list(low) + [1]
-        if _pp_is_irreducible(f, p):
-            return tuple(f)
+    """First monic irreducible of degree m over GF(p), coefficient vectors
+    compared lexicographically low-degree-first.  The scan starts at c_0 = 1,
+    since every candidate with c_0 = 0 has the root 0."""
+    if m == 1:
+        return (0, 1)
+    # deferred: poly imports gf at module level
+    from deephole.poly import Poly, is_irreducible
+
+    base = make_field(p)
+    for low in itertools.product(range(1, p), *[range(p)] * (m - 1)):
+        f = Poly(base, low + (1,))
+        if is_irreducible(f):
+            return f.coeffs
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-# ----------------------------------------------------------------------
-
-
 class GF:
-    """A finite field GF(p^m) with precomputed discrete-log tables.
+    """A finite field GF(p^m); its log and lookup tables are built on first
+    use.
 
     Arithmetic methods take and return integer encodings.  The instance is
     immutable after construction and safe to share across threads.
@@ -194,9 +136,6 @@ class GF:
         p = self.p
         return [(a // pw) % p for pw in self._powers]
 
-    def undigits(self, ds) -> int:
-        return sum(d * pw for d, pw in zip(ds, self._powers))
-
     # -- raw arithmetic on encodings -------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -213,13 +152,6 @@ class GF:
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
-
-    def _direct_mul(self, a: int, b: int) -> int:
-        # table-free product, used to bootstrap the log tables
-        if self.m == 1:
-            return a * b % self.p
-        prod = _pp_mul(self.digits(a), self.digits(b), self.p)
-        return self.undigits(_pp_mod(prod, list(self.modulus), self.p))
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -256,40 +188,64 @@ class GF:
     # -- multiplicative structure ----------------------------------------
 
     def _log_tables(self):
+        """Exponents of generator() by stepping b -> g*b from 1, and their
+        logs."""
         if self._logs is None:
-            g = self.generator()
+            times = self._times(self.generator())
             exps = [0] * (2 * self.q)  # doubled so log sums index directly
             logs = [0] * self.q
             acc = 1
             for i in range(self.q - 1):
                 exps[i] = acc
                 logs[acc] = i
-                acc = self._direct_mul(acc, g)
+                acc = times[acc]
             for i in range(self.q - 1, 2 * self.q):
                 exps[i] = exps[i - (self.q - 1)]
             self._exps = exps
             self._logs = logs
         return self._logs, self._exps
 
+    def _times(self, g: int) -> list[int]:
+        """The map b -> g*b as a q-entry list: Horner's rule on the digits of
+        g over the (m, block) digit array of a block of TABLE_LIMIT elements
+        at a time.  Multiplying by x shifts the digits up one place and
+        replaces x^m by minus the low part of the modulus."""
+        p, m = self.p, self.m
+        powers = np.array(self._powers, dtype=np.int64)
+        low = np.array(self.modulus[:m], dtype=np.int64)[:, None]
+        digits = self.digits(g)
+        while not digits[-1]:  # a leading zero digit leaves acc at 0
+            digits.pop()
+        out = []
+        for start in range(0, self.q, TABLE_LIMIT):
+            b = np.arange(start, min(start + TABLE_LIMIT, self.q)) // powers[:, None] % p
+            acc = np.zeros_like(b)
+            for c in reversed(digits):
+                carry = acc[-1] * low
+                acc[1:] = acc[:-1]
+                acc[0] = 0
+                acc = (acc - carry + c * b) % p
+            out += (powers @ acc).tolist()
+        return out
+
     def generator(self) -> int:
-        """Smallest encoding that generates the multiplicative group."""
+        """Smallest encoding g with g^((q-1)/f) != 1 for every prime f
+        dividing q-1, powered as a polynomial over GF(p) modulo the
+        modulus."""
         if self._generator is None:
+            # deferred: poly imports gf at module level
+            from deephole.poly import Poly, pow_mod
+
+            base = make_field(self.p)
+            mod, one = Poly(base, self.modulus), Poly.one(base)
             n = self.q - 1
             fs = prime_factors(n) if n > 1 else []
             for g in range(1, self.q):
-                if all(self._bootstrap_pow(g, n // f) != 1 for f in fs):
+                elem = Poly(base, self.digits(g))
+                if all(pow_mod(elem, n // f, mod) != one for f in fs):
                     self._generator = g
                     break
         return self._generator
-
-    def _bootstrap_pow(self, a, n):
-        r = 1
-        while n:
-            if n & 1:
-                r = self._direct_mul(r, a)
-            a = self._direct_mul(a, a)
-            n >>= 1
-        return r
 
     def is_square(self, a: int) -> bool:
         """Euler's criterion: the reference that poly.is_irreducible is
@@ -298,7 +254,12 @@ class GF:
             return True
         return self.pow(a, (self.q - 1) // 2) == 1
 
+    def _check_element(self, a: int) -> None:
+        if not 0 <= a < self.q:
+            raise ValueError(f"{a} is not an element of {self!r}")
+
     def is_generator(self, g: int) -> bool:
+        self._check_element(g)
         if g == 0:
             return False
         if self.q == 2:
@@ -308,6 +269,7 @@ class GF:
 
     def discrete_log(self, a: int, g: int | None = None) -> int:
         """Exponent t in [0, q-1) with g^t = a; g defaults to generator()."""
+        self._check_element(a)
         if a == 0:
             raise ValueError("discrete log of zero")
         logs, _ = self._log_tables()

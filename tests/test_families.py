@@ -145,6 +145,13 @@ def test_inverse_monomial_family():
         inverse_monomial_family(rs(G5, 2), 0)  # D not proper
 
 
+@pytest.mark.parametrize("delta", [5, 6, -1])
+def test_inverse_monomial_delta_outside_the_field_fails(delta):
+    # 6 = 1 mod 5 lies in D, and -1 = 4 does not: neither is an element
+    with pytest.raises(ValueError, match=f"delta = {delta} is not an element"):
+        inverse_monomial_family(rs(G5, 1, D=(1, 2, 3)), delta)
+
+
 def test_zero_sum_free_family_example():
     fam = zero_sum_free_family(G13, (0, 1, 2, 3, 4), 2)
     code = fam.code

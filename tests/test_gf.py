@@ -1,11 +1,14 @@
+import json
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from deephole.errors import BoundExceededError
-from deephole.gf import field_of_order, make_field
+from deephole.gf import GF, field_of_order, make_field, prime_factors
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]
 
@@ -27,6 +30,18 @@ def test_make_field_examples():
     assert g4.modulus == (1, 1, 1)  # the unique monic irreducible quadratic
     g9 = make_field(3, 2)
     assert g9.modulus == brute_smallest_irreducible_quadratic(3) == (1, 0, 1)
+
+
+def test_every_field_up_to_4096_is_pinned():
+    # every report over GF(q) embeds its modulus, and the log tables are
+    # relative to its generator
+    path = Path(__file__).parent / "fixtures" / "fields.json"
+    pinned = {int(q): v for q, v in json.loads(path.read_text()).items()}
+    assert sorted(pinned) == [q for q in range(2, 4097) if len(prime_factors(q)) == 1]
+    assert len(pinned) == 604
+    for q, want in pinned.items():
+        f = field_of_order(q)
+        assert (list(f.modulus), f.generator()) == (want["modulus"], want["generator"]), f
 
 
 def test_make_field_errors_and_idempotence():
@@ -103,6 +118,16 @@ def test_discrete_log():
             assert f.pow(g, f.discrete_log(a, g)) == a
 
 
+@pytest.mark.parametrize(
+    "call", [("discrete_log", 7), ("discrete_log", -1), ("discrete_log", 3, 9),
+             ("discrete_log", 3, -2), ("is_generator", 7), ("is_generator", -3)],
+)
+def test_log_arguments_outside_the_field_fail(call):
+    name, *args = call
+    with pytest.raises(ValueError, match="is not an element of GF\\(5\\)"):
+        getattr(make_field(5), name)(*args)
+
+
 def test_field_axioms():
     rng = random.Random(7)
     for p, m in SMALL_FIELDS:
@@ -176,3 +201,19 @@ def test_tables_match_scalar_ops():
         mul = [[f.mul(a, b) for b in elems] for a in elems]
         assert f.add_table.tolist() == add, f
         assert f.mul_table.tolist() == mul, f
+
+
+def test_log_tables_of_gf_2_16_stay_near_the_kept_lists():
+    # the map b -> g*b is built in blocks of TABLE_LIMIT elements; a (q, m)
+    # int64 digit array at once would add 128 bytes per element at m = 16
+    f = GF(2, 16)
+    f.generator()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f._log_tables()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept - before > 64 * f.q  # the logs and exps lists
+    assert peak - kept < 16 * f.q  # measured: 9 bytes per element

@@ -4,10 +4,11 @@ Every function and class defined in the package is referenced somewhere in
 src/ outside its own definition, or is on REFERENCES: a reference that a test
 compares a production path against, an acceptance criterion, or a hook that a
 caller outside src/ runs.  Every imported name is used by the module that
-imports it.  Names are matched by spelling, not by type: a method
-counts as referenced when any attribute of that name is read, and a module
-function or class when its name or an attribute of that name is.  Dunder
-methods run by syntax, not by name, and are not checked.
+imports it, and an import inside a function body breaks an import cycle.
+Names are matched by spelling, not by type: a method counts as referenced
+when any attribute of that name is read, and a module function or class when
+its name or an attribute of that name is.  Dunder methods run by syntax, not
+by name, and are not checked.
 """
 
 from __future__ import annotations
@@ -112,6 +113,43 @@ def unused_imports(modules) -> list[str]:
     return out
 
 
+def _module_level_imports(tree) -> set[str]:
+    """The modules of src/deephole that a module imports at module level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "deephole":
+            names |= {f"deephole.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+        elif isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+    return {name.removeprefix("deephole.") for name in names if name.startswith("deephole.")}
+
+
+def deferred_imports_without_a_cycle(modules) -> list[str]:
+    """Imports inside a function body whose module does not import the
+    importer at module level.  A deferred import is kept only to break a
+    cycle, since it moves its module's import cost into the first call."""
+    out = []
+    for mod, tree in modules.items():
+        deferred = {}  # by node: a nested function is walked with its parent
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        deferred[id(node)] = node
+        for node in sorted(deferred.values(), key=lambda node: node.lineno):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                names = [alias.name for alias in node.names]
+            for name in names:
+                target = modules.get(name.removeprefix("deephole."))
+                if target is None or mod not in _module_level_imports(target):
+                    out.append(f"{mod}: {name}")
+    return out
+
+
 def test_every_definition_is_referenced_or_a_named_reference():
     assert sorted(unreferenced(_modules())) == sorted(REFERENCES)
 
@@ -133,6 +171,36 @@ def test_an_unreferenced_definition_fails(extra, found):
     modules = _modules()
     modules["families"].body += ast.parse(extra).body
     assert found in unreferenced(modules)
+
+
+def test_every_deferred_import_breaks_a_cycle():
+    assert deferred_imports_without_a_cycle(_modules()) == []
+
+
+@pytest.mark.parametrize(
+    "extra, found",
+    [
+        ("def f():\n    from deephole.linalg import rank\n    return rank\n",
+         "codes: deephole.linalg"),
+        ("def f():\n    def g():\n        import json\n        return json\n    return g\n",
+         "codes: json"),
+    ],
+)
+def test_a_deferred_import_without_a_cycle_fails(extra, found):
+    modules = _modules()
+    modules["codes"].body += ast.parse(extra).body
+    assert deferred_imports_without_a_cycle(modules) == [found]
+
+
+def test_gf_imports_poly_late_only_while_poly_imports_gf():
+    modules = _modules()
+    body = modules["poly"].body
+    modules["poly"].body = [
+        node for node in body
+        if not (isinstance(node, ast.ImportFrom) and node.module == "deephole.gf")
+    ]
+    assert len(modules["poly"].body) == len(body) - 1
+    assert deferred_imports_without_a_cycle(modules) == ["gf: deephole.poly"] * 2
 
 
 def test_an_unused_import_fails():
