@@ -5,19 +5,22 @@ A coset of PRS(q+1,k) with covering radius rho is deep exactly when its
 syndrome avoids the span of every (rho-1)-subset of the normal rational curve.
 Its q+1 points (1, x, ..., x^(r-1)) and (0, ..., 0, 1) are the parity-check
 columns of the code, in order, so they are read from Code.h_columns.
-The primary enumeration below marks those spans with Code.span_ids; the
+The primary enumeration below marks those spans with Code.class_span; the
 coset-leader weight table of the code is computed independently and the two
 routes are required to agree.  The experiments build the families of all
 monic irreducible quadratics or cubics with families.quadratic_families or
 families.cubic_families, which take the basis words, syndromes and spans of
 a block of polynomials in array passes and check each family on its own.
 
-Coset sets are coset arrays (families.coset_array).  A union of families is
-one boolean mask over the q^r syndromes (Code.syndrome_mask), compared with
-the deep set by one masked test.  The hypergraph's statistics are read from
-its (edges x vertices) 0/1 incidence matrix: degrees are its column sums,
-pairwise edge intersections the entries of E.E^T, and the even split of each
-edge one product with the indicator of the high degree.
+Deepness does not change when a syndrome is scaled, so coset sets are coset
+arrays (families.coset_array) of class ids (Code.class_ids), each of q - 1
+cosets, and every count is q - 1 times a count of classes.  A union of
+families is one boolean mask over the classes (Code.class_mask), compared
+with the deep set by one masked test.  The hypergraph's vertices are the q^2
+deep classes, and its statistics are read from its (edges x vertices) 0/1
+incidence matrix: degrees are its column sums, pairwise edge intersections
+the entries of E.E^T, and the even split of each edge one product with the
+indicator of the high degree.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ def prs_covering_radius(q: int, k: int) -> int:
 
 
 def deep_syndromes(code: Code) -> np.ndarray:
-    """Coset array of the packed syndromes of all deep-hole cosets of a PRS
-    code with redundancy 3 or 4, by direct span enumeration, cross-checked
+    """Coset array of the class ids of all deep-hole cosets of a PRS code
+    with redundancy 3 or 4, by direct span enumeration, cross-checked
     against the coset-leader weight table."""
     if code.kind != "projective":
         raise ValueError("deep-coset enumeration is defined for PRS codes")
@@ -55,10 +58,8 @@ def deep_syndromes(code: Code) -> np.ndarray:
         raise TheoremAssertionError(
             f"covering radius of {code!r} is {rho}, not {prs_covering_radius(q, k)}"
         )
-    shallow = code.syndrome_mask(
-        code.span_ids(sub) for sub in combinations(code.h_columns(), rho - 1)
-    )
-    deep = np.flatnonzero(~shallow)
+    subsets = np.array(list(combinations(code.h_columns(), rho - 1)))
+    deep = np.flatnonzero(~code.class_mask([code.class_span(subsets)]))
     if not np.array_equal(deep, np.flatnonzero(code.coset_leader_weights() == rho)):
         raise TheoremAssertionError(
             "span enumeration and coset-leader weights disagree on the deep set"
@@ -87,10 +88,11 @@ def in_theorem_range(q: int, k: int) -> bool:
 
 
 def count_deep_cosets(code: Code) -> int:
-    """len(deep_syndromes), checked against the closed formula whenever the
-    counting theorems apply; outside their range the count is informational."""
-    total = len(deep_syndromes(code))
+    """The number of deep cosets, q - 1 per deep class, checked against the
+    closed formula whenever the counting theorems apply; outside their range
+    the count is informational."""
     q, k = code.field.q, code.k
+    total = (q - 1) * len(deep_syndromes(code))
     if in_theorem_range(q, k) and total != deep_count_formula(q, code.redundancy):
         raise TheoremAssertionError(
             f"deep-coset count {total} differs from the closed formula "
@@ -105,22 +107,22 @@ def count_deep_cosets(code: Code) -> int:
 @dataclasses.dataclass(frozen=True)
 class Hypergraph:
     code: Code
-    # coset arrays, left out of == as in families.DeepHoleFamily
+    # coset arrays of class ids, left out of == as in families.DeepHoleFamily
     vertices: np.ndarray = dataclasses.field(compare=False)
     # monic irreducible quadratic coefficients -> coset array of its vertices
     edges: dict = dataclasses.field(compare=False)
 
 
 def build_hypergraph(field: GF) -> Hypergraph:
-    """Vertices: projective deep-hole coset ids of PRS(q+1,q-2); one edge of
-    q+1 vertices per monic irreducible quadratic."""
+    """Vertices: the class ids of the deep-hole cosets of PRS(q+1,q-2); one
+    edge of q+1 vertices per monic irreducible quadratic."""
     q = field.q
     if q % 2 == 0 or q < 5:
         raise ValueError("the hypergraph is defined for odd q >= 5")
     code = prs(field, q - 2)
     quads = monic_irreducibles(field, 2)
     edges = {
-        p.coeffs: fam.projective_cosets()
+        p.coeffs: fam.cosets
         for p, fam in zip(quads, families.quadratic_families(code, quads))
     }
     if len(edges) != (q * q - q) // 2:
@@ -179,18 +181,19 @@ def completeness_check(field: GF) -> dict:
     code = prs(field, q - 2)
     deep = deep_syndromes(code)
     quads = monic_irreducibles(field, 2)
-    fams = [f.cosets for f in families.quadratic_families(code, quads)]
-    union = code.syndrome_mask(fams)
-    union_size = int(union.sum())
+    fams = families.quadratic_families(code, quads)
+    union = code.class_mask(f.cosets for f in fams)
+    union_size = (q - 1) * int(union.sum())
     return {
         "q": q,
         "k": q - 2,
         "num_quadratics": len(quads),
         "union_size": union_size,
-        "total_deep_cosets": len(deep),
-        "equal": union_size == len(deep) and bool(union[deep].all()),
+        "total_deep_cosets": (q - 1) * len(deep),
+        "equal": union_size == (q - 1) * len(deep) and bool(union[deep].all()),
         "per_family": [
-            {"poly": list(p.coeffs), "cosets": len(f)} for p, f in zip(quads, fams)
+            {"poly": list(p.coeffs), "cosets": f.coset_count}
+            for p, f in zip(quads, fams)
         ],
     }
 
@@ -203,19 +206,20 @@ def cubic_coverage_experiment(field: GF) -> dict:
     code = prs(field, q - 3)
     deep = deep_syndromes(code)
     cubics = monic_irreducibles(field, 3)
-    fams = [f.cosets for f in families.cubic_families(code, cubics)]
-    union = code.syndrome_mask(fams)
-    covered = int(union.sum())
-    if int(union[deep].sum()) != covered:
+    fams = families.cubic_families(code, cubics)
+    union = code.class_mask(f.cosets for f in fams)
+    if int(union[deep].sum()) != int(union.sum()):
         raise TheoremAssertionError("cubic families produced a non-deep coset")
+    covered, total = (q - 1) * int(union.sum()), (q - 1) * len(deep)
     return {
         "q": q,
         "k": q - 3,
         "num_cubics": len(cubics),
         "covered": covered,
-        "total": len(deep),
-        "fraction": covered / len(deep),
+        "total": total,
+        "fraction": covered / total,
         "per_family": [
-            {"poly": list(p.coeffs), "cosets": len(f)} for p, f in zip(cubics, fams)
+            {"poly": list(p.coeffs), "cosets": f.coset_count}
+            for p, f in zip(cubics, fams)
         ],
     }

@@ -183,8 +183,10 @@ def run_family(cfg: ExperimentConfig) -> dict:
         raise UsageError(f"unknown family tag {tag!r}; choose from {families.TAGS}")
     # with no families (every delta in D) no mask is built, over a code whose
     # q^r may exceed the table limits
-    total = int(code.syndrome_mask(f.cosets for f in fams).sum()) if fams else 0
     q = field.q
+    total = int(code.class_mask(f.cosets for f in fams).sum()) if fams else 0
+    if fams and fams[0].scale_closed:  # q - 1 cosets per class
+        total *= q - 1
     if tag == "quadratic" and code.redundancy == 3 and q % 2:
         # completeness: the families of k = q-2 cover every deep coset
         expected = classify.deep_count_formula(q, 3)
@@ -217,14 +219,18 @@ def run_hypergraph(cfg: ExperimentConfig) -> dict:
     h = classify.build_hypergraph(field)
     stats = classify.hypergraph_stats(h)
     code = h.code
+    # the report names each class by the packed id of its representative
+    packed = functools.partial(codes.class_representatives, field.q, code.redundancy)
     report = _base_report(cfg, field)
     report["result"] = {
         "num_vertices": stats["num_vertices"],
         "num_edges": stats["num_edges"],
         "degree_histogram": stats["degree_histogram"],
-        "vertices": sorted(list(code.unpack_syndrome(v)) for v in h.vertices.tolist()),
+        "vertices": sorted(
+            list(code.unpack_syndrome(v)) for v in packed(h.vertices).tolist()
+        ),
         "edges": [
-            {"poly": list(coeffs), "vertices": verts.tolist()}
+            {"poly": list(coeffs), "vertices": sorted(packed(verts).tolist())}
             for coeffs, verts in sorted(h.edges.items())
         ],
     }

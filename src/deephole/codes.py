@@ -8,7 +8,7 @@ the base-q integer sum(s_i * q^i).
 
 Two independent error-distance algorithms are provided and cross-validated in
 the test suite: an exhaustive search over the information sets, and a
-coset-leader weight table over the full syndrome space.
+coset-leader weight table over the scalar classes of syndromes.
 
 The exhaustive oracle reads only the generator matrix G, never H, a
 syndrome or the weight table, and searches the C(n,k) information sets, not
@@ -23,8 +23,8 @@ finds no pivot.  For every S the code keeps S, its complement J and the
 k x (n-k) matrix P_S, so that c_S is w_S on S and w_S*P_S on J.  They come
 from one batched Gauss-Jordan elimination of the columns (S, J) of G, built
 once per code in blocks whose (sets, k, n) arrays hold at most SCAN_CHUNK/16
-entries.  P_S takes C(n,k)*k*(n-k) <= n*q^k entries for n <= q+1, never more
-than the codeword table that LIMITS.codewords bounds.  A word then costs one
+entries.  P_S takes C(n,k)*k*(n-k) entries, which LIMITS.codewords bounds
+as it bounds the q^k rows of the codeword table.  A word then costs one
 gather of w on every S, k table gathers for w_S*P_S, and one comparison
 with w on every J.
 
@@ -43,20 +43,19 @@ representative as it stands, and for j > i each point with t != 0 is t
 times the representative h + u/t, in box i.  So each box is updated a block
 of lines at a time, by one (q, lines) array of positions, one gather, a
 minimum over the line, and one scatter; each entry is written once per
-column, and [h] itself takes weight at most 1.  This compact table is the
-one a Code keeps: the covering radius is its maximum, and the weight of one
-syndrome s != 0 is one entry, at offsets[j] + id // q^(j+1) for the packed id
-of the representative of s and j its first nonzero coordinate.  Only
-coset_leader_weights(), for callers that index the weights by arrays of
-packed ids, expands it on first call to the table over all q^r packed
-syndromes, by full[c*s] = compact[s]: for each box j and scalar c, the
-syndromes whose first nonzero coordinate j equals c are a strided slice of
-it, gathered from box j by two index vectors, one for each half of the
-coordinates after j.
+column, and [h] itself takes weight at most 1.
+
+A position in this table is a class id: the class of s != 0 has id
+offsets[j] + id // q^(j+1) for the packed id of its representative and j
+its first nonzero coordinate (Code.class_ids).  coset_leader_weights() is
+the table, and the covering radius its maximum.  Code.class_span gives the
+class ids of a span, one per combination of its syndromes whose first
+nonzero coefficient is 1, in the same box order over GF(q)^m.
 
 The tables are bounded by one Limits value, the context variable LIMITS:
 the weight table and every span of syndromes need q^r <= LIMITS.syndromes,
-and the exhaustive oracle and the codeword table q^k <= LIMITS.codewords.
+the codeword table q^k <= LIMITS.codewords, and the exhaustive oracle's
+tables C(n,k)*k*(n-k) <= LIMITS.codewords entries.
 Each check reads LIMITS when a table is built or a distance is asked for, so
 a caller lifts the limits for one piece of work by setting LIMITS in a
 copied context and running the work there, as the CLI's --unsafe-bounds
@@ -85,8 +84,9 @@ SCAN_CHUNK = 1 << 18
 
 
 class Limits(NamedTuple):
-    """The largest tables built: q^k codewords listed or searched by the
-    exhaustive oracle, and q^r syndromes in a weight table or a span."""
+    """The largest tables built: q^k codewords listed, or the exhaustive
+    oracle's C(n,k)*k*(n-k) table entries, and q^r syndromes in a weight
+    table or a span."""
 
     codewords: int = 10**7
     syndromes: int = 10**7
@@ -122,7 +122,6 @@ class Code:
                 raise ValueError("scale vector must be n nonzero field elements")
         if not 0 < k < self.n:
             raise ValueError(f"dimension k = {k} out of range for n = {self.n}")
-        self._compact = None
         self._weights = None
 
     @property
@@ -239,8 +238,10 @@ class Code:
             raise ValueError(f"coefficient {outside[0]} out of range")
         num, den = np.split(evaluate(fld, rows, self.D), 2)
         # D is the whole field, so a zero of the denominator on D is a pole
-        if (den == 0).any():
-            raise ValueError("denominator has a root in the field")
+        poles = np.flatnonzero((den == 0).any(axis=1))
+        if len(poles):
+            pole = Poly(fld, dens[poles[0]])
+            raise ValueError(f"denominator {pole!r} has a root in {fld!r}")
         words = np.full((len(nums), self.n), last, dtype=num.dtype)
         words[:, :-1] = fld.mul_table[num, fld.inv_table[den]]
         return words
@@ -277,51 +278,45 @@ class Code:
     def coset_id(self, word) -> int:
         return self.pack_syndrome(self.syndrome(word))
 
-    def span_ids(self, syndromes) -> np.ndarray:
-        """Packed coset id of every combination sum c_j*s_j of the given
-        syndromes, indexed by (c_0, c_1, ...) packed base q with c_0 the least
-        significant digit; no syndromes span only the zero coset.  An
-        (..., m, r) array of syndromes gives (..., q^m) ids, one span per
-        leading index."""
+    def class_ids(self, ids) -> np.ndarray:
+        """The class id of every packed syndrome id, the position of its
+        scalar class in the weight table (see the module docstring); -1 for
+        the zero syndrome."""
+        q = self.field.q
+        digits = np.asarray(ids)[..., None] // q ** np.arange(self.redundancy) % q
+        return _class_ids(self.field, digits)
+
+    def class_span(self, syndromes) -> np.ndarray:
+        """Class id of every combination sum c_j*s_j of the given syndromes
+        whose first nonzero coefficient is 1, one per class of the span, in
+        the box order of the weight table over GF(q)^m: box j holds the
+        combinations with c_j the first nonzero coefficient, packed base q
+        by c_(j+1), c_(j+2), ... with the lowest least significant.  An
+        (..., m, r) array of m >= 1 syndromes gives (..., (q^m-1)/(q-1))
+        ids, one span per leading index; dependent syndromes raise
+        ValueError, since some combination is zero."""
         fld = self.field
-        r = self.redundancy
         self._check_syndromes()  # also keeps the packed ids within int64
-        combos = _combinations(fld, syndromes, r)
-        # packed by Horner's rule, with no int64 copy of the whole array
-        ids = np.zeros(combos.shape[:-1], dtype=np.int64)
-        for i in range(r - 1, -1, -1):
-            ids *= fld.q
-            ids += combos[..., i]
+        r = self.redundancy
+        syns = np.asarray(syndromes, dtype=np.intp)
+        # box j: s_j plus every combination of the later syndromes
+        boxes = (
+            fld.add_table[_combinations(fld, syns[..., j + 1 :, :], r), syns[..., [j], :]]
+            for j in range(syns.shape[-2])
+        )
+        ids = np.concatenate([_class_ids(fld, box) for box in boxes], axis=-1)
+        if (ids < 0).any():
+            raise ValueError("the syndromes are linearly dependent")
         return ids
 
-    def syndrome_mask(self, id_arrays) -> np.ndarray:
-        """Boolean mask over the q^r packed syndromes, true on every id of the
-        given id arrays: their union, one scatter per array."""
+    def class_mask(self, id_arrays) -> np.ndarray:
+        """Boolean mask over the (q^r-1)/(q-1) class ids, true on every id of
+        the given id arrays: their union, one scatter per array."""
         self._check_syndromes()
-        mask = np.zeros(self.field.q**self.redundancy, dtype=bool)
+        mask = np.zeros(_box_offsets(self.field.q, self.redundancy)[-1], dtype=bool)
         for ids in id_arrays:
             mask[ids] = True
         return mask
-
-    def projective_ids(self, ids) -> np.ndarray:
-        """The packed ids of the syndromes of the given packed ids, each scaled
-        so that its first nonzero coordinate is 1; the zero id stays 0."""
-        fld = self.field
-        q = fld.q
-        powers = q ** np.arange(self.redundancy)
-        digits = np.asarray(ids)[..., None] // powers % q
-        lead = np.take_along_axis(digits, (digits != 0).argmax(axis=-1)[..., None], -1)
-        return fld.mul_table[fld.inv_table[lead], digits] @ powers
-
-    def normalize_syndrome(self, s) -> tuple[int, ...]:
-        """Scale so the first nonzero coordinate is 1 (projective coset id):
-        the scalar reference for projective_ids."""
-        f = self.field
-        c = next((si for si in s if si != 0), None)
-        if c is None:
-            return tuple(s)
-        inv = f.inv(c)
-        return tuple(f.mul(inv, si) for si in s)
 
     # -- coset-leader weights -----------------------------------------------------
 
@@ -330,36 +325,28 @@ class Code:
         if q**r > bound:
             raise BoundExceededError(f"syndrome space {q}^{r} exceeds bound {bound}")
 
-    def _compact_weights(self) -> np.ndarray:
-        """The coset-leader weight of every scalar class of nonzero
-        syndromes, an int8 array built once per code (see the module
-        docstring); LIMITS is checked on every call."""
-        self._check_syndromes()
-        if self._compact is None:
-            compact = _leader_weights(self.field, self._h.T)
-            if compact.max() > self.redundancy:
-                raise AssertionError("parity-check columns do not span the syndromes")
-            self._compact = compact
-        return self._compact
-
     def coset_leader_weights(self) -> np.ndarray:
-        """int8 array over packed syndromes: minimum number of parity-check
-        columns whose span contains the syndrome (= coset leader weight);
-        the compact table, expanded on the first call."""
+        """int8 array over class ids: the minimum number of parity-check
+        columns whose span contains a syndrome of the class (= coset leader
+        weight), built once per code (see the module docstring); LIMITS is
+        checked on every call."""
+        self._check_syndromes()
         if self._weights is None:
-            compact = self._compact_weights()
-            self._weights = _expand(self.field, compact, self.redundancy)
+            weights = _leader_weights(self.field, self._h.T)
+            if weights.max() > self.redundancy:
+                raise AssertionError("parity-check columns do not span the syndromes")
+            self._weights = weights
         return self._weights
 
     def covering_radius(self) -> int:
-        return int(self._compact_weights().max())
+        return int(self.coset_leader_weights().max())
 
     # -- exhaustive codeword enumeration ---------------------------------------
 
-    def _check_codewords(self):
-        big, bound = self.field.q**self.k, LIMITS.get().codewords
-        if big > bound:
-            raise BoundExceededError(f"q^k = {big} exceeds bound {bound}")
+    def _check_codewords(self, what: str, size: int):
+        bound = LIMITS.get().codewords
+        if size > bound:
+            raise BoundExceededError(f"{what} = {size} exceeds bound {bound}")
 
     def codewords(self) -> np.ndarray:
         """All q^k codewords as an (N, n) array, row i encoding the message
@@ -367,7 +354,7 @@ class Code:
         each call and kept by nobody.  minimum_distance("exhaustive") scans
         it, and the tests check the information-set tables of the exhaustive
         oracle against it."""
-        self._check_codewords()
+        self._check_codewords("q^k", self.field.q**self.k)
         return _combinations(self.field, self.generator_matrix(), self.n)
 
     @functools.cached_property
@@ -416,8 +403,8 @@ class Code:
         """min over the information sets S of the mismatches off S between
         the word and the codeword that interpolates it on S."""
         fld = self.field
-        q = fld.q
-        self._check_codewords()
+        q, n, k = fld.q, self.n, self.k
+        self._check_codewords("oracle table entries", math.comb(n, k) * k * (n - k))
         if any(not 0 <= x < q for x in word):
             raise ValueError(f"word has a symbol outside {fld!r}")
         tab = self._info_sets
@@ -426,7 +413,7 @@ class Code:
         w = np.asarray(word, dtype=np.intp)
         info = w[tab.subsets] * q
         fit = mul_t[info[:, 0, None] + tab.parity[0]]
-        for i in range(1, self.k):
+        for i in range(1, k):
             at = np.multiply(fit, q, dtype=np.intp)
             at += mul_t[info[:, i, None] + tab.parity[i]]
             fit = add_t[at]
@@ -444,16 +431,9 @@ class Code:
             fits = self.field.q**self.redundancy <= LIMITS.get().syndromes
             method = "syndrome_span" if fits else "exhaustive"
         if method == "syndrome_span":
-            compact = self._compact_weights()
-            s = self.coset_id(word)
-            if s == 0:
-                return 0
-            q, r = self.field.q, self.redundancy
-            # the class representative, its first nonzero coordinate j, and
-            # its place in box j
-            s = int(self.projective_ids(s))
-            j = next(i for i in range(r) if s % q ** (i + 1))
-            return int(compact[_box_offsets(q, r)[j] + s // q ** (j + 1)])
+            weights = self.coset_leader_weights()
+            c = int(self.class_ids(self.coset_id(word)))
+            return 0 if c < 0 else int(weights[c])
         if method == "exhaustive":
             return self._info_set_distance(word)
         raise ValueError(f"unknown method {method!r}")
@@ -550,6 +530,33 @@ def _leader_weights(field: GF, columns) -> np.ndarray:
     return compact
 
 
+def _class_ids(field: GF, syndromes) -> np.ndarray:
+    """The class id of every syndrome of an (..., r) array, -1 for zero: its
+    representative, scaled so that its first nonzero coordinate j is 1, is
+    packed by Horner's rule, and the packed id is q^j + q^(j+1) times its
+    place in box j."""
+    q, r = field.q, syndromes.shape[-1]
+    first = (syndromes != 0).argmax(axis=-1)
+    # inv_table[0] = 0, so the zero syndrome packs to 0
+    inv = field.inv_table[np.take_along_axis(syndromes, first[..., None], -1)[..., 0]]
+    ids = np.zeros(first.shape, dtype=np.int64)
+    for t in range(r - 1, -1, -1):
+        ids *= q
+        ids += field.mul_table[inv, syndromes[..., t]]
+    ids //= (q ** np.arange(1, r + 1))[first]
+    ids += np.asarray(_box_offsets(q, r))[first]
+    return np.where(inv != 0, ids, -1)
+
+
+def class_representatives(q: int, m: int, class_ids) -> np.ndarray:
+    """The packed id of the representative of every class id of GF(q)^m:
+    q^j plus q^(j+1) times its place in box j."""
+    offsets = np.asarray(_box_offsets(q, m))
+    class_ids = np.asarray(class_ids, dtype=np.int64)
+    j = np.searchsorted(offsets, class_ids, side="right") - 1
+    return q**j + (class_ids - offsets[j]) * q ** (j + 1)
+
+
 def _box_offsets(q: int, r: int) -> list[int]:
     """Where each box of the compact table starts, and its length last: box
     j holds the q^(r-1-j) representatives whose first nonzero coordinate is
@@ -607,55 +614,19 @@ def _append_digit(at, part) -> np.ndarray:
     return out.reshape(len(out), -1)
 
 
-def _expand(field: GF, compact, r: int) -> np.ndarray:
-    """The full table over packed syndromes from the compact one: full[c*s]
-    = compact[s] for every representative s and scalar c != 0, full[0] = 0.
-    The syndromes with first nonzero coordinate j equal to c are a strided
-    slice of the full table; each is filled from box j, a block of rows at
-    a time, by two gathers, one over the high and one over the low half of
-    the coordinates after j, each scaled by 1/c."""
-    q, mul_t = field.q, field.mul_table
-    offsets = _box_offsets(q, r)
-    full = np.empty(q**r, dtype=compact.dtype)
-    full[0] = 0
-    for j in range(r):
-        lo_digits = (r - 1 - j) // 2
-        hi_digits = r - 1 - j - lo_digits
-        box = compact[offsets[j] : offsets[j + 1]].reshape(q**hi_digits, q**lo_digits)
-        view = full.reshape(q**hi_digits, q**lo_digits, q, q**j)
-        for c in range(1, q):
-            scale = mul_t[field.inv(c)]
-            hi = _packed(q, [scale] * hi_digits)
-            lo = _packed(q, [scale] * lo_digits)
-            step = _block_rows(len(lo))
-            for start in range(0, len(hi), step):
-                rows = slice(start, start + step)
-                view[rows, :, c, 0] = box[hi[rows]][:, lo]
-    return full
-
-
 def _block() -> int:
     """Entries in one block of a table build: SCAN_CHUNK/16, so that an intp
     copy of a block stays within 128 KB, glibc's default mmap threshold.
     Freeing a larger temporary raises that threshold, and the heap then keeps
-    later temporaries resident.  Blocking the weight table's lines and
-    expansion this way took the peak RSS of the perfbench oracle workload
-    from 44.4 to 43.2 MB (median of nine passes, 2-core Xeon)."""
+    later temporaries resident.  Blocking the weight table's lines this way
+    took the peak RSS of the perfbench oracle workload from 44.4 to 43.2 MB
+    (median of nine passes, 2-core Xeon)."""
     return SCAN_CHUNK // 16
 
 
 def _block_rows(width: int) -> int:
     """Rows of `width` entries in one block of a table build."""
     return max(1, _block() // width)
-
-
-def _packed(q: int, rows) -> np.ndarray:
-    """Packed base-q index of every digit tuple, most significant digit
-    first, with digit j mapped through rows[j]."""
-    out = np.zeros(1, dtype=np.intp)
-    for row in rows:
-        out = (out[:, None] * q + row).reshape(-1)
-    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,21 +1,24 @@
 """The explicit deep-hole families and their coset identities.
 
-Each construction returns a DeepHoleFamily holding its raw coset ids (packed
-syndromes) as a coset array, a sorted, unique, read-only int64 array, plus a
-few representative words.  A union of families is one boolean mask over the
-q^r syndromes (Code.syndrome_mask), an intersection np.intersect1d.  The
-degree-k, quadratic and cubic families are GF(q)-spans of two or three
-syndromes, so their coset ids come from Code.span_ids, indexed by the
-coefficient tuples, and the sample words are the combinations of the basis
-words at a few of those indices, taken by one table gather.
+Scaling a word keeps its distance to the code, so each construction returns
+a DeepHoleFamily holding the class ids (Code.class_ids) of its cosets as a
+coset array, a sorted, unique, read-only int64 array, each id standing for
+q - 1 cosets, plus a few representative words.  Only the single coset of
+zero_sum_free is not closed under scaling, and counts as 1.  A union of
+families is one boolean mask over the classes (Code.class_mask), an
+intersection np.intersect1d.  The degree-k, quadratic and cubic families are
+GF(q)-spans of two or three syndromes, so their class ids come from
+Code.class_span, one per numerator whose first nonzero coefficient is 1, and
+the sample words are combinations of the basis words, by one table gather.
 
 quadratic_families and cubic_families build many polynomials p at once: per
 block of at most codes.SCAN_CHUNK span entries, one Code.rational_words call
 gives the basis words x^i/p(x) of every p in the block, one Code.syndromes
-call their syndromes and one Code.span_ids call every span.  Each
+call their syndromes and one Code.class_span call every span.  Each
 polynomial's row then goes to quadratic_family or cubic_family, which runs
 every check of a standalone call on it; a standalone call builds its row as
-a block of one.
+a block of one.  A monic p of degree 2 or 3 is reducible exactly when it
+has a root in GF(q), and Code.rational_words then raises ValueError naming it.
 
 Every emitted coset is verified to sit at distance equal to the covering
 radius by exact computation; the structural hypotheses behind a construction
@@ -27,6 +30,7 @@ construction's range, such as a reducible polynomial, raises ValueError.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -56,22 +60,26 @@ def coset_array(ids) -> np.ndarray:
 class DeepHoleFamily:
     tag: str
     params: dict
-    # a coset array; left out of ==, which it would make ambiguous, and fixed
-    # by the tag, params and code that are compared
+    # a coset array of class ids; left out of ==, which it would make
+    # ambiguous, and fixed by the tag, params and code that are compared
     cosets: np.ndarray = dataclasses.field(compare=False)
     words: tuple[tuple[int, ...], ...]
     code: Code
+    # whether each class id stands for its q - 1 cosets; only the single
+    # coset of zero_sum_free does not
+    scale_closed: bool = True
+
+    @property
+    def coset_count(self) -> int:
+        return len(self.cosets) * (self.code.field.q - 1 if self.scale_closed else 1)
 
     def describe(self, sample_words: int = 3) -> dict:
         return {
             "tag": self.tag,
             "params": self.params,
-            "coset_count": len(self.cosets),
+            "coset_count": self.coset_count,
             "sample_words": [list(w) for w in self.words[:sample_words]],
         }
-
-    def projective_cosets(self) -> np.ndarray:
-        return coset_array(self.code.projective_ids(self.cosets))
 
 
 def _check_prs_k_range(code: Code):
@@ -98,13 +106,14 @@ def _verify_deep(code: Code, cosets: np.ndarray, rho: int, what: str):
     bad = cosets[code.coset_leader_weights()[cosets] != rho]
     if len(bad):
         raise TheoremAssertionError(
-            f"{what}: {len(bad)} cosets not at distance {rho} (e.g. {bad[0]})"
+            f"{what}: {len(bad)} classes not at distance {rho} (e.g. class {bad[0]})"
         )
 
 
 def _sample_words(field: GF, basis, indices) -> tuple[tuple[int, ...], ...]:
-    """The words sum c_j*basis_j at the given Code.span_ids indices: one
-    gather of every product c_j*basis_j, then a sum over j."""
+    """The words sum c_j*basis_j at the given indices, (c_0, c_1, ...) packed
+    base q with c_0 the least significant digit: one gather of every product
+    c_j*basis_j, then a sum over j."""
     basis = np.asarray(basis)
     digits = np.asarray(indices)[:, None] // field.q ** np.arange(len(basis)) % field.q
     terms = field.mul_table[digits[..., None], basis]  # (len(indices), m, n)
@@ -114,20 +123,31 @@ def _sample_words(field: GF, basis, indices) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, words.tolist()))
 
 
+@functools.cache
+def _numerators(q: int, d: int) -> np.ndarray:
+    """The numerators of degree < d whose first nonzero coefficient is 1 as
+    rows of coefficients (low degree first), in the order of Code.class_span."""
+    packed = codes.class_representatives(q, d, np.arange((q**d - 1) // (q - 1)))
+    rows = packed[:, None] // q ** np.arange(d) % q
+    rows.flags.writeable = False  # one array for every caller
+    return rows
+
+
 def _rational_spans(code: Code, polys, d: int):
     """(p, (basis, ids)) for each p in polys, in order: basis is the (d, n)
-    array of the words of x^i/p(x), i < d, and ids their Code.span_ids.
-    Built per block of polynomials whose combinations hold at most
-    codes.SCAN_CHUNK entries, each block by one Code.rational_words, one
-    Code.syndromes and one Code.span_ids call."""
+    array of the words of x^i/p(x), i < d, and ids their Code.class_span.
+    Built per block of polynomials whose spans hold at most codes.SCAN_CHUNK
+    entries, each block by one Code.rational_words, one Code.syndromes and
+    one Code.class_span call."""
     polys = list(polys)
+    q = code.field.q
     monomials = [(0,) * i + (1,) for i in range(d)]
-    block = max(1, codes.SCAN_CHUNK // (code.field.q**d * code.redundancy))
+    block = max(1, codes.SCAN_CHUNK // ((q**d - 1) // (q - 1) * code.redundancy))
     for start in range(0, len(polys), block):
         chunk = polys[start : start + block]
         dens = [p.coeffs for p in chunk for _ in monomials]
         basis = code.rational_words(monomials * len(chunk), dens).reshape(-1, d, code.n)
-        yield from zip(chunk, zip(basis, code.span_ids(code.syndromes(basis))))
+        yield from zip(chunk, zip(basis, code.class_span(code.syndromes(basis))))
 
 
 def degree_k_family(code: Code) -> DeepHoleFamily:
@@ -138,15 +158,14 @@ def degree_k_family(code: Code) -> DeepHoleFamily:
     field = code.field
     q, k = field.q, code.k
     xk = Poly.monomial(field, k)
-    # (a*u_{x^k}, v) has index a + q*v in the span of the syndromes of
-    # (u_{x^k}, 0) and of (0, ..., 0, 1), the last parity-check column
-    ids = code.span_ids((code.syndrome(code.word(xk)), code.h_columns()[-1]))
-    cosets = coset_array(ids.reshape(q, q)[:, 1:])
+    # (a*u_{x^k}, v), a != 0, is a times (u_{x^k}, v/a), whose q classes are
+    # box 0 of the span of the syndrome of (u_{x^k}, 0) and of (0, ..., 0, 1),
+    # the last parity-check column
+    span = code.class_span((code.syndrome(code.word(xk)), code.h_columns()[-1]))
+    cosets = coset_array(span[:q])
     words = tuple(code.word(xk, last=v) for v in range(3))
-    if len(cosets) != q * (q - 1):
-        raise TheoremAssertionError(
-            f"degree-k family has {len(cosets)} cosets, expected q(q-1) = {q * (q - 1)}"
-        )
+    if len(cosets) != q:
+        raise TheoremAssertionError(f"degree-k family: {len(cosets)} classes, not q")
     _verify_deep(code, cosets, rho, "degree-k family")
     return DeepHoleFamily("degree_k", {"k": k}, cosets, words, code)
 
@@ -169,13 +188,9 @@ def inverse_monomial_family(code: Code, delta: int) -> DeepHoleFamily:
         f = f * base
     u = code.word(f)
     rho = code.covering_radius()
-    # a*u has index a in the span of the syndrome of u
-    cosets = coset_array(code.span_ids((code.syndrome(u),))[1:])
+    # the words a*u, a != 0, are one class
+    cosets = coset_array(code.class_span((code.syndrome(u),)))
     words = _sample_words(field, (u,), range(1, min(q, 4)))
-    if len(cosets) != q - 1:
-        raise TheoremAssertionError(
-            f"inverse-monomial family has {len(cosets)} cosets, expected {q - 1}"
-        )
     _verify_deep(code, cosets, rho, "inverse-monomial family")
     return DeepHoleFamily("inverse_monomial", {"delta": delta}, cosets, words, code)
 
@@ -201,10 +216,10 @@ def zero_sum_free_family(field: GF, D, r: int) -> DeepHoleFamily:
         raise TheoremAssertionError(
             f"zero-sum-free word has distance {dist}, expected n-k = {code.n - k}"
         )
-    own = code.coset_id(w)
-    # the words a*x^k, a != 0
+    own = code.class_ids(code.coset_id(w))
+    # the class of the words a*x^k, a != 0
     xk = code.syndrome(code.word(Poly.monomial(field, k)))
-    others = [code.span_ids((xk,))[1:]] + [
+    others = [code.class_span((xk,))] + [
         inverse_monomial_family(code, delta).cosets
         for delta in range(field.q)
         if delta not in D
@@ -219,6 +234,7 @@ def zero_sum_free_family(field: GF, D, r: int) -> DeepHoleFamily:
         coset_array([own]),
         (w,),
         code,
+        scale_closed=False,
     )
 
 
@@ -232,24 +248,23 @@ def quadratic_families(code: Code, polys) -> list[DeepHoleFamily]:
 
 def quadratic_family(code: Code, p: Poly, span=None) -> DeepHoleFamily:
     """DH(p): the q^2 - 1 deep-hole cosets of (a + b x)/p(x) on PRS(q+1,k)
-    for a monic irreducible quadratic p.  span is p's (basis, ids) pair from
-    quadratic_families, or None to build it as a block of one."""
+    for a monic irreducible quadratic p, q + 1 classes.  span is p's (basis,
+    ids) pair from quadratic_families, or None to build it as a block of
+    one; either way a reducible p raised ValueError when it was built."""
     _check_prs_k_range(code)
-    if p.degree != 2 or not p.is_monic or not is_irreducible(p):
-        raise ValueError(f"{p!r} is not a monic irreducible quadratic")
+    if p.degree != 2 or not p.is_monic:
+        raise ValueError(f"{p!r} is not a monic quadratic")
     rho = _require_max_distance(code)
     field = code.field
     q = field.q
     if span is None:
         [(_, span)] = _rational_spans(code, [p], 2)
     basis, ids = span
-    cosets = coset_array(ids[1:])
+    cosets = coset_array(ids)
     # numerator a + b x has index a + q*b
     words = _sample_words(field, basis, range(1, 4))
-    if len(cosets) != q * q - 1:
-        raise TheoremAssertionError(
-            f"|DH(p)| = {len(cosets)}, expected q^2-1 = {q * q - 1}"
-        )
+    if len(cosets) != q + 1:
+        raise TheoremAssertionError(f"DH(p) has {len(cosets)} classes, expected q+1")
     _verify_deep(code, cosets, rho, f"quadratic family of {p!r}")
     return DeepHoleFamily("quadratic", {"poly": list(p.coeffs)}, cosets, words, code)
 
@@ -270,28 +285,31 @@ def cubic_families(code: Code, polys) -> list[DeepHoleFamily]:
 
 def cubic_family(code: Code, p: Poly, span=None) -> DeepHoleFamily:
     """Deep-hole cosets of (a + b x + c x^2)/p(x) on PRS(q+1,q-3) for a monic
-    irreducible cubic p, found by exact distance filtering of all nonzero
-    numerator triples.  span is p's (basis, ids) pair from cubic_families, or
-    None to build it as a block of one."""
+    irreducible cubic p, found by exact distance filtering of the nonzero
+    numerators, one per class.  span is p's (basis, ids) pair from
+    cubic_families, or None to build it as a block of one; either way a
+    reducible p raised ValueError when it was built."""
     _check_cubic_code(code)
-    if p.degree != 3 or not p.is_monic or not is_irreducible(p):
-        raise ValueError(f"{p!r} is not a monic irreducible cubic")
+    if p.degree != 3 or not p.is_monic:
+        raise ValueError(f"{p!r} is not a monic cubic")
     rho = _require_max_distance(code)
     field = code.field
     q = field.q
     if span is None:
         [(_, span)] = _rational_spans(code, [p], 3)
     basis, ids = span
-    # numerator a + b x + c x^2 has index a + q*b + q^2*c; index 0 has weight 0
     deep = np.flatnonzero(code.coset_leader_weights()[ids] == rho)
     cosets = coset_array(ids[deep])
-    expected = (q - 1) * (q * q + q + 2) // 2
-    if len(cosets) != expected or len(deep) != expected:
+    expected = (q * q + q + 2) // 2  # classes, of q - 1 cosets each
+    if len(cosets) != expected:
         raise TheoremAssertionError(
-            f"cubic family of {p!r} has {len(cosets)} cosets "
-            f"({len(deep)} generators), expected {expected}"
+            f"cubic family of {p!r} has {len(cosets)} classes, expected {expected}"
         )
-    words = _sample_words(field, basis, deep[:3])
+    # the deep numerators a + b x + c x^2, at index a + q*b + q^2*c, are the
+    # nonzero multiples of the representatives of the deep classes
+    scalars = np.arange(1, q)[:, None, None]
+    multiples = field.mul_table[scalars, _numerators(q, 3)[deep]] @ q ** np.arange(3)
+    words = _sample_words(field, basis, np.sort(multiples, axis=None)[:3])
     return DeepHoleFamily("cubic", {"poly": list(p.coeffs)}, cosets, words, code)
 
 
@@ -324,10 +342,10 @@ def cubic_nondeep_by_splitting(code: Code, p: Poly) -> tuple[set, set]:
 
 
 def dh_intersection(code: Code, p1: Poly, p2: Poly) -> np.ndarray:
-    """The q-1 cosets shared by DH(p1) and DH(p2) on PRS(q+1,q-2), built from
-    the congruences a1 + b1 x = a (x^q - x)/p2 mod p1 and cross-checked against
-    the brute-force intersection of the two families; a second route that the
-    tests run and no command does."""
+    """The class of the q-1 cosets shared by DH(p1) and DH(p2) on
+    PRS(q+1,q-2), built from the congruences a1 + b1 x = a (x^q - x)/p2 mod
+    p1 and cross-checked against the brute-force intersection of the two
+    families; a second route that the tests run and no command does."""
     field = code.field
     q = field.q
     if q % 2 == 0 or code.kind != "projective" or code.k != q - 2:
@@ -339,13 +357,9 @@ def dh_intersection(code: Code, p1: Poly, p2: Poly) -> np.ndarray:
         raise ValueError("the two quadratics must differ")
     xq_x = Poly(field, (0,) * q + (1,)) - Poly.x(field)
     base = (xq_x % p1) * mod_inverse(p2 % p1, p1) % p1
-    # the words of a*base/p1, a != 0, are the nonzero multiples of one word
+    # the words of a*base/p1, a != 0, are one class
     w = code.rational_words([base.coeffs], [p1.coeffs])
-    shared = coset_array(code.span_ids(code.syndromes(w))[1:])
-    if len(shared) != q - 1:
-        raise TheoremAssertionError(
-            f"congruence sweep produced {len(shared)} cosets, expected {q - 1}"
-        )
+    shared = coset_array(code.class_span(code.syndromes(w)))
     dh1, dh2 = quadratic_families(code, (p1, p2))
     if not np.array_equal(shared, np.intersect1d(dh1.cosets, dh2.cosets)):
         raise TheoremAssertionError(

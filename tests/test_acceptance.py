@@ -81,7 +81,7 @@ def test_criterion_05_quadratic_families():
         quads = monic_irreducibles(field, 2)
         for p in quads:
             fam = families.quadratic_family(code, p)  # verifies all q^2-1 words
-            assert len(fam.cosets) == q * q - 1
+            assert fam.coset_count == q * q - 1
         # exhaustive spot checks on deterministic samples
         rng = random.Random(q * 100 + k)
         for p in rng.sample(quads, min(3, len(quads))):
@@ -108,8 +108,9 @@ def test_criterion_06_cubic_families():
         cubic_union = np.empty(0, dtype=np.int64)
         for p in monic_irreducibles(field, 3):
             fam = families.cubic_family(code, p)
-            assert len(fam.cosets) == expected, (q, p)
-            assert len(np.setdiff1d(np.setdiff1d(fam.cosets, dk), quad_union)) >= q - 1
+            assert fam.coset_count == expected, (q, p)
+            # class ids: each new class is q - 1 new cosets
+            assert len(np.setdiff1d(np.setdiff1d(fam.cosets, dk), quad_union)) >= 1
             cubic_union = np.union1d(cubic_union, fam.cosets)
         assert np.isin(quad_union, cubic_union).all()
         assert np.isin(dk, cubic_union).all()
@@ -201,7 +202,7 @@ def test_criterion_10_zero_sum_free_deep_holes():
         ]
     )
     assert code.coset_id(w) not in degree_cosets
-    assert not np.isin(code.coset_id(w), inv_cosets)
+    assert not np.isin(code.class_ids(code.coset_id(w)), inv_cosets)
     # the initial-segment candidate sets: every tested (p, r) turns out to
     # contain a zero-sum subset, so each verdict is recorded explicitly
     verdicts = {}

@@ -48,7 +48,9 @@ def test_deep_coset_counts():
 
 def test_boundary_q3_k1_is_informational():
     # the span criterion applies; the count is reported without a theorem claim
-    assert len(deep_syndromes(prs(make_field(3), 1))) == 18
+    # 18 deep cosets, 2 per class
+    assert len(deep_syndromes(prs(make_field(3), 1))) == 9
+    assert count_deep_cosets(prs(make_field(3), 1)) == 18
     assert not classify.in_theorem_range(3, 1)
 
 
@@ -71,10 +73,11 @@ def test_deep_syndromes_against_exhaustive_word_distances():
         words = np.zeros((q**r, code.n), dtype=np.intp)
         words[:, :r] = np.arange(q**r)[:, None] // q ** np.arange(r) % q
         words = words[np.argsort(code.syndromes(words) @ q ** np.arange(r))]
+        classes = code.class_ids(np.arange(q**r))
         for idx, w in enumerate(words.tolist()):
             assert code.coset_id(w) == idx
             d = code.error_distance(w, method="exhaustive")
-            assert (d == rho) == (idx in deep)
+            assert (d == rho) == (classes[idx] in deep)
 
 
 def test_deep_syndromes_requires_supported_redundancy():
@@ -206,7 +209,6 @@ def test_cubic_coverage_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the 440 families hold coset arrays and their union is one mask over the
-    # 11^4 syndromes, about 3.7 MB at the peak; frozensets of Python ints
-    # and a frozenset union peaked at 24 MB
-    assert peak < 8 * 2**20
+    # the 440 families hold arrays of class ids and their union is one mask
+    # over the 1464 classes, about 2.0 MB at the peak
+    assert peak < 3 * 2**20

@@ -554,3 +554,38 @@ def test_rejected_config_produces_no_output():
     assert rc.returncode == 1
     assert rc.stdout == ""
     assert rc.stderr and "Traceback" not in rc.stderr
+
+
+_TRACED_RADIUS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import deephole.cli
+import spans
+
+tracer = spans.Tracer()
+tracer.install()
+report, code = deephole.cli.run_command(sys.argv[2:])
+metrics = spans.layer_metrics(tracer.spans)
+print(json.dumps({"code": code, "rho": report["result"]["rho"], **metrics}))
+"""
+
+
+def test_the_benchmark_tracer_books_one_compact_weight_table():
+    # perfbench/spans.py wraps Code.coset_leader_weights and reads the size
+    # of the table it returns; a fresh interpreter, so its wrappers stay there
+    src = str(Path(deephole.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    perfbench = str(Path(__file__).parents[1] / "perfbench")
+    argv = ["covering-radius", "--code", "prs", "--q", "13", "--k", "8"]
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACED_RADIUS, perfbench, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    metrics = json.loads(out.stdout)
+    assert metrics["code"] == 0 and metrics["rho"] == 5
+    assert metrics["codes.weights_calls"] >= 1
+    assert metrics["codes.weights_builds"] == 1
+    assert metrics["codes.weights_entries"] == (13**6 - 1) // 12

@@ -255,11 +255,38 @@ def test_scaling_and_coset_invariance():
 def test_coset_leader_weights_structure():
     c = prs(G5, 3)
     w = c.coset_leader_weights()
-    assert w[0] == 0 and int(w.max()) == 2
-    assert len(w) == 5**3
-    # weight counts: weight-1 syndromes are the nonzero scalar multiples of
-    # the q+1 distinct parity-check columns
-    assert (w == 1).sum() == 6 * 4
+    assert int(w.min()) == 1 and int(w.max()) == 2
+    assert len(w) == (5**3 - 1) // 4  # one entry per scalar class
+    # weight counts: the weight-1 classes are those of the q+1 distinct
+    # parity-check columns
+    assert (w == 1).sum() == 6
+
+
+def _scalar_class_ids(field, r) -> list[int]:
+    """The class id of every packed syndrome of length r, -1 for zero: the
+    representative scaled by scalar arithmetic so that its first nonzero
+    coordinate is 1, placed in box j, its first nonzero coordinate, after
+    the q^(r-1-i) entries of every box i < j, by its later coordinates."""
+    q = field.q
+    out = []
+    for idx in range(q**r):
+        s = [idx // q**i % q for i in range(r)]
+        if not any(s):
+            out.append(-1)
+            continue
+        j = next(i for i, x in enumerate(s) if x)
+        inv = field.inv(s[j])
+        rep = [field.mul(inv, x) for x in s]
+        place = sum(rep[t] * q ** (t - j - 1) for t in range(j + 1, r))
+        out.append(sum(q ** (r - 1 - i) for i in range(j)) + place)
+    return out
+
+
+def _weights_by_packed_id(code) -> np.ndarray:
+    """The weight table read at every packed syndrome through class_ids, 0
+    at the zero syndrome."""
+    classes = code.class_ids(np.arange(code.field.q**code.redundancy))
+    return np.where(classes >= 0, code.coset_leader_weights()[classes], 0)
 
 
 # a code is small enough when all its q^n words scan quickly: q^n * n <= this
@@ -454,7 +481,7 @@ def test_weight_table_matches_exhaustive_distances(code):
     words = np.zeros((q**r, code.n), dtype=np.intp)
     words[:, :r] = np.arange(q**r)[:, None] // q ** np.arange(r) % q
     words = words[np.argsort(code.syndromes(words) @ q ** np.arange(r))]
-    weights = code.coset_leader_weights()
+    weights = _weights_by_packed_id(code)
     for s, word in enumerate(words.tolist()):
         assert code.syndrome(word) == code.unpack_syndrome(s)
         assert weights[s] == code.error_distance(word, method="exhaustive")
@@ -505,8 +532,8 @@ def test_leader_weight_kernel_matches_scalar_bfs(case):
     compact = codes._leader_weights(field, columns)
     assert compact.dtype == np.int8
     assert len(compact) == (field.q**r - 1) // (field.q - 1)
-    table = codes._expand(field, compact, r)
-    assert table.tolist() == _bfs_leader_weights(field, columns, r)
+    table = [int(compact[c]) if c >= 0 else 0 for c in _scalar_class_ids(field, r)]
+    assert table == _bfs_leader_weights(field, columns, r)
 
 
 @pytest.mark.parametrize(
@@ -528,12 +555,10 @@ def test_one_compact_entry_is_the_distance_of_every_syndrome(code):
     words[:, :r] = np.arange(q**r)[:, None] // q ** np.arange(r) % q
     ids = code.syndromes(words) @ q ** np.arange(r)
     assert np.array_equal(np.sort(ids), np.arange(q**r))
-    # a fresh Code: the distances and the radius read the compact table only
     distances = [code.error_distance(w, "syndrome_span") for w in words.tolist()]
-    rho = code.covering_radius()
-    assert code._weights is None
-    assert distances == code.coset_leader_weights()[ids].tolist()
-    assert rho == int(code.coset_leader_weights().max())
+    assert len(code.coset_leader_weights()) == (q**r - 1) // (q - 1)
+    assert distances == _weights_by_packed_id(code)[ids].tolist()
+    assert code.covering_radius() == int(code.coset_leader_weights().max())
 
 
 def test_covering_radius_keeps_the_table_compact():
@@ -547,7 +572,8 @@ def test_covering_radius_keeps_the_table_compact():
     finally:
         tracemalloc.stop()
     assert rho == 13 - 8
-    assert code._weights is None
+    # the one table a Code keeps: an int8 entry per class
+    assert code._weights.nbytes == (13**6 - 1) // 12
     assert peak < 13**6 / 4
 
 
@@ -571,18 +597,22 @@ CLOSED_FORM_CODES = [
 )
 def test_weight_table_counts_match_mds_closed_form(code):
     # in an MDS code every vector of weight w <= r/2 is the only leader of its
-    # coset, so C(n, w)*(q-1)^w syndromes have weight w
+    # coset, so C(n, w)*(q-1)^w syndromes, (q-1) per class, have weight w
     fld = code.field
     q, n, r = fld.q, code.n, code.redundancy
     assert code.is_mds()
     weights = code.coset_leader_weights()
-    counts = np.bincount(weights)
-    assert len(counts) <= r + 1 and counts.sum() == q**r
-    for w in range(r // 2 + 1):
-        assert counts[w] == comb(n, w) * (q - 1) ** w
-    # w(c*s) = w(s): scaling by a generator of GF(q)* reaches every c != 0
-    scaled = codes._packed(q, [fld.mul_table[fld.generator()]] * r)
-    assert np.array_equal(weights[scaled], weights)
+    counts = np.bincount(weights, minlength=r + 1)
+    assert len(counts) == r + 1 and counts.sum() == (q**r - 1) // (q - 1)
+    assert counts[0] == 0
+    for w in range(1, r // 2 + 1):
+        assert (q - 1) * counts[w] == comb(n, w) * (q - 1) ** w
+    # scaling a representative by a generator of GF(q)* keeps its class
+    sample = np.random.default_rng(q).integers(0, len(weights), size=4096)
+    powers = q ** np.arange(r)
+    digits = codes.class_representatives(q, r, sample)[:, None] // powers % q
+    scaled = fld.mul_table[fld.generator(), digits] @ powers
+    assert np.array_equal(code.class_ids(scaled), sample)
 
 
 def test_weight_table_memory_is_bounded():
@@ -592,34 +622,50 @@ def test_weight_table_memory_is_bounded():
     tracemalloc.start()
     try:
         code.coset_leader_weights()
-        _, peak = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the int8 table itself is 13^6 bytes; the DP runs on (13^6 - 1)/12
-    # entries before it is expanded
-    assert peak <= 1.5 * 13**6
+    # the int8 table holds (13^6 - 1)/12 bytes, and no table over all 13^6
+    # syndromes is built beside it
+    assert kept < 13**6 / 8
+    assert peak < 13**6 / 4
+
+
+def _class_span_by_scalars(code, words):
+    """The class ids of the combinations of the words whose first nonzero
+    coefficient is 1, in box order, each combination built with scalar field
+    arithmetic; None when one is a codeword, so that the syndromes of the
+    words are dependent."""
+    f, q, m = code.field, code.field.q, len(words)
+    ids = []
+    for packed in codes.class_representatives(q, m, np.arange((q**m - 1) // (q - 1))):
+        combo = [0] * code.n
+        for j, w in enumerate(words):
+            c = int(packed) // q**j % q
+            combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, w)]
+        ids.append(int(code.class_ids(code.coset_id(combo))))
+    return None if -1 in ids else ids
 
 
 @given(small_codes(scan_budget=float("inf")), st.data())
-def test_span_ids_is_syndrome_linearity(code, data):
-    # every combination word is built with scalar field arithmetic; the
-    # syndromes themselves are checked against a scalar H*w in
+def test_class_span_is_syndrome_linearity(code, data):
+    # the syndromes themselves are checked against a scalar H*w in
     # test_syndromes_match_scalar_h_times_w
-    f, q = code.field, code.field.q
+    q = code.field.q
     words = data.draw(
         st.lists(
             st.lists(st.integers(0, q - 1), min_size=code.n, max_size=code.n),
+            min_size=1,
             max_size=3,
         )
     )
-    ids = code.span_ids([code.syndrome(w) for w in words])
-    assert len(ids) == q ** len(words)
-    for i, cid in enumerate(ids):
-        combo = [0] * code.n
-        for j, w in enumerate(words):
-            c = i // q**j % q
-            combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, w)]
-        assert cid == code.coset_id(combo)
+    expected = _class_span_by_scalars(code, words)
+    syndromes = [code.syndrome(w) for w in words]
+    if expected is None:
+        with pytest.raises(ValueError, match="linearly dependent"):
+            code.class_span(syndromes)
+    else:
+        assert code.class_span(syndromes).tolist() == expected
 
 
 @st.composite
@@ -680,29 +726,52 @@ def test_both_oracles_reject_symbols_outside_the_field(code, word):
 
 
 @given(small_codes(scan_budget=float("inf")), st.data())
-def test_span_ids_over_a_batch_axis_match_one_span_each(code, data):
+def test_class_span_over_a_batch_axis_matches_one_span_each(code, data):
     q, r = code.field.q, code.redundancy
-    m = data.draw(st.integers(0, 2))
+    m = data.draw(st.integers(1, 2))
     shape = data.draw(st.sampled_from(((1,), (3,), (2, 2))))
     size = int(np.prod(shape, dtype=int)) * m * r
     symbols = data.draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
     syns = np.array(symbols, dtype=np.intp).reshape(shape + (m, r))
-    ids = code.span_ids(syns)
-    assert ids.shape == shape + (q**m,)
-    for idx in np.ndindex(shape):
-        assert ids[idx].tolist() == code.span_ids(syns[idx].tolist()).tolist()
+
+    def one_span(syn):
+        try:
+            return code.class_span(syn.tolist()).tolist()
+        except ValueError:
+            return None
+
+    each = {idx: one_span(syns[idx]) for idx in np.ndindex(shape)}
+    if None in each.values():
+        with pytest.raises(ValueError, match="linearly dependent"):
+            code.class_span(syns)
+        return
+    ids = code.class_span(syns)
+    assert ids.shape == shape + ((q**m - 1) // (q - 1),)
+    for idx, expected in each.items():
+        assert ids[idx].tolist() == expected
 
 
-@pytest.mark.parametrize("q, k", [(4, 1), (5, 3), (8, 5), (9, 6)])
-def test_projective_ids_match_normalize_syndrome(q, k):
+@pytest.mark.parametrize("q, k", [(2, 1), (4, 1), (5, 3), (8, 5), (9, 6)])
+def test_class_ids_match_scalar_normalisation(q, k):
     code = prs(q, k)
-    ids = np.arange(q**code.redundancy)
-    expected = [
-        code.pack_syndrome(code.normalize_syndrome(code.unpack_syndrome(i)))
-        for i in ids.tolist()
-    ]
-    assert code.projective_ids(ids).tolist() == expected
-    assert code.projective_ids(ids.reshape(q, -1)).ravel().tolist() == expected
+    r = code.redundancy
+    ids = np.arange(q**r)
+    expected = _scalar_class_ids(code.field, r)
+    assert code.class_ids(ids).tolist() == expected
+    assert code.class_ids(ids.reshape(q, -1)).ravel().tolist() == expected
+    # every class id names the packed id of its representative, the
+    # syndrome whose first nonzero coordinate is 1
+    for s in ids.tolist()[1:]:
+        if next(x for x in code.unpack_syndrome(s) if x) == 1:
+            assert codes.class_representatives(q, r, expected[s]) == s
+    reps = codes.class_representatives(q, r, np.arange((q**r - 1) // (q - 1)))
+    assert code.class_ids(reps).tolist() == list(range(len(reps)))
+
+
+def test_class_mask_is_the_union_of_id_arrays():
+    code = prs(G5, 3)
+    mask = code.class_mask([np.array([0, 4]), np.array([4, 30]), np.array([], dtype=int)])
+    assert mask.shape == (31,) and np.flatnonzero(mask).tolist() == [0, 4, 30]
 
 
 def test_rational_words_match_pointwise_evaluation():
@@ -768,9 +837,30 @@ def test_auto_distance_scans_when_the_weight_table_is_over_the_limit():
     no_table = contextvars.copy_context()
     no_table.run(codes.LIMITS.set, codes.Limits(syndromes=100))
     assert no_table.run(code.error_distance, word) == 3
-    assert code._compact is None
+    assert code._weights is None
     assert code.error_distance(word) == 3
-    assert code._compact is not None
+    assert code._weights is not None
+
+
+def test_exhaustive_oracle_is_bounded_by_its_tables():
+    # PRS(14,2) over GF(13): 13^2 codewords, but C(14,2)*2*12 = 2184 entries
+    small = prs(make_field(13), 2)
+    word = (0,) * small.n
+    tight = contextvars.copy_context()
+    tight.run(codes.LIMITS.set, codes.Limits(codewords=2000))
+    assert len(tight.run(small.codewords)) == 13**2
+    with pytest.raises(BoundExceededError, match="entries = 2184 exceeds bound 2000"):
+        tight.run(small.error_distance, word, "exhaustive")
+    # PRS(12,8) over GF(11): 11^8 codewords, over the bound, but 15840 entries
+    big = prs(make_field(11), 8)
+    with pytest.raises(BoundExceededError):
+        big.codewords()
+    deep = big.rational_words([(1,)], [monic_irreducibles(big.field, 3)[0].coeffs])[0]
+    assert big.error_distance(deep.tolist(), method="exhaustive") == 3
+    # an auto distance over the weight table's limit falls back to the oracle
+    no_table = contextvars.copy_context()
+    no_table.run(codes.LIMITS.set, codes.Limits(syndromes=100))
+    assert no_table.run(big.error_distance, deep.tolist()) == 3
 
 
 def test_code_validation():

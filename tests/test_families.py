@@ -66,7 +66,6 @@ def test_cosets_are_sorted_unique_read_only_int64_arrays(tag):
     fam = FAMILY_BUILDERS[tag](c, aff)
     assert fam.tag == tag
     _assert_coset_array(fam.cosets)
-    _assert_coset_array(fam.projective_cosets())
     with pytest.raises(ValueError):
         fam.cosets[0] = 0
     # == compares the fields that fix the cosets, and never the arrays
@@ -94,14 +93,14 @@ def test_deep_set_and_intersection_are_coset_arrays():
 def test_degree_k_family_counts_and_distance():
     c = prs(G5, 3)
     fam = degree_k_family(c)
-    assert len(fam.cosets) == 5 * 4
+    assert fam.coset_count == 5 * 4 and len(fam.cosets) == 5
     w = c.word(Poly.monomial(G5, 3), last=0)
     assert w == (1, 3, 2, 4, 0, 0)
     assert c.error_distance(w, method="exhaustive") == 2
     # scaling a member keeps it in the family
     for s in range(2, 5):
         scaled = tuple(G5.mul(s, e) for e in w)
-        assert c.coset_id(scaled) in fam.cosets
+        assert c.class_ids(c.coset_id(scaled)) in fam.cosets
 
 
 def test_a_family_off_the_covering_radius_names_its_first_coset(monkeypatch):
@@ -109,11 +108,11 @@ def test_a_family_off_the_covering_radius_names_its_first_coset(monkeypatch):
     cosets = degree_k_family(code).cosets
     rho = code.covering_radius()
     weights = code.coset_leader_weights().copy()
-    weights[cosets[3::5]] -= 1
+    weights[cosets[1::3]] -= 1
     monkeypatch.setattr(code, "_weights", weights)
     # the message of the scalar check, which walked the cosets in this order
     bad = [c for c in cosets if int(weights[c]) != rho]
-    expected = f"degree-k family: {len(bad)} cosets not at distance {rho} (e.g. {bad[0]})"
+    expected = f"degree-k family: {len(bad)} classes not at distance {rho} (e.g. class {bad[0]})"
     with pytest.raises(TheoremAssertionError, match=f"^{re.escape(expected)}$"):
         degree_k_family(code)
 
@@ -126,8 +125,9 @@ def test_degree_k_family_range_validation():
     with pytest.raises(ValueError):
         # even q only admits 3 <= k <= q-3, which is empty at q = 4
         degree_k_family(prs(make_field(2, 2), 2))
-    # k = q-2 at even q: rho = q-k+1, and the q-1 cosets of weight rho are deep
-    assert len(classify.deep_syndromes(prs(make_field(2, 2), 2))) == 3
+    # k = q-2 at even q: rho = q-k+1, and the q-1 cosets of weight rho, one
+    # class, are deep
+    assert len(classify.deep_syndromes(prs(make_field(2, 2), 2))) == 1
 
 
 def test_inverse_monomial_family():
@@ -135,7 +135,8 @@ def test_inverse_monomial_family():
     fam = inverse_monomial_family(c, 0)
     assert fam.words[0] == (1, 3, 2, 4)
     assert c.error_distance(fam.words[0], method="exhaustive") == 2
-    assert len(fam.cosets) == 4  # distinct cosets per leading scalar
+    assert fam.coset_count == 4  # distinct cosets per leading scalar
+    assert len(fam.cosets) == 1  # one class
     # (x - delta)^(q-2) agrees with 1/(x - delta) pointwise on D
     for x in c.D:
         assert G5.pow(G5.sub(x, 0), 3) == G5.inv(G5.sub(x, 0))
@@ -163,8 +164,9 @@ def test_zero_sum_free_family_example():
         code.coset_id(code.word(Poly.monomial(G13, 2, a))) for a in range(1, 13)
     }
     assert code.coset_id(w) not in degree_cosets
+    own = code.class_ids(code.coset_id(w))
     for delta in range(5, 13):
-        assert code.coset_id(w) not in inverse_monomial_family(code, delta).cosets
+        assert own not in inverse_monomial_family(code, delta).cosets
 
 
 def test_zero_sum_free_family_rejects_bad_set():
@@ -176,13 +178,15 @@ def test_quadratic_family_counts():
     c = prs(G5, 3)
     p = Poly(G5, (2, 0, 1))
     fam = quadratic_family(c, p)
-    assert len(fam.cosets) == 24
-    assert len(fam.projective_cosets()) == 6
+    assert fam.coset_count == 24
+    assert len(fam.cosets) == 6
     # the (a, b) = (1, 0) word
     assert fam.words[0] == (2, 1, 1, 2, 3, 0)
     assert c.error_distance(fam.words[0], method="exhaustive") == 2
     with pytest.raises(ValueError):
-        quadratic_family(c, Poly(G5, (4, 0, 1)))  # reducible
+        quadratic_family(c, Poly(G5, (2, 1)))  # not a quadratic
+    with pytest.raises(ValueError):
+        quadratic_family(c, Poly(G5, (2, 0, 2)))  # not monic
 
 
 def test_quadratic_families_disjoint_below_q_minus_2():
@@ -219,7 +223,7 @@ def test_dh_intersection_all_pairs_q5():
     assert len(quads) == 10
     for p1, p2 in itertools.combinations(quads, 2):
         shared = dh_intersection(c, p1, p2)
-        assert len(shared) == 4
+        assert len(shared) == 1  # one class of q - 1 cosets
     with pytest.raises(ValueError):
         dh_intersection(c, quads[0], quads[0])
     with pytest.raises(ValueError):
@@ -239,7 +243,7 @@ def test_fact3_multiway_intersections():
                 inter = functools.reduce(np.intersect1d, combo)
                 if len(inter):
                     seen_nonempty += 1
-                    assert len(inter) == q - 1
+                    assert len(inter) == 1  # one class of q - 1 cosets
             if j == 2:
                 assert seen_nonempty == comb(len(fams), 2)  # Fact 1: all pairs meet
 
@@ -264,10 +268,10 @@ def test_cubic_family_counts():
     c = prs(G5, 2)
     for p in monic_irreducibles(G5, 3)[:5]:
         fam = cubic_family(c, p)
-        assert len(fam.cosets) == 64
+        assert fam.coset_count == 64 and len(fam.cosets) == 16
     c7 = prs(G7, 4)
     fam7 = cubic_family(c7, monic_irreducibles(G7, 3)[0])
-    assert len(fam7.cosets) == 174
+    assert fam7.coset_count == 174 and len(fam7.cosets) == 29
     with pytest.raises(ValueError):
         cubic_family(prs(G5, 3), monic_irreducibles(G5, 3)[0])  # k != q-3
 
@@ -282,7 +286,7 @@ def test_cubic_family_new_cosets():
         )
         for p in monic_irreducibles(field, 3)[:4]:
             fam = cubic_family(c, p)
-            assert len(np.setdiff1d(fam.cosets, known)) >= q - 1
+            assert len(np.setdiff1d(fam.cosets, known)) >= 1  # q - 1 cosets
 
 
 def test_cubic_splitting_count_cross_check():
@@ -298,10 +302,11 @@ def test_cubic_splitting_count_cross_check():
             # splitting triples are exactly the complement of the deep ones
             monomials = [(0,) * i + (1,) for i in range(3)]
             words = c.rational_words(monomials, [p.coeffs] * 3)
-            ids = c.span_ids(c.syndromes(words))
-            nondeep_ids = {int(ids[a + q * b + q * q * cc]) for a, b, cc in near | far}
-            assert not np.isin(list(nondeep_ids), fam.cosets).any()
-            assert len(near | far) + len(fam.cosets) == q**3 - 1
+            terms = field.mul_table[np.array(sorted(near | far))[:, :, None], c.syndromes(words)]
+            combos = field.add_table[field.add_table[terms[:, 0], terms[:, 1]], terms[:, 2]]
+            nondeep = c.class_ids(combos @ q ** np.arange(c.redundancy))
+            assert not np.isin(nondeep, fam.cosets).any()
+            assert len(near | far) + fam.coset_count == q**3 - 1
 
 
 def test_section5_footnote_degree_k_overlap():
@@ -320,7 +325,7 @@ def test_section5_footnote_degree_k_overlap():
                 f = Poly.monomial(field, k, e) + Poly.monomial(
                     field, k - 1, field.neg(field.mul(e, alpha))
                 )
-                predicted.add(c.coset_id(c.word(f, last=0)))
+                predicted.add(int(c.class_ids(c.coset_id(c.word(f, last=0)))))
             assert np.array_equal(np.intersect1d(fam.cosets, dk), sorted(predicted))
 
 
@@ -341,9 +346,7 @@ def test_cosets_are_syndromes():
     assert c.syndrome(w) == c.syndrome(shifted)
     scaled = tuple(G5.mul(3, e) for e in w)
     assert c.syndrome(w) != c.syndrome(scaled)
-    assert c.normalize_syndrome(c.syndrome(w)) == c.normalize_syndrome(
-        c.syndrome(scaled)
-    )
+    assert c.class_ids(c.coset_id(w)) == c.class_ids(c.coset_id(scaled))
     # different quadratics on the k = q-3 code give different cosets
     c2 = prs(G5, 2)
     quads = monic_irreducibles(G5, 2)
@@ -367,14 +370,14 @@ def test_deep_holes_of_k_are_not_deep_in_k_minus_1():
     for field, q, k in cases:
         ck = rs(field, k)
         ck1 = rs(field, k - 1)
-        wk = ck.coset_leader_weights()
-        wk1 = ck1.coset_leader_weights()
         r = q - k
         # the RS(q,k) parity-check rows are the first r rows for RS(q,k-1),
         # so packed syndromes project by truncation
-        for idx1 in range(q ** (r + 1)):
-            if wk[idx1 % q**r] == r:
-                assert wk1[idx1] <= r
+        ids = np.arange(1, q ** (r + 1))
+        projected = ck.class_ids(ids % q**r)
+        deep = np.zeros(len(ids), dtype=bool)
+        deep[projected >= 0] = ck.coset_leader_weights()[projected[projected >= 0]] == r
+        assert (ck1.coset_leader_weights()[ck1.class_ids(ids[deep])] <= r).all()
 
 
 def test_families_on_extension_field():
@@ -382,15 +385,15 @@ def test_families_on_extension_field():
     g9 = make_field(3, 2)
     c = prs(g9, 7)
     fam = degree_k_family(c)
-    assert len(fam.cosets) == 9 * 8
+    assert fam.coset_count == 9 * 8
     p = monic_irreducibles(g9, 2)[0]
     qf = quadratic_family(c, p)
-    assert len(qf.cosets) == 80
+    assert qf.coset_count == 80
     for w in qf.words:
         assert c.error_distance(w) == c.covering_radius()
     aff = rs(g9, 3, D=tuple(range(8)))
     imf = inverse_monomial_family(aff, 8)
-    assert len(imf.cosets) == 8
+    assert imf.coset_count == 8
     for w in imf.words:
         assert aff.error_distance(w) == aff.n - aff.k
 
@@ -452,6 +455,51 @@ def test_a_failing_family_in_the_middle_of_a_block_is_named(
         build_all(code, polys)
 
 
+@pytest.mark.parametrize("build_all, build_one, field, k, d", BLOCK_CASES)
+def test_a_reducible_polynomial_is_named(build_all, build_one, field, k, d):
+    # a monic polynomial of degree 2 or 3 is reducible exactly when it has a
+    # root in GF(q); the basis words x^i/p(x) have a pole there
+    code = prs(field, k)
+    polys = list(monic_irreducibles(field, d)[:8])
+    lin = Poly(field, (field.neg(1), 1))  # x - 1
+    reducible = lin * (lin if d == 2 else monic_irreducibles(field, 2)[0])
+    named = f"denominator {reducible!r} has a root in {field!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        build_all(code, polys[:4] + [reducible] + polys[4:])
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        build_one(code, reducible)
+
+
+# the codes of the benchmark sweep's family commands: (construction of every
+# family, covering radius); PRS(12,8)/GF(11), PRS(14,11) and PRS(14,9) over
+# GF(13) hold more than the codeword table's 10^7 bound of codewords
+SWEEP_FAMILIES = {
+    "cubic q=9": (lambda: cubic_families(prs(G9, 6), monic_irreducibles(G9, 3)), 3),
+    "cubic q=11": (
+        lambda: cubic_families(prs(make_field(11), 8), monic_irreducibles(make_field(11), 3)),
+        3,
+    ),
+    "quadratic q=13 k=11": (
+        lambda: quadratic_families(prs(G13, 11), monic_irreducibles(G13, 2)),
+        2,
+    ),
+    "degree_k q=13 k=9": (lambda: [degree_k_family(prs(G13, 9))], 4),
+    "zero_sum_free q=13": (lambda: [zero_sum_free_family(G13, (0, 1, 2, 3, 4), 2)], 3),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_FAMILIES)
+def test_sample_words_read_rho_by_the_exhaustive_oracle(case):
+    # the oracle reads only the generator matrix: not H, a syndrome or the
+    # weight table that picked the words
+    build, rho = SWEEP_FAMILIES[case]
+    fams = build()
+    assert fams and all(fam.words for fam in fams)
+    for fam in fams:
+        for w in fam.words:
+            assert fam.code.error_distance(w, method="exhaustive") == rho, (fam.params, w)
+
+
 def test_cubic_families_memory_is_bounded():
     code = prs(13, 10)
     cubics = monic_irreducibles(code.field, 3)
@@ -464,9 +512,8 @@ def test_cubic_families_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(fams) == 728
-    # built in one block, the spans of all 728 cubics peak about 12 MB above
-    # what the families keep; in blocks of SCAN_CHUNK entries, under 1 MB
-    assert peak - retained < 4 * 2**20
-    # about 1104 int64 ids a family keep about 7.8 MB in all; as frozensets
-    # of Python ints the same cosets kept 47.7 MB
-    assert retained < 10 * 2**20
+    # built in one block, the class spans of all 728 cubics peak 3.2 MB
+    # above what the families keep; in blocks of SCAN_CHUNK entries, 2.1 MB
+    assert peak - retained < 2.5 * 2**20
+    # the 728 families keep 92 int64 class ids each, 1.3 MB in all
+    assert retained < 2 * 2**20

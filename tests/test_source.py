@@ -29,7 +29,6 @@ SRC = ROOT / "src" / "deephole"
 # the caller outside src/ that runs it
 REFERENCES = {
     "codes.Code.encode": "the rows of Code.codewords",
-    "codes.Code.normalize_syndrome": "Code.projective_ids",
     "codes.Code.parity_check_matrix": "Code.syndromes; perfbench/spans.py wraps it",
     "codes.Code.is_mds": "an acceptance criterion",
     "gf.GF.is_square": "poly.is_irreducible at degree 2",
