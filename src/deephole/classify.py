@@ -9,8 +9,9 @@ The primary enumeration below marks those spans with Code.class_span; the
 coset-leader weight table of the code is computed independently and the two
 routes are required to agree.  The experiments build the families of all
 monic irreducible quadratics or cubics with families.quadratic_families or
-families.cubic_families, which take the basis words, syndromes and spans of
-a block of polynomials in array passes and check each family on its own.
+families.cubic_families, which build the basis words, syndromes and spans of
+a block of polynomials, and check all the families of the block, in array
+passes.
 
 Deepness does not change when a syndrome is scaled, so coset sets are coset
 arrays (families.coset_array) of class ids (Code.class_ids), each of q - 1

@@ -11,14 +11,17 @@ GF(q)-spans of two or three syndromes, so their class ids come from
 Code.class_span, one per numerator whose first nonzero coefficient is 1, and
 the sample words are combinations of the basis words, by one table gather.
 
-quadratic_families and cubic_families build many polynomials p at once: per
-block of at most codes.SCAN_CHUNK span entries, one Code.rational_words call
-gives the basis words x^i/p(x) of every p in the block, one Code.syndromes
-call their syndromes and one Code.class_span call every span.  Each
-polynomial's row then goes to quadratic_family or cubic_family, which runs
-every check of a standalone call on it; a standalone call builds its row as
-a block of one.  A monic p of degree 2 or 3 is reducible exactly when it
-has a root in GF(q), and Code.rational_words then raises ValueError naming it.
+quadratic_families and cubic_families build and check many polynomials p at
+once, per block of at most codes.SCAN_CHUNK span entries: one
+Code.rational_words call gives the basis words x^i/p(x) of every p in the
+block, one Code.syndromes call their syndromes and one Code.class_span call
+every span, a (P, C) array of class ids.  Every check then runs once per
+block, one weight gather for the distances and one row sort with a mask of
+adjacent duplicates for the class counts, and a failing check names the
+first failing polynomial; the block's sample words come from one more
+gather.  quadratic_family and cubic_family are the block of one.  A monic p
+of degree 2 or 3 is reducible exactly when it has a root in GF(q), and
+Code.rational_words then raises ValueError naming it.
 
 Every emitted coset is verified to sit at distance equal to the covering
 radius by exact computation; the structural hypotheses behind a construction
@@ -49,11 +52,17 @@ def coset_array(ids) -> np.ndarray:
     and a mask of adjacent duplicates (np.unique hashes, several times
     slower on these sizes)."""
     out = np.sort(np.asarray(ids, dtype=np.int64), axis=None)
-    keep = np.ones(len(out), dtype=bool)
-    np.not_equal(out[1:], out[:-1], out=keep[1:])
-    out = out[keep]
+    out = out[_firsts(out)]
     out.flags.writeable = False
     return out
+
+
+def _firsts(ids: np.ndarray) -> np.ndarray:
+    """Mask of the entries of rows sorted along the last axis that differ
+    from the entry before them."""
+    keep = np.ones(ids.shape, dtype=bool)
+    np.not_equal(ids[..., 1:], ids[..., :-1], out=keep[..., 1:])
+    return keep
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,44 +111,84 @@ def _require_max_distance(code: Code) -> int:
     return rho
 
 
-def _verify_deep(code: Code, cosets: np.ndarray, rho: int, what: str):
-    bad = cosets[code.coset_leader_weights()[cosets] != rho]
-    if len(bad):
+def _verify_deep(code: Code, rows: np.ndarray, rho: int, what: str, items=(None,)):
+    """Check that every class of a (P, C) array of coset rows sits at the
+    covering radius; a failing row i is named what.format(items[i])."""
+    off = code.coset_leader_weights()[rows] != rho
+    failing = np.flatnonzero(off.any(axis=1))
+    if len(failing):
+        i = failing[0]
+        bad = rows[i][off[i]]
         raise TheoremAssertionError(
-            f"{what}: {len(bad)} classes not at distance {rho} (e.g. class {bad[0]})"
+            f"{what.format(items[i])}: {len(bad)} classes not at distance {rho} "
+            f"(e.g. class {bad[0]})"
         )
 
 
-def _sample_words(field: GF, basis, indices) -> tuple[tuple[int, ...], ...]:
+def _sample_words(field: GF, basis, indices) -> list[tuple[tuple[int, ...], ...]]:
     """The words sum c_j*basis_j at the given indices, (c_0, c_1, ...) packed
-    base q with c_0 the least significant digit: one gather of every product
-    c_j*basis_j, then a sum over j."""
-    basis = np.asarray(basis)
-    digits = np.asarray(indices)[:, None] // field.q ** np.arange(len(basis)) % field.q
-    terms = field.mul_table[digits[..., None], basis]  # (len(indices), m, n)
-    words = terms[:, 0]
-    for j in range(1, len(basis)):
-        words = field.add_table[words, terms[:, j]]
-    return tuple(map(tuple, words.tolist()))
+    base q with c_0 the least significant digit: for a (P, d, n) block of
+    bases and (m,) or (P, m) indices, P tuples of m words, by one gather of
+    every product c_j*basis_j and a sum over j."""
+    basis = np.asarray(basis)[:, None]
+    digits = np.asarray(indices)[..., None] // field.q ** np.arange(basis.shape[2]) % field.q
+    terms = field.mul_table[digits[..., None], basis]  # (P, m, d, n)
+    words = terms[..., 0, :]
+    for j in range(1, terms.shape[2]):
+        words = field.add_table[words, terms[..., j, :]]
+    return [tuple(map(tuple, row)) for row in words.tolist()]
 
 
 @functools.cache
-def _numerators(q: int, d: int) -> np.ndarray:
-    """The numerators of degree < d whose first nonzero coefficient is 1 as
-    rows of coefficients (low degree first), in the order of Code.class_span."""
-    packed = codes.class_representatives(q, d, np.arange((q**d - 1) // (q - 1)))
-    rows = packed[:, None] // q ** np.arange(d) % q
-    rows.flags.writeable = False  # one array for every caller
-    return rows
+def _numerator_classes(field: GF) -> np.ndarray:
+    """The position in Code.class_span order of the class of every numerator
+    a + b x + c x^2, at index a + q*b + q^2*c, and -1 at zero: each class
+    holds the nonzero multiples of its representative."""
+    q = field.q
+    count = q * q + q + 1
+    digits = codes.class_representatives(q, 3, np.arange(count))[:, None] // q ** np.arange(3) % q
+    multiples = field.mul_table[np.arange(1, q)[:, None, None], digits] @ q ** np.arange(3)
+    classes = np.full(q**3, -1, dtype=np.intp)
+    classes[multiples] = np.arange(count)
+    classes.flags.writeable = False  # one array for every caller
+    return classes
+
+
+def _first_deep_numerators(field: GF, deep: np.ndarray) -> np.ndarray:
+    """The indices of the first three numerators of each row of a (P, C)
+    mask of deep classes in Code.class_span order, as a (P, 3) array: read
+    over the numerators of degree < 2 and widened to all of them only for
+    the rows with fewer than three deep there."""
+    classes = _numerator_classes(field)
+    out = np.empty((len(deep), 3), dtype=np.intp)
+    rows = np.arange(len(deep))
+    for end in (field.q**2, len(classes)):
+        hits = deep[rows[:, None], classes[1:end]]
+        enough = np.count_nonzero(hits, axis=1) >= 3
+        hits, found = hits[enough], rows[enough]
+        for j in range(3):
+            first = hits.argmax(axis=1)
+            out[found, j] = first + 1
+            hits[np.arange(len(found)), first] = False
+        rows = rows[~enough]
+    return out
+
+
+def _monic(polys, d: int, what: str) -> list[Poly]:
+    """polys as a list, each checked to be monic of degree d."""
+    polys = list(polys)
+    for p in polys:
+        if p.degree != d or not p.is_monic:
+            raise ValueError(f"{p!r} is not a monic {what}")
+    return polys
 
 
 def _rational_spans(code: Code, polys, d: int):
-    """(p, (basis, ids)) for each p in polys, in order: basis is the (d, n)
-    array of the words of x^i/p(x), i < d, and ids their Code.class_span.
-    Built per block of polynomials whose spans hold at most codes.SCAN_CHUNK
-    entries, each block by one Code.rational_words, one Code.syndromes and
-    one Code.class_span call."""
-    polys = list(polys)
+    """(chunk, basis, ids) per block of polynomials whose spans hold at most
+    codes.SCAN_CHUNK entries, in order: basis is the (P, d, n) array of the
+    words of x^i/p(x), i < d, of the P polynomials of the chunk, and ids
+    their (P, C) Code.class_span, each built by one Code.rational_words, one
+    Code.syndromes and one Code.class_span call."""
     q = code.field.q
     monomials = [(0,) * i + (1,) for i in range(d)]
     block = max(1, codes.SCAN_CHUNK // ((q**d - 1) // (q - 1) * code.redundancy))
@@ -147,7 +196,27 @@ def _rational_spans(code: Code, polys, d: int):
         chunk = polys[start : start + block]
         dens = [p.coeffs for p in chunk for _ in monomials]
         basis = code.rational_words(monomials * len(chunk), dens).reshape(-1, d, code.n)
-        yield from zip(chunk, zip(basis, code.class_span(code.syndromes(basis))))
+        yield chunk, basis, code.class_span(code.syndromes(basis))
+
+
+def _coset_rows(ids: np.ndarray, count: int, what: str, items) -> np.ndarray:
+    """The (P, count) read-only coset rows of a (P, C) array of class ids,
+    -1 marking an entry left out, by one in-place row sort and a mask of
+    adjacent duplicates; a row i with another number of classes raises
+    TheoremAssertionError naming it what.format(items[i])."""
+    ids.sort(axis=1)
+    keep = _firsts(ids)
+    keep &= ids >= 0
+    counts = np.count_nonzero(keep, axis=1)
+    failing = np.flatnonzero(counts != count)
+    if len(failing):
+        i = failing[0]
+        raise TheoremAssertionError(
+            f"{what.format(items[i])} has {counts[i]} classes, expected {count}"
+        )
+    rows = ids[keep].reshape(len(ids), count)
+    rows.flags.writeable = False
+    return rows
 
 
 def degree_k_family(code: Code) -> DeepHoleFamily:
@@ -166,7 +235,7 @@ def degree_k_family(code: Code) -> DeepHoleFamily:
     words = tuple(code.word(xk, last=v) for v in range(3))
     if len(cosets) != q:
         raise TheoremAssertionError(f"degree-k family: {len(cosets)} classes, not q")
-    _verify_deep(code, cosets, rho, "degree-k family")
+    _verify_deep(code, cosets[None], rho, "degree-k family")
     return DeepHoleFamily("degree_k", {"k": k}, cosets, words, code)
 
 
@@ -190,8 +259,8 @@ def inverse_monomial_family(code: Code, delta: int) -> DeepHoleFamily:
     rho = code.covering_radius()
     # the words a*u, a != 0, are one class
     cosets = coset_array(code.class_span((code.syndrome(u),)))
-    words = _sample_words(field, (u,), range(1, min(q, 4)))
-    _verify_deep(code, cosets, rho, "inverse-monomial family")
+    [words] = _sample_words(field, [[u]], range(1, min(q, 4)))
+    _verify_deep(code, cosets[None], rho, "inverse-monomial family")
     return DeepHoleFamily("inverse_monomial", {"delta": delta}, cosets, words, code)
 
 
@@ -239,34 +308,31 @@ def zero_sum_free_family(field: GF, D, r: int) -> DeepHoleFamily:
 
 
 def quadratic_families(code: Code, polys) -> list[DeepHoleFamily]:
-    """[quadratic_family(code, p) for p in polys], with the basis words and
-    span ids of the polynomials built in blocks."""
+    """DH(p) for each monic irreducible quadratic p of polys: the q^2 - 1
+    deep-hole cosets of (a + b x)/p(x) on PRS(q+1,k), q + 1 classes.  Each
+    block of _rational_spans is checked in array passes: one row sort for
+    the class count and one weight gather for the distance, each naming the
+    first failing polynomial; a reducible p raises ValueError naming it."""
     _check_prs_k_range(code)
-    spans = _rational_spans(code, polys, 2)
-    return [quadratic_family(code, p, span) for p, span in spans]
-
-
-def quadratic_family(code: Code, p: Poly, span=None) -> DeepHoleFamily:
-    """DH(p): the q^2 - 1 deep-hole cosets of (a + b x)/p(x) on PRS(q+1,k)
-    for a monic irreducible quadratic p, q + 1 classes.  span is p's (basis,
-    ids) pair from quadratic_families, or None to build it as a block of
-    one; either way a reducible p raised ValueError when it was built."""
-    _check_prs_k_range(code)
-    if p.degree != 2 or not p.is_monic:
-        raise ValueError(f"{p!r} is not a monic quadratic")
+    polys = _monic(polys, 2, "quadratic")
     rho = _require_max_distance(code)
     field = code.field
-    q = field.q
-    if span is None:
-        [(_, span)] = _rational_spans(code, [p], 2)
-    basis, ids = span
-    cosets = coset_array(ids)
-    # numerator a + b x has index a + q*b
-    words = _sample_words(field, basis, range(1, 4))
-    if len(cosets) != q + 1:
-        raise TheoremAssertionError(f"DH(p) has {len(cosets)} classes, expected q+1")
-    _verify_deep(code, cosets, rho, f"quadratic family of {p!r}")
-    return DeepHoleFamily("quadratic", {"poly": list(p.coeffs)}, cosets, words, code)
+    out = []
+    for chunk, basis, ids in _rational_spans(code, polys, 2):
+        cosets = _coset_rows(ids, field.q + 1, "DH({!r})", chunk)
+        _verify_deep(code, cosets, rho, "quadratic family of {!r}", chunk)
+        # numerator a + b x has index a + q*b
+        words = _sample_words(field, basis, range(1, 4))
+        out += [
+            DeepHoleFamily("quadratic", {"poly": list(p.coeffs)}, c, w, code)
+            for p, c, w in zip(chunk, cosets, words)
+        ]
+    return out
+
+
+def quadratic_family(code: Code, p: Poly) -> DeepHoleFamily:
+    """DH(p), the block of one of quadratic_families."""
+    return quadratic_families(code, [p])[0]
 
 
 def _check_cubic_code(code: Code):
@@ -276,41 +342,37 @@ def _check_cubic_code(code: Code):
 
 
 def cubic_families(code: Code, polys) -> list[DeepHoleFamily]:
-    """[cubic_family(code, p) for p in polys], with the basis words and span
-    ids of the polynomials built in blocks."""
+    """The deep-hole cosets of (a + b x + c x^2)/p(x) on PRS(q+1,q-3) for
+    each monic irreducible cubic p of polys, found by exact distance
+    filtering of the nonzero numerators, one per class.  Each block of
+    _rational_spans is checked in array passes: one weight gather for the
+    deep mask and one row sort for the class count, naming the first
+    failing polynomial; a reducible p raises ValueError naming it."""
     _check_cubic_code(code)
-    spans = _rational_spans(code, polys, 3)
-    return [cubic_family(code, p, span) for p, span in spans]
-
-
-def cubic_family(code: Code, p: Poly, span=None) -> DeepHoleFamily:
-    """Deep-hole cosets of (a + b x + c x^2)/p(x) on PRS(q+1,q-3) for a monic
-    irreducible cubic p, found by exact distance filtering of the nonzero
-    numerators, one per class.  span is p's (basis, ids) pair from
-    cubic_families, or None to build it as a block of one; either way a
-    reducible p raised ValueError when it was built."""
-    _check_cubic_code(code)
-    if p.degree != 3 or not p.is_monic:
-        raise ValueError(f"{p!r} is not a monic cubic")
+    polys = _monic(polys, 3, "cubic")
     rho = _require_max_distance(code)
     field = code.field
     q = field.q
-    if span is None:
-        [(_, span)] = _rational_spans(code, [p], 3)
-    basis, ids = span
-    deep = np.flatnonzero(code.coset_leader_weights()[ids] == rho)
-    cosets = coset_array(ids[deep])
     expected = (q * q + q + 2) // 2  # classes, of q - 1 cosets each
-    if len(cosets) != expected:
-        raise TheoremAssertionError(
-            f"cubic family of {p!r} has {len(cosets)} classes, expected {expected}"
-        )
-    # the deep numerators a + b x + c x^2, at index a + q*b + q^2*c, are the
-    # nonzero multiples of the representatives of the deep classes
-    scalars = np.arange(1, q)[:, None, None]
-    multiples = field.mul_table[scalars, _numerators(q, 3)[deep]] @ q ** np.arange(3)
-    words = _sample_words(field, basis, np.sort(multiples, axis=None)[:3])
-    return DeepHoleFamily("cubic", {"poly": list(p.coeffs)}, cosets, words, code)
+    weights = code.coset_leader_weights()
+    out = []
+    for chunk, basis, ids in _rational_spans(code, polys, 3):
+        deep = weights[ids] == rho
+        ids[~deep] = -1
+        cosets = _coset_rows(ids, expected, "cubic family of {!r}", chunk)
+        # the sample words are the first three deep numerators a + b x + c x^2
+        # in the order of their index a + q*b + q^2*c
+        words = _sample_words(field, basis, _first_deep_numerators(field, deep))
+        out += [
+            DeepHoleFamily("cubic", {"poly": list(p.coeffs)}, c, w, code)
+            for p, c, w in zip(chunk, cosets, words)
+        ]
+    return out
+
+
+def cubic_family(code: Code, p: Poly) -> DeepHoleFamily:
+    """The cubic family of p, the block of one of cubic_families."""
+    return cubic_families(code, [p])[0]
 
 
 def cubic_nondeep_by_splitting(code: Code, p: Poly) -> tuple[set, set]:

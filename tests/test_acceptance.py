@@ -222,17 +222,11 @@ def test_criterion_10_zero_sum_free_deep_holes():
 
 
 def _criterion_11_codes():
-    out = []
-    for q, k in AFFINE_CASES:
-        if q**k <= 10**7:
-            out.append(rs(q, k))
+    out = [rs(q, k) for q, k in AFFINE_CASES]
     prs_cases = {(q, k) for q, k, _ in PRS_RADIUS_CASES}
     prs_cases |= {(q, q - 2) for q in (5, 7, 9, 11, 13)}
-    prs_cases |= {(q, q - 3) for q in (5, 7, 8, 9)}
-    for q, k in sorted(prs_cases):
-        if q**k <= 10**7:
-            out.append(prs(q, k))
-    return out
+    prs_cases |= {(q, q - 3) for q in (5, 7, 8, 9, 11, 13)}
+    return out + [prs(q, k) for q, k in sorted(prs_cases)]
 
 
 def test_criterion_11_oracle_equivalence():

@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from deephole import classify, codes
+from deephole import classify, codes, families
 from deephole.codes import Code, prs, rs
 from deephole.errors import TheoremAssertionError
 from deephole.gf import make_field
@@ -33,7 +33,7 @@ G13 = make_field(13)
 G8 = make_field(2, 3)
 G9 = make_field(3, 2)
 
-# (blocked construction, per-polynomial construction, field, k, degree)
+# (construction of many polynomials, its block of one, field, k, degree)
 BLOCK_CASES = [
     (quadratic_families, quadratic_family, G7, 5, 2),
     (quadratic_families, quadratic_family, G9, 6, 2),
@@ -412,51 +412,67 @@ def _same_family(a, b):
     assert np.array_equal(a.cosets, b.cosets)
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 3000])
+def _use_blocks_of(monkeypatch, code, d, size):
+    """Set codes.SCAN_CHUNK so that the families are built in blocks of size
+    polynomials: each one's span holds (q^d - 1)/(q - 1) * r entries."""
+    q = code.field.q
+    span = (q**d - 1) // (q - 1) * code.redundancy
+    monkeypatch.setattr(codes, "SCAN_CHUNK", size * span)
+
+
 @pytest.mark.parametrize("build_all, build_one, field, k, d", BLOCK_CASES)
-def test_blocked_families_equal_one_family_per_polynomial(
-    monkeypatch, chunk, build_all, build_one, field, k, d
+def test_families_do_not_depend_on_the_block_split(
+    monkeypatch, build_all, build_one, field, k, d
 ):
     code = prs(field, k)
     polys = monic_irreducibles(field, d)[:7]
-    expected = [build_one(code, p) for p in polys]
-    if chunk is not None:
-        # one polynomial's span holds q^d * r entries, so 3000 splits the
-        # seven polynomials into blocks of 1, 2, 6 or 20 depending on the case
-        monkeypatch.setattr(codes, "SCAN_CHUNK", chunk)
-    got = build_all(code, iter(polys))
-    assert len(got) == len(polys)
-    for a, b in zip(got, expected):
-        _same_family(a, b)
+    runs = []
+    for size, blocks in ((1, 7), (2, 4), (7, 1)):
+        _use_blocks_of(monkeypatch, code, d, size)
+        assert len(list(families._rational_spans(code, polys, d))) == blocks
+        got = build_all(code, iter(polys))
+        assert [fam.params["poly"] for fam in got] == [list(p.coeffs) for p in polys]
+        runs.append(got)
+    for got in runs[:-1]:
+        for a, b in zip(got, runs[-1]):
+            _same_family(a, b)
     assert build_all(code, []) == []
+    _same_family(build_one(code, polys[3]), runs[-1][3])
 
 
+@pytest.mark.parametrize("size", [1, 2, 6])
 @pytest.mark.parametrize("build_all, build_one, field, k, d", BLOCK_CASES)
-def test_a_failing_family_in_the_middle_of_a_block_is_named(
-    monkeypatch, build_all, build_one, field, k, d
+def test_a_class_lowered_in_the_third_family_names_its_polynomial(
+    monkeypatch, size, build_all, build_one, field, k, d
 ):
     code = Code("projective", field, k)  # uncached, so the patch stays local
-    polys = monic_irreducibles(field, d)
+    polys = monic_irreducibles(field, d)[:6]
     fams = build_all(code, polys)
-    # the first family past the middle with a coset no earlier family reaches
-    seen = np.empty(0, dtype=np.int64)
-    for mid, fam in enumerate(fams):
-        fresh = np.setdiff1d(fam.cosets, seen)
-        if mid >= len(polys) // 2 and len(fresh):
-            break
-        seen = np.union1d(seen, fam.cosets)
-    assert len(fresh) and mid < len(polys) - 1
-    coset = min(fresh)
+    rho = code.covering_radius()
+    # a deep class of the third family that the first two do not hold, and
+    # one of the last family that the first three do not, so that the check
+    # must name the first failing polynomial of its block
+    fresh = np.setdiff1d(fams[2].cosets, np.union1d(fams[0].cosets, fams[1].cosets))
+    last = np.setdiff1d(fams[-1].cosets, np.concatenate([fam.cosets for fam in fams[:3]]))
     weights = code.coset_leader_weights().copy()
-    weights[coset] -= 1
+    weights[[fresh[0], last[0]]] -= 1
     monkeypatch.setattr(code, "_weights", weights)
-    monkeypatch.setattr(codes, "SCAN_CHUNK", 1 << 30)  # one block holds them all
-    with pytest.raises(TheoremAssertionError, match=re.escape(repr(polys[mid]))):
+    _use_blocks_of(monkeypatch, code, d, size)
+    if d == 2:  # the distance check of every emitted class
+        expected = (
+            f"quadratic family of {polys[2]!r}: 1 classes not at distance {rho} "
+            f"(e.g. class {fresh[0]})"
+        )
+    else:  # the class count of the deep numerators
+        count = len(fams[2].cosets)
+        expected = f"cubic family of {polys[2]!r} has {count - 1} classes, expected {count}"
+    with pytest.raises(TheoremAssertionError, match=f"^{re.escape(expected)}$"):
         build_all(code, polys)
 
 
+@pytest.mark.parametrize("size", [3, 9])
 @pytest.mark.parametrize("build_all, build_one, field, k, d", BLOCK_CASES)
-def test_a_reducible_polynomial_is_named(build_all, build_one, field, k, d):
+def test_a_reducible_polynomial_is_named(monkeypatch, size, build_all, build_one, field, k, d):
     # a monic polynomial of degree 2 or 3 is reducible exactly when it has a
     # root in GF(q); the basis words x^i/p(x) have a pole there
     code = prs(field, k)
@@ -464,10 +480,42 @@ def test_a_reducible_polynomial_is_named(build_all, build_one, field, k, d):
     lin = Poly(field, (field.neg(1), 1))  # x - 1
     reducible = lin * (lin if d == 2 else monic_irreducibles(field, 2)[0])
     named = f"denominator {reducible!r} has a root in {field!r}"
+    _use_blocks_of(monkeypatch, code, d, size)  # the fifth of nine is mid-block
     with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
         build_all(code, polys[:4] + [reducible] + polys[4:])
     with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
         build_one(code, reducible)
+
+
+@pytest.mark.parametrize("field", [G7, G8, G9])
+def test_first_deep_numerators_widen_past_the_linear_numerators(field):
+    # class ids over the coefficients (a, b, c) of a + b x + c x^2 in the
+    # order of Code.class_span, by scalar arithmetic: box j holds the
+    # classes whose first nonzero coefficient is j, packed by the rest
+    q = field.q
+    offsets = (0, q * q, q * q + q)
+
+    def class_of(t):
+        coeffs = (t % q, t // q % q, t // q**2)
+        j = next(i for i, x in enumerate(coeffs) if x)
+        inv = field.inv(coeffs[j])
+        rest = [field.mul(inv, x) for x in coeffs[j + 1 :]]
+        return offsets[j] + sum(x * q**i for i, x in enumerate(rest))
+
+    classes = [None] + [class_of(t) for t in range(1, q**3)]
+    rng = np.random.default_rng(q)
+    deep = rng.random((5, q * q + q + 1)) < 0.5
+    # rows 3 and 4 have no deep numerator of degree < 2, whose classes are
+    # (1, b, 0) and (0, 1, 0); row 4 only the class of x^2
+    linear = [classes[t] for t in range(1, q * q)]
+    deep[3:, linear] = False
+    deep[4] = False
+    deep[4, offsets[2]] = True
+    expected = [
+        [t for t in range(1, q**3) if row[classes[t]]][:3] for row in deep
+    ]
+    assert families._first_deep_numerators(field, deep).tolist() == expected
+    assert expected[4] == [q * q, 2 * q * q, 3 * q * q]
 
 
 # the codes of the benchmark sweep's family commands: (construction of every
@@ -517,3 +565,23 @@ def test_cubic_families_memory_is_bounded():
     assert peak - retained < 2.5 * 2**20
     # the 728 families keep 92 int64 class ids each, 1.3 MB in all
     assert retained < 2 * 2**20
+
+
+def test_quadratic_families_memory_is_bounded():
+    code = prs(13, 11)
+    quads = monic_irreducibles(code.field, 2)
+    code.coset_leader_weights()  # built once per code, not per block
+    code.field.add_table, code.field.mul_table, code.field.inv_table
+    tracemalloc.start()
+    try:
+        fams = quadratic_families(code, quads)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fams) == 78
+    # the 78 spans of 14 classes each are one block, and peak 0.06 MB above
+    # what the families keep
+    assert peak - retained < 2**17
+    # the families keep 14 int64 class ids and three sample words each,
+    # 0.08 MB in all
+    assert retained < 2**17

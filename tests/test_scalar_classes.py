@@ -88,10 +88,11 @@ def test_cubic_classes_are_the_deep_numerators(q):
         span = _full_span(code, _basis_syndromes(code, p))
         deep = np.flatnonzero(weight[span] == rho)
         _assert_classes_stand_for(code, fam, span[deep])
-        # the sample words are the first three deep numerators, a + q*b + q^2*c
-        assert fam.words == families._sample_words(
-            field, code.rational_words([(1,), (0, 1), (0, 0, 1)], [p.coeffs] * 3), deep[:3]
-        )
+        # the sample words are the words of the first three deep numerators
+        # a + b x + c x^2, at index a + q*b + q^2*c
+        nums = [(t % q, t // q % q, t // q**2) for t in deep[:3].tolist()]
+        expected = [tuple(code.rational_words([num], [p.coeffs])[0].tolist()) for num in nums]
+        assert fam.words == tuple(expected)
 
 
 @pytest.mark.parametrize("q, k", QUADRATIC_QK)
