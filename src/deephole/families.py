@@ -19,7 +19,8 @@ every span, a (P, C) array of class ids.  Every check then runs once per
 block, one weight gather for the distances and one row sort with a mask of
 adjacent duplicates for the class counts, and a failing check names the
 first failing polynomial; the block's sample words come from one more
-gather.  quadratic_family and cubic_family are the block of one.  A monic p
+gather.  quadratic_family and cubic_family then hold each checked row as a
+family, and check a p given alone as a block of one.  A monic p
 of degree 2 or 3 is reducible exactly when it has a root in GF(q), and
 Code.rational_words then raises ValueError naming it.
 
@@ -156,21 +157,14 @@ def _numerator_classes(field: GF) -> np.ndarray:
 
 def _first_deep_numerators(field: GF, deep: np.ndarray) -> np.ndarray:
     """The indices of the first three numerators of each row of a (P, C)
-    mask of deep classes in Code.class_span order, as a (P, 3) array: read
-    over the numerators of degree < 2 and widened to all of them only for
-    the rows with fewer than three deep there."""
-    classes = _numerator_classes(field)
+    mask of deep classes in Code.class_span order, as a (P, 3) array."""
+    hits = deep.take(_numerator_classes(field)[1:], axis=1)
     out = np.empty((len(deep), 3), dtype=np.intp)
     rows = np.arange(len(deep))
-    for end in (field.q**2, len(classes)):
-        hits = deep[rows[:, None], classes[1:end]]
-        enough = np.count_nonzero(hits, axis=1) >= 3
-        hits, found = hits[enough], rows[enough]
-        for j in range(3):
-            first = hits.argmax(axis=1)
-            out[found, j] = first + 1
-            hits[np.arange(len(found)), first] = False
-        rows = rows[~enough]
+    for j in range(3):
+        first = hits.argmax(axis=1)
+        out[:, j] = first + 1
+        hits[rows, first] = False
     return out
 
 
@@ -307,32 +301,42 @@ def zero_sum_free_family(field: GF, D, r: int) -> DeepHoleFamily:
     )
 
 
-def quadratic_families(code: Code, polys) -> list[DeepHoleFamily]:
-    """DH(p) for each monic irreducible quadratic p of polys: the q^2 - 1
-    deep-hole cosets of (a + b x)/p(x) on PRS(q+1,k), q + 1 classes.  Each
-    block of _rational_spans is checked in array passes: one row sort for
-    the class count and one weight gather for the distance, each naming the
-    first failing polynomial; a reducible p raises ValueError naming it."""
+def _quadratic_rows(code: Code, polys):
+    """(p, (cosets, words)) for each p of polys, in order, with the q + 1
+    classes of (a + b x)/p(x) checked per block of _rational_spans in array
+    passes: one row sort for the class count and one weight gather for the
+    distance, each naming the first failing polynomial; a reducible p raises
+    ValueError naming it.  An empty polys checks no radius."""
     _check_prs_k_range(code)
     polys = _monic(polys, 2, "quadratic")
+    if not polys:
+        return
     rho = _require_max_distance(code)
     field = code.field
-    out = []
     for chunk, basis, ids in _rational_spans(code, polys, 2):
         cosets = _coset_rows(ids, field.q + 1, "DH({!r})", chunk)
         _verify_deep(code, cosets, rho, "quadratic family of {!r}", chunk)
         # numerator a + b x has index a + q*b
         words = _sample_words(field, basis, range(1, 4))
-        out += [
-            DeepHoleFamily("quadratic", {"poly": list(p.coeffs)}, c, w, code)
-            for p, c, w in zip(chunk, cosets, words)
-        ]
-    return out
+        yield from zip(chunk, zip(cosets, words))
 
 
-def quadratic_family(code: Code, p: Poly) -> DeepHoleFamily:
-    """DH(p), the block of one of quadratic_families."""
-    return quadratic_families(code, [p])[0]
+def quadratic_families(code: Code, polys) -> list[DeepHoleFamily]:
+    """[quadratic_family(code, p, row) for each p of polys], the rows checked
+    in blocks by _quadratic_rows; one call per polynomial, which
+    perfbench/spans.py counts as one construction."""
+    return [quadratic_family(code, p, row) for p, row in _quadratic_rows(code, polys)]
+
+
+def quadratic_family(code: Code, p: Poly, row=None) -> DeepHoleFamily:
+    """DH(p): the q^2 - 1 deep-hole cosets of (a + b x)/p(x) on PRS(q+1,k)
+    for a monic irreducible quadratic p, q + 1 classes.  row is p's
+    (cosets, words) pair checked by quadratic_families, or None to check p
+    as a block of one."""
+    if row is None:
+        [(_, row)] = _quadratic_rows(code, [p])
+    cosets, words = row
+    return DeepHoleFamily("quadratic", {"poly": list(p.coeffs)}, cosets, words, code)
 
 
 def _check_cubic_code(code: Code):
@@ -341,21 +345,23 @@ def _check_cubic_code(code: Code):
     _check_prs_k_range(code)
 
 
-def cubic_families(code: Code, polys) -> list[DeepHoleFamily]:
-    """The deep-hole cosets of (a + b x + c x^2)/p(x) on PRS(q+1,q-3) for
-    each monic irreducible cubic p of polys, found by exact distance
-    filtering of the nonzero numerators, one per class.  Each block of
-    _rational_spans is checked in array passes: one weight gather for the
-    deep mask and one row sort for the class count, naming the first
-    failing polynomial; a reducible p raises ValueError naming it."""
+def _cubic_rows(code: Code, polys):
+    """(p, (cosets, words)) for each p of polys, in order, the deep classes
+    of (a + b x + c x^2)/p(x) found by exact distance filtering of the
+    nonzero numerators, one per class, and checked per block of
+    _rational_spans in array passes: one weight gather for the deep mask and
+    one row sort for the class count, naming the first failing polynomial; a
+    reducible p raises ValueError naming it.  An empty polys checks no
+    radius."""
     _check_cubic_code(code)
     polys = _monic(polys, 3, "cubic")
+    if not polys:
+        return
     rho = _require_max_distance(code)
     field = code.field
     q = field.q
     expected = (q * q + q + 2) // 2  # classes, of q - 1 cosets each
     weights = code.coset_leader_weights()
-    out = []
     for chunk, basis, ids in _rational_spans(code, polys, 3):
         deep = weights[ids] == rho
         ids[~deep] = -1
@@ -363,16 +369,24 @@ def cubic_families(code: Code, polys) -> list[DeepHoleFamily]:
         # the sample words are the first three deep numerators a + b x + c x^2
         # in the order of their index a + q*b + q^2*c
         words = _sample_words(field, basis, _first_deep_numerators(field, deep))
-        out += [
-            DeepHoleFamily("cubic", {"poly": list(p.coeffs)}, c, w, code)
-            for p, c, w in zip(chunk, cosets, words)
-        ]
-    return out
+        yield from zip(chunk, zip(cosets, words))
 
 
-def cubic_family(code: Code, p: Poly) -> DeepHoleFamily:
-    """The cubic family of p, the block of one of cubic_families."""
-    return cubic_families(code, [p])[0]
+def cubic_families(code: Code, polys) -> list[DeepHoleFamily]:
+    """[cubic_family(code, p, row) for each p of polys], the rows checked in
+    blocks by _cubic_rows; one call per polynomial, which perfbench/spans.py
+    counts as one construction."""
+    return [cubic_family(code, p, row) for p, row in _cubic_rows(code, polys)]
+
+
+def cubic_family(code: Code, p: Poly, row=None) -> DeepHoleFamily:
+    """The deep-hole cosets of (a + b x + c x^2)/p(x) on PRS(q+1,q-3) for a
+    monic irreducible cubic p.  row is p's (cosets, words) pair checked by
+    cubic_families, or None to check p as a block of one."""
+    if row is None:
+        [(_, row)] = _cubic_rows(code, [p])
+    cosets, words = row
+    return DeepHoleFamily("cubic", {"poly": list(p.coeffs)}, cosets, words, code)
 
 
 def cubic_nondeep_by_splitting(code: Code, p: Poly) -> tuple[set, set]:

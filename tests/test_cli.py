@@ -556,7 +556,7 @@ def test_rejected_config_produces_no_output():
     assert rc.stderr and "Traceback" not in rc.stderr
 
 
-_TRACED_RADIUS = """
+_TRACED_COMMAND = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import deephole.cli
@@ -566,26 +566,48 @@ tracer = spans.Tracer()
 tracer.install()
 report, code = deephole.cli.run_command(sys.argv[2:])
 metrics = spans.layer_metrics(tracer.spans)
-print(json.dumps({"code": code, "rho": report["result"]["rho"], **metrics}))
+problems = spans.cross_check(tracer.spans, metrics, 0)
+print(json.dumps({"code": code, "result": report["result"], "problems": problems, **metrics}))
 """
 
 
-def test_the_benchmark_tracer_books_one_compact_weight_table():
-    # perfbench/spans.py wraps Code.coset_leader_weights and reads the size
-    # of the table it returns; a fresh interpreter, so its wrappers stay there
+def _traced(*argv) -> dict:
+    """The per-layer metrics of perfbench/spans.py for one command, in a
+    fresh interpreter, so that the tracer's wrappers stay there."""
     src = str(Path(deephole.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     perfbench = str(Path(__file__).parents[1] / "perfbench")
-    argv = ["covering-radius", "--code", "prs", "--q", "13", "--k", "8"]
     out = subprocess.run(
-        [sys.executable, "-c", _TRACED_RADIUS, perfbench, *argv],
+        [sys.executable, "-c", _TRACED_COMMAND, perfbench, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0, out.stderr
-    metrics = json.loads(out.stdout)
-    assert metrics["code"] == 0 and metrics["rho"] == 5
+    return json.loads(out.stdout)
+
+
+def test_the_benchmark_tracer_books_one_compact_weight_table():
+    # perfbench/spans.py wraps Code.coset_leader_weights and reads the size
+    # of the table it returns
+    metrics = _traced("covering-radius", "--code", "prs", "--q", "13", "--k", "8")
+    assert metrics["code"] == 0 and metrics["result"]["rho"] == 5
     assert metrics["codes.weights_calls"] >= 1
     assert metrics["codes.weights_builds"] == 1
     assert metrics["codes.weights_entries"] == (13**6 - 1) // 12
+
+
+@pytest.mark.parametrize(
+    "argv, swept",
+    [
+        (("family", "quadratic", "--q", "7", "--k", "5"), 21),
+        (("family", "cubic", "--q", "7"), 112),
+    ],
+)
+def test_the_benchmark_tracer_books_one_construction_per_irreducible(argv, swept):
+    # perfbench/spans.py counts the calls of families.quadratic_family and
+    # cubic_family and cross-checks them against the irreducibles swept
+    metrics = _traced(*argv)
+    assert metrics["code"] == 0 and metrics["problems"] == []
+    assert metrics["families.constructions"] == swept
+    assert metrics["families.cosets_emitted"] == swept * (8 if argv[1] == "quadratic" else 29)

@@ -470,6 +470,16 @@ def test_a_class_lowered_in_the_third_family_names_its_polynomial(
         build_all(code, polys)
 
 
+@pytest.mark.parametrize("build_all, build_one, field, k, d", BLOCK_CASES)
+def test_no_polynomials_build_no_weight_table(build_all, build_one, field, k, d):
+    code = Code("projective", field, k)  # uncached, so no table is built yet
+    assert build_all(code, []) == []
+    assert code._weights is None
+    # the code is still checked
+    with pytest.raises(ValueError):
+        build_all(Code("projective", field, 1), [])
+
+
 @pytest.mark.parametrize("size", [3, 9])
 @pytest.mark.parametrize("build_all, build_one, field, k, d", BLOCK_CASES)
 def test_a_reducible_polynomial_is_named(monkeypatch, size, build_all, build_one, field, k, d):
@@ -488,7 +498,7 @@ def test_a_reducible_polynomial_is_named(monkeypatch, size, build_all, build_one
 
 
 @pytest.mark.parametrize("field", [G7, G8, G9])
-def test_first_deep_numerators_widen_past_the_linear_numerators(field):
+def test_first_deep_numerators_match_a_scan_of_every_numerator(field):
     # class ids over the coefficients (a, b, c) of a + b x + c x^2 in the
     # order of Code.class_span, by scalar arithmetic: box j holds the
     # classes whose first nonzero coefficient is j, packed by the rest
@@ -506,7 +516,8 @@ def test_first_deep_numerators_widen_past_the_linear_numerators(field):
     rng = np.random.default_rng(q)
     deep = rng.random((5, q * q + q + 1)) < 0.5
     # rows 3 and 4 have no deep numerator of degree < 2, whose classes are
-    # (1, b, 0) and (0, 1, 0); row 4 only the class of x^2
+    # (1, b, 0) and (0, 1, 0), so their first three lie past index q^2; row
+    # 4 only the class of x^2
     linear = [classes[t] for t in range(1, q * q)]
     deep[3:, linear] = False
     deep[4] = False

@@ -41,8 +41,6 @@ REFERENCES = {
     "numbertheory.degree_k1_nondeephole": "an acceptance criterion",
     "families.cubic_nondeep_by_splitting": "families.cubic_family",
     "families.dh_intersection": "families.quadratic_families",
-    "families.quadratic_family": "acceptance criterion 5; perfbench/spans.py wraps it",
-    "families.cubic_family": "acceptance criterion 6; perfbench/spans.py wraps it",
     "cli._Parser.error": "argparse, on a usage error",
 }
 
