@@ -45,6 +45,17 @@ of lines at a time, by one (q, lines) array of positions, one gather, a
 minimum over the line, and one scatter; each entry is written once per
 column, and [h] itself takes weight at most 1.
 
+That pass over the whole table is taken only by the columns outside one
+hyperplane W = {s : s_(r-1) = l.(s_0, ..., s_(r-2))}; the table is seeded
+with the columns in W, one dimension down.  The result of the passes does
+not depend on the order of the columns, and after the columns in W it is
+exact on W and r + 1 off it, since their span lies in W.  On W it is the
+table of their first r-1 coordinates, built by the same function and moved
+through the chart s' -> (s', l.s'), which maps representatives to
+representatives.  l makes W hold a greedy maximal set of columns whose first
+r-1 coordinates are independent, so for an MDS code W holds exactly r - 1
+columns and n - r + 1 passes over the whole table remain.
+
 A position in this table is a class id: the class of s != 0 has id
 offsets[j] + id // q^(j+1) for the packed id of its representative and j
 its first nonzero coordinate (Code.class_ids).  coset_leader_weights() is
@@ -228,10 +239,11 @@ class Code:
         nums, dens = list(nums), list(dens)
         if len(nums) != len(dens):
             raise ValueError(f"{len(nums)} numerators for {len(dens)} denominators")
-        width = max(map(len, nums + dens), default=1)
-        rows = np.zeros((2 * len(nums), width), dtype=np.intp)
-        for row, coeffs in zip(rows, nums + dens):
-            row[: len(coeffs)] = coeffs
+        coeffs = nums + dens
+        width = max(map(len, coeffs), default=1)
+        # column t holds every row's coefficient of x^t, 0 past its degree
+        by_degree = itertools.zip_longest(*coeffs, fillvalue=0)
+        rows = np.array(list(by_degree), dtype=np.intp).reshape(width, len(coeffs)).T
         # a gather would wrap a negative coefficient silently
         outside = rows[(rows < 0) | (rows >= fld.q)]
         if len(outside):
@@ -496,38 +508,103 @@ class _InfoSets(NamedTuple):
     parity: np.ndarray
 
 
-def _leader_weights(field: GF, columns) -> np.ndarray:
+def _leader_weights(field: GF, columns, unreached: int = 0) -> np.ndarray:
     """int8 table over the scalar classes of nonzero syndromes of length r,
     the compact table of the module docstring: the least number of the given
-    columns, an (m, r) array, whose span holds the class, and r + 1 where
-    none does."""
+    columns, an (m, r) array, whose span holds the class, and
+    max(unreached, r + 1) where none does, so that a table built one
+    dimension down keeps the value of the table it seeds.  The columns in
+    the hyperplane of _hyperplane are taken one dimension down and charted
+    into it; each other column takes one _column_pass."""
     q = field.q
     columns = np.asarray(columns, dtype=np.intp)
     r = columns.shape[1]
-    add_t, mul_t = field.add_table, field.mul_table
     offsets = _box_offsets(q, r)
-    compact = np.full(offsets[-1], r + 1, dtype=np.int8)
+    unreached = max(unreached, r + 1)
+    compact = np.full(offsets[-1], unreached, dtype=np.int8)
+    if r > 1:  # for r = 1, W is {0} and holds no class
+        ell, inside, outside = _hyperplane(field, columns)
+        sub = _leader_weights(field, columns[inside, :-1], unreached)
+        _chart(field, compact, sub, ell, offsets)
+        columns = columns[outside]
     for h in columns:
-        nonzero = np.flatnonzero(h)
-        if not len(nonzero):
-            continue
-        i = int(nonzero[0])
-        h = mul_t[field.inv(int(h[i])), h].astype(np.intp)  # scaled so that h_i = 1
-        for j in range(r):
-            if j == i:
-                continue
-            # every point other than [h] lies on one line through [h]: its
-            # weight becomes the smaller of its own and one more than the
-            # line's least
-            for at in _line_positions(add_t, mul_t, h, i, j, offsets):
-                on_line = compact[at]
-                least = on_line.min(axis=0)
-                least += 1
-                np.minimum(on_line, least, out=on_line)
-                compact[at] = on_line
-        home = offsets[i] + int(h[i + 1 :] @ q ** np.arange(r - 1 - i))
-        compact[home] = min(compact[home], 1)
+        _column_pass(field, compact, h, offsets)
     return compact
+
+
+def _hyperplane(field: GF, columns) -> tuple[list[int], list[int], list[int]]:
+    """l in GF(q)^(r-1), and the indices of the (m, r) columns in the
+    hyperplane W = {s : s_(r-1) = l.(s_0, ..., s_(r-2))} and of those off
+    it.  W holds a greedy maximal set B of columns whose first r-1
+    coordinates C' are independent: the pivots of the reduced [C' | I]
+    among its first m columns are B, and its right block E has E_B C'_B = I
+    on the rows of B, so l = E_B^T times the last coordinates of B."""
+    cols = columns.tolist()
+    m, d = len(cols), columns.shape[1] - 1
+    heads = columns[:, :d].T.tolist()
+    rows = [h + [int(i == t) for i in range(d)] for t, h in enumerate(heads)]
+    reduced, pivots = linalg.rref(field, rows)
+    add, mul = field.add, field.mul
+    ell = [0] * d
+    for row, b in zip(reduced, pivots):
+        if b < m:
+            ell = [add(x, mul(cols[b][d], e)) for x, e in zip(ell, row[m:])]
+    inside, outside = [], []
+    for j, col in enumerate(cols):
+        dot = functools.reduce(add, map(mul, ell, col), 0)
+        (inside if dot == col[d] else outside).append(j)
+    return ell, inside, outside
+
+
+def _chart(field: GF, compact, sub, ell, offsets):
+    """Scatter the table `sub` over GF(q)^(r-1) into the table `compact`
+    over GF(q)^r, whose boxes start at `offsets`, through the chart
+    s' -> (s', l.s').  The chart keeps a representative a representative, so
+    the class at place p of box j lands at offsets[j] + p + q^(r-2-j)*l.s'.
+    On box j, l.s' is l_j plus the tail sum over the coordinates after j,
+    which is box j+1's tail sum at p // q plus l_(j+1)*(p mod q): one table
+    gather per box, from the last box up, of two bytes per place.  The intp
+    positions are built _block() places at a time."""
+    q, d = field.q, len(ell)
+    add_t, mul_t = field.add_table, field.mul_table
+    tail = np.zeros(1, dtype=np.intp)
+    stop = len(sub)
+    for j in range(d - 1, -1, -1):
+        if j < d - 1:
+            tail = add_t[tail[:, None], mul_t[ell[j + 1]]].ravel()
+        lifted = add_t[tail, ell[j]]
+        stop -= len(tail)
+        for b in range(0, len(tail), _block()):
+            at = lifted[b : b + _block()].astype(np.intp)
+            at *= q ** (d - 1 - j)
+            at += np.arange(offsets[j] + b, offsets[j] + b + len(at))
+            compact[at] = sub[stop + b : stop + b + len(at)]
+
+
+def _column_pass(field: GF, compact, h, offsets):
+    """The pass of the column h over the whole table, in place (see the
+    module docstring)."""
+    nonzero = np.flatnonzero(h)
+    if not len(nonzero):
+        return
+    q, r = field.q, len(h)
+    add_t, mul_t = field.add_table, field.mul_table
+    i = int(nonzero[0])
+    h = mul_t[field.inv(int(h[i])), h].astype(np.intp)  # scaled so that h_i = 1
+    for j in range(r):
+        if j == i:
+            continue
+        # every point other than [h] lies on one line through [h]: its
+        # weight becomes the smaller of its own and one more than the
+        # line's least
+        for at in _line_positions(add_t, mul_t, h, i, j, offsets):
+            on_line = compact[at]
+            least = on_line.min(axis=0)
+            least += 1
+            np.minimum(on_line, least, out=on_line)
+            compact[at] = on_line
+    home = offsets[i] + int(h[i + 1 :] @ q ** np.arange(r - 1 - i))
+    compact[home] = min(compact[home], 1)
 
 
 def _class_ids(field: GF, syndromes) -> np.ndarray:

@@ -536,6 +536,44 @@ def test_leader_weight_kernel_matches_scalar_bfs(case):
     assert table == _bfs_leader_weights(field, columns, r)
 
 
+# (q, columns, the indices of the columns in the seed's hyperplane W)
+CHART_CASES = {
+    "r=1": (5, [[0], [3], [3]], None),
+    "r=1, only a zero column": (5, [[0]], None),
+    # the third column is twice the first
+    "r=2": (7, [[1, 2], [0, 3], [2, 4], [0, 0]], [0, 2, 3]),
+    "e_(r-1), a zero column and a repeated column": (
+        3,
+        [[0, 0, 0, 1], [0, 0, 0, 0], [1, 2, 0, 1], [1, 2, 0, 1], [0, 1, 1, 2], [1, 1, 1, 0]],
+        [1, 2, 3, 4, 5],
+    ),
+    # the first three coordinates of the columns span a plane
+    "rank-deficient": (
+        5,
+        [[1, 0, 0, 1], [2, 0, 0, 2], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 1, 1]],
+        [0, 1, 4],
+    ),
+    # the third column is the sum of the first two, which are the greedy basis
+    "a sum of basis columns in W": (
+        5,
+        [[1, 0, 1], [0, 1, 2], [1, 1, 3], [1, 1, 0], [2, 3, 0]],
+        [0, 1, 2],
+    ),
+}
+
+
+@pytest.mark.parametrize("q, columns, inside", CHART_CASES.values(), ids=CHART_CASES)
+def test_seeded_table_matches_scalar_bfs_at_the_chart_edges(q, columns, inside):
+    field = field_of_order(q)
+    columns = np.array(columns, dtype=np.intp)
+    r = columns.shape[1]
+    if inside is not None:
+        assert codes._hyperplane(field, columns)[1] == inside
+    compact = codes._leader_weights(field, columns)
+    table = [int(compact[c]) if c >= 0 else 0 for c in _scalar_class_ids(field, r)]
+    assert table == _bfs_leader_weights(field, columns, r)
+
+
 @pytest.mark.parametrize(
     "code",
     [
@@ -613,6 +651,42 @@ def test_weight_table_counts_match_mds_closed_form(code):
     digits = codes.class_representatives(q, r, sample)[:, None] // powers % q
     scaled = fld.mul_table[fld.generator(), digits] @ powers
     assert np.array_equal(code.class_ids(scaled), sample)
+
+
+def _every_column_passed(field, columns) -> np.ndarray:
+    """The weight table of the module's pass step run over every column,
+    unseeded: the reference of the seeded build."""
+    r = columns.shape[1]
+    offsets = codes._box_offsets(field.q, r)
+    compact = np.full(offsets[-1], r + 1, dtype=np.int8)
+    for h in columns:
+        codes._column_pass(field, compact, h, offsets)
+    return compact
+
+
+@pytest.mark.parametrize(
+    "kind, q, k", CLOSED_FORM_CODES + [("prs", 11, 8), ("prs", 13, 10)]
+)
+def test_only_the_columns_off_the_hyperplane_pass_over_the_full_table(
+    kind, q, k, monkeypatch
+):
+    field = field_of_order(q)
+    code = rs(field, k) if kind == "rs" else prs(field, k)
+    n, r, columns = code.n, code.redundancy, code._h.T
+    reference = _every_column_passed(field, columns)
+    sizes = []
+    pass_step = codes._column_pass
+
+    def counted(field, compact, h, offsets):
+        sizes.append(len(compact))
+        pass_step(field, compact, h, offsets)
+
+    monkeypatch.setattr(codes, "_column_pass", counted)
+    table = codes._leader_weights(field, columns)
+    # an MDS code's hyperplane holds r - 1 columns
+    assert sizes.count((q**r - 1) // (q - 1)) == n - r + 1
+    assert table.dtype == np.int8
+    assert table.tobytes() == reference.tobytes()
 
 
 def test_weight_table_memory_is_bounded():
