@@ -4,7 +4,7 @@ The package is organised as follows:
 
 - ``gf``           exact arithmetic in GF(p^m), element enumeration, discrete logs,
                    numpy lookup tables
-- ``linalg``       Gaussian elimination and rank over GF(q)
+- ``linalg``       Gaussian elimination over GF(q)
 - ``poly``         univariate polynomial algebra over GF(q), array evaluation,
                    the monic-irreducible sieve
 - ``codes``        affine RS(D,k) and projective PRS(q+1,k) codes, syndromes,

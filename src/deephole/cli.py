@@ -2,9 +2,10 @@
 
 Every command emits a single self-describing report (JSON by default, CSV as
 a tabular projection) embedding the full configuration, the field modulus and
-the element-order convention.  Identical configurations produce byte-identical
-output.  Exit codes: 0 success, 1 usage error or bound violation, 2 when a
-machine-checked structural expectation fails.
+the element-order convention; ``run`` builds every report from the result and
+assertions of one runner.  Identical configurations produce byte-identical
+output.  Exit codes: 0 success, 1 usage error, bound violation or unwritable
+output, 2 when a machine-checked structural expectation fails.
 """
 
 from __future__ import annotations
@@ -82,18 +83,11 @@ class ExperimentConfig:
 
 
 # -- runners -------------------------------------------------------------------
+# Each runner takes the config and the field that run() built, and returns the
+# report's result and its assertions.
 
 
-def _base_report(cfg: ExperimentConfig, field: GF) -> dict:
-    return {
-        "command": cfg.command,
-        "config": cfg.describe(),
-        "field": field.describe(),
-    }
-
-
-def run_covering_radius(cfg: ExperimentConfig) -> dict:
-    field = cfg.field()
+def run_covering_radius(cfg: ExperimentConfig, field: GF) -> tuple[dict, dict]:
     if cfg.k is None:
         raise UsageError("covering-radius requires --k")
     kind = cfg.code or "rs"
@@ -106,23 +100,16 @@ def run_covering_radius(cfg: ExperimentConfig) -> dict:
     else:
         raise UsageError(f"unknown code kind {kind!r}")
     rho = code.covering_radius()
-    report = _base_report(cfg, field)
     result = {"kind": kind, "n": code.n, "k": code.k, "rho": rho}
-    assertions = {}
-    q = field.q
     if kind == "rs":
-        assertions["rho_equals_n_minus_k"] = rho == code.n - code.k
-    else:
-        conj = classify.prs_covering_radius(q, cfg.k)
-        result["conjecture_value"] = conj
-        result["matches_conjecture"] = rho == conj
-    report["result"] = result
-    report["assertions"] = assertions
-    return report
+        return result, {"rho_equals_n_minus_k": rho == code.n - code.k}
+    conj = classify.prs_covering_radius(field.q, cfg.k)
+    result["conjecture_value"] = conj
+    result["matches_conjecture"] = rho == conj
+    return result, {}
 
 
-def run_enum_deep_cosets(cfg: ExperimentConfig) -> dict:
-    field = cfg.field()
+def run_enum_deep_cosets(cfg: ExperimentConfig, field: GF) -> tuple[dict, dict]:
     if cfg.k is None:
         raise UsageError("enum-deep-cosets requires --k")
     code = prs(field, cfg.k)
@@ -130,21 +117,16 @@ def run_enum_deep_cosets(cfg: ExperimentConfig) -> dict:
     q, r = field.q, code.redundancy
     in_range = classify.in_theorem_range(q, cfg.k)
     formula = classify.deep_count_formula(q, r) if r in (3, 4) else None
-    report = _base_report(cfg, field)
-    report["result"] = {
+    result = {
         "total": total,
         "redundancy": r,
         "formula": formula,
         "in_theorem_range": in_range,
     }
-    report["assertions"] = (
-        {"count_matches_formula": total == formula} if in_range else {}
-    )
-    return report
+    return result, {"count_matches_formula": total == formula} if in_range else {}
 
 
-def run_family(cfg: ExperimentConfig) -> dict:
-    field = cfg.field()
+def run_family(cfg: ExperimentConfig, field: GF) -> tuple[dict, dict]:
     tag = cfg.tag
     fams = []
     if tag == "degree_k":
@@ -195,34 +177,26 @@ def run_family(cfg: ExperimentConfig) -> dict:
                 f"the quadratic families cover {total} cosets, not the "
                 f"(q-1)q^2 = {expected} deep cosets"
             )
-    report = _base_report(cfg, field)
-    report["result"] = {
+    result = {
         "families": [f.describe() for f in fams],
         "num_families": len(fams),
         "total_distinct_cosets": total,
     }
-    report["assertions"] = {}
-    return report
+    return result, {}
 
 
-def run_completeness(cfg: ExperimentConfig) -> dict:
-    field = cfg.field()
+def run_completeness(cfg: ExperimentConfig, field: GF) -> tuple[dict, dict]:
     res = classify.completeness_check(field)
-    report = _base_report(cfg, field)
-    report["result"] = res
-    report["assertions"] = {"union_equals_deep_set": res["equal"]}
-    return report
+    return res, {"union_equals_deep_set": res["equal"]}
 
 
-def run_hypergraph(cfg: ExperimentConfig) -> dict:
-    field = cfg.field()
+def run_hypergraph(cfg: ExperimentConfig, field: GF) -> tuple[dict, dict]:
     h = classify.build_hypergraph(field)
     stats = classify.hypergraph_stats(h)
     code = h.code
     # the report names each class by the packed id of its representative
     packed = functools.partial(codes.class_representatives, field.q, code.redundancy)
-    report = _base_report(cfg, field)
-    report["result"] = {
+    result = {
         "num_vertices": stats["num_vertices"],
         "num_edges": stats["num_edges"],
         "degree_histogram": stats["degree_histogram"],
@@ -234,21 +208,14 @@ def run_hypergraph(cfg: ExperimentConfig) -> dict:
             for coeffs, verts in sorted(h.edges.items())
         ],
     }
-    report["assertions"] = stats["checks"]
-    return report
+    return result, stats["checks"]
 
 
-def run_cubic_coverage(cfg: ExperimentConfig) -> dict:
-    field = cfg.field()
-    res = classify.cubic_coverage_experiment(field)
-    report = _base_report(cfg, field)
-    report["result"] = res
-    report["assertions"] = {}
-    return report
+def run_cubic_coverage(cfg: ExperimentConfig, field: GF) -> tuple[dict, dict]:
+    return classify.cubic_coverage_experiment(field), {}
 
 
-def run_ssp(cfg: ExperimentConfig) -> dict:
-    field = cfg.field()
+def run_ssp(cfg: ExperimentConfig, field: GF) -> tuple[dict, dict]:
     if cfg.k is None:
         raise UsageError("ssp requires --k")
     D = cfg.set if cfg.set is not None else field.element_reprs()
@@ -262,41 +229,34 @@ def run_ssp(cfg: ExperimentConfig) -> dict:
                     f"subset-sum counts {counts} differ from the Li-Wan closed "
                     f"form {closed} for k = {cfg.k}"
                 )
-    report = _base_report(cfg, field)
+    all_positive = all(c > 0 for c in counts)
     result = {
         "D": sorted(D),
         "k": cfg.k,
         "counts_by_encoding": counts,
-        "all_positive": all(c > 0 for c in counts),
+        "all_positive": all_positive,
     }
-    report["result"] = result
-    assertions = {}
     full = set(D) == set(range(q))
     in_range = (1 <= cfg.k <= q - 1) if q % 2 else (3 <= cfg.k <= q - 3)
     if full and in_range:
-        assertions["full_field_counts_positive"] = result["all_positive"]
-    report["assertions"] = assertions
-    return report
+        return result, {"full_field_counts_positive": all_positive}
+    return result, {}
 
 
-def run_n3(cfg: ExperimentConfig) -> dict:
-    field = cfg.field()
+def run_n3(cfg: ExperimentConfig, field: GF) -> tuple[dict, dict]:
     table = numbertheory.n3_sweep(field)
     brute = table.columns["n3_bruteforce"]
     all_match = bool((brute == table.columns["n3_formula"]).all())
-    report = _base_report(cfg, field)
-    report["result"] = {
+    result = {
         "rows": table,
         "num_rows": len(table),
         "all_match": all_match,
         "zero_classes": int((brute == 0).sum()),
     }
-    report["assertions"] = {"formula_matches_bruteforce": all_match}
-    return report
+    return result, {"formula_matches_bruteforce": all_match}
 
 
-def run_zero_sum_free(cfg: ExperimentConfig) -> dict:
-    field = cfg.field()
+def run_zero_sum_free(cfg: ExperimentConfig, field: GF) -> tuple[dict, dict]:
     if cfg.r is None:
         raise UsageError("zero-sum-free requires --r")
     if cfg.r < 1:
@@ -320,16 +280,14 @@ def run_zero_sum_free(cfg: ExperimentConfig) -> dict:
             f"the subset-sum count says zero_sum_free = {ok}, but enumeration "
             f"found {len(violations)} zero-sum {cfg.r}-subsets"
         )
-    report = _base_report(cfg, field)
-    report["result"] = {
+    result = {
         "set": sorted(D),
         "r": cfg.r,
         "default_candidate": default_candidate,
         "zero_sum_free": ok,
         "violations": [list(v) for v in violations],
     }
-    report["assertions"] = {}
-    return report
+    return result, {}
 
 
 _RUNNERS = {
@@ -347,18 +305,27 @@ COMMANDS = tuple(_RUNNERS)
 
 
 def run(cfg: ExperimentConfig) -> tuple[dict, int]:
-    """Execute one experiment; returns (report, exit code)."""
+    """Execute one experiment; returns (report, exit code), 2 iff an
+    assertion is false.  The field is built, and the report assembled from
+    the runner's result and assertions, here only."""
     cfg.check_size_guard()
-    q = cfg.field().q
+    field = cfg.field()
+    q = field.q
     if cfg.set is not None and any(not 0 <= x < q for x in cfg.set):
         raise UsageError(f"--set encodings must lie in 0..{q - 1}, got {list(cfg.set)}")
     # the lift is set in a copy of the context, so it ends with this run
     ctx = contextvars.copy_context()
     if cfg.unsafe_bounds:
         ctx.run(codes.LIMITS.set, codes.Limits(sys.maxsize, sys.maxsize))
-    report = ctx.run(_RUNNERS[cfg.command], cfg)
-    ok = all(report.get("assertions", {}).values())
-    return report, 0 if ok else 2
+    result, assertions = ctx.run(_RUNNERS[cfg.command], cfg, field)
+    report = {
+        "command": cfg.command,
+        "config": cfg.describe(),
+        "field": field.describe(),
+        "result": result,
+        "assertions": assertions,
+    }
+    return report, 0 if all(assertions.values()) else 2
 
 
 # -- serialization ----------------------------------------------------------------
@@ -498,22 +465,9 @@ def config_from_args(args) -> ExperimentConfig:
         raise UsageError("give exactly one of --q or --p (with optional --m)")
     if args.q is not None and args.m is not None:
         raise UsageError("--m only combines with --p")
-    return ExperimentConfig(
-        command=args.command,
-        q=args.q,
-        p=args.p,
-        m=args.m,
-        k=args.k,
-        degree=args.degree,
-        set=_parse_set(args.set) if args.set is not None else None,
-        r=args.r,
-        tag=getattr(args, "tag", None),
-        code=getattr(args, "code", None),
-        format=args.format,
-        out=args.out,
-        threads=args.threads,
-        unsafe_bounds=args.unsafe_bounds,
-    )
+    if args.set is not None:
+        args.set = _parse_set(args.set)
+    return ExperimentConfig(**vars(args))
 
 
 @functools.cache
@@ -550,11 +504,16 @@ def main(argv=None) -> int:
         fmt = report["config"]["format"]
         text = render_csv(report) if fmt == "csv" else render_json(report)
         out = report["config"]["out"]
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        try:
+            if out:
+                with open(out, "w") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
     return code
 
 

@@ -19,7 +19,7 @@ the q^k codewords.  It is exact on every RS and PRS code:
   3. so d(w, C) is the least number of mismatches of c_S and w off S.
 Step 2 needs every k columns of G independent (the code is MDS); the table
 build checks it, and raises AssertionError when a step of the elimination
-finds no pivot.  For every S the code keeps S, its complement J and the
+finds no pivot; Code.is_mds reads that check.  For every S the code keeps S, its complement J and the
 k x (n-k) matrix P_S, so that c_S is w_S on S and w_S*P_S on J.  They come
 from one batched Gauss-Jordan elimination of the columns (S, J) of G, built
 once per code in blocks whose (sets, k, n) arrays hold at most SCAN_CHUNK/16
@@ -363,9 +363,8 @@ class Code:
     def codewords(self) -> np.ndarray:
         """All q^k codewords as an (N, n) array, row i encoding the message
         with coefficient digits of i (base q, low degree first); built on
-        each call and kept by nobody.  minimum_distance("exhaustive") scans
-        it, and the tests check the information-set tables of the exhaustive
-        oracle against it."""
+        each call and kept by nobody.  The tests check the information-set
+        tables of the exhaustive oracle against it."""
         self._check_codewords("q^k", self.field.q**self.k)
         return _combinations(self.field, self.generator_matrix(), self.n)
 
@@ -450,29 +449,17 @@ class Code:
             return self._info_set_distance(word)
         raise ValueError(f"unknown method {method!r}")
 
-    def minimum_distance(self, method: str = "dual") -> int:
-        """Exact minimum distance; "dual" searches for the smallest linearly
-        dependent set of parity-check columns, "exhaustive" scans codewords.
-        With is_mds, it checks the MDS premise of the acceptance criteria."""
-        if method == "dual":
-            fld, cols, r = self.field, self.h_columns(), self.redundancy
-
-            def dependent(w):
-                subsets = itertools.combinations(cols, w)
-                return any(linalg.rank(fld, sub) < w for sub in subsets)
-
-            # when no r columns are dependent, no fewer are, and any r + 1 are
-            if not dependent(r):
-                return r + 1
-            return next(w for w in range(1, r + 1) if dependent(w))
-        if method == "exhaustive":
-            cw = self.codewords()
-            return int((cw[1:] != 0).sum(axis=1).min())
-        raise ValueError(f"unknown method {method!r}")
-
     def is_mds(self) -> bool:
-        """Whether the minimum distance is n - k + 1 (acceptance criterion)."""
-        return self.minimum_distance() == self.n - self.k + 1
+        """Whether every k generator columns are independent, so that the
+        minimum distance is n - k + 1 (acceptance criterion): the exhaustive
+        oracle's tables build exactly when they are, under the same bound."""
+        n, k = self.n, self.k
+        self._check_codewords("oracle table entries", math.comb(n, k) * k * (n - k))
+        try:
+            self._info_sets
+        except AssertionError:  # some k generator columns are dependent
+            return False
+        return True
 
 
 def _combinations(field: GF, rows, width: int) -> np.ndarray:

@@ -70,7 +70,7 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     # deferred: poly imports gf at module level
     from deephole.poly import Poly, is_irreducible
 
-    base = make_field(p)
+    base = GF(p)  # uncached: its p x p tables go with this search
     for low in itertools.product(range(1, p), *[range(p)] * (m - 1)):
         f = Poly(base, low + (1,))
         if is_irreducible(f):

@@ -1,10 +1,8 @@
 """Exact Gaussian elimination over GF(q) for small dense matrices.
 
-Matrices are lists of row lists of field-element encodings; both routines
-are pure and leave their inputs untouched.  ``rref`` is the one elimination
-loop and ``rank`` counts its pivots.  ``Code.minimum_distance("dual")``
-finds dependent sets of parity-check columns by ``rank``; the tests check
-that route against ``minimum_distance("exhaustive")`` over the codewords.
+Matrices are lists of row lists of field-element encodings; ``rref`` is
+pure and leaves its input untouched.  The weight table's hyperplane seed
+(``codes._hyperplane``) finds its hyperplane by one ``rref``.
 """
 
 from __future__ import annotations
@@ -34,7 +32,3 @@ def rref(field: GF, rows) -> tuple[list[list[int]], list[int]]:
                 m[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(m[i], m[r])]
         pivots.append(col)
     return m, pivots
-
-
-def rank(field: GF, rows) -> int:
-    return len(rref(field, rows)[1])

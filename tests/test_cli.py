@@ -212,6 +212,25 @@ def test_zero_sum_free_disagreement_exits_2(monkeypatch):
     assert report is None and code == 2
 
 
+def test_a_false_assertion_gives_the_full_report_and_exit_2(monkeypatch, capsys):
+    real = numbertheory.n3_sweep
+
+    def formula_off(field):
+        cols = dict(real(field).columns)
+        cols["n3_formula"] = cols["n3_formula"] + 1
+        return Table(cols)
+
+    monkeypatch.setattr(numbertheory, "n3_sweep", formula_off)
+    report, code = _run(["n3", "--q", "3"])
+    assert code == 2
+    assert set(report) == {"command", "config", "field", "result", "assertions"}
+    assert report["command"] == "n3" and report["field"]["q"] == 3
+    assert report["assertions"] == {"formula_matches_bruteforce": False}
+    assert not report["result"]["all_match"]
+    assert cli.main(["n3", "--q", "3"]) == 2
+    assert capsys.readouterr().out == render_json(report)
+
+
 def test_exit_codes():
     _, code = _run(["enum-deep-cosets", "--k", "3"])  # no field given
     assert code == 1
@@ -539,6 +558,15 @@ def test_out_file(tmp_path):
     rc = _cli("enum-deep-cosets", "--q", "5", "--k", "3", "--out", str(out))
     assert rc.returncode == 0 and rc.stdout == ""
     assert json.loads(out.read_text())["result"]["total"] == 100
+
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_an_unwritable_out_path_exits_1(where, tmp_path):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
+    rc = _cli("enum-deep-cosets", "--q", "5", "--k", "3", "--out", str(out))
+    assert rc.returncode == 1 and rc.stdout == ""
+    assert rc.stderr.startswith("error: ") and "Traceback" not in rc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_console_entry_point_json():

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -217,3 +220,29 @@ def test_log_tables_of_gf_2_16_stay_near_the_kept_lists():
         tracemalloc.stop()
     assert kept - before > 64 * f.q  # the logs and exps lists
     assert peak - kept < 16 * f.q  # measured: 9 bytes per element
+
+
+_RETAINED_BY_GF_1021_2 = """
+import tracemalloc
+from deephole.gf import make_field
+
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+make_field(1021, 2)
+print(tracemalloc.get_traced_memory()[0] - before)
+"""
+
+
+def test_an_extension_field_keeps_no_base_field_tables():
+    # in a fresh interpreter, so that no test has built GF(1021) before; its
+    # 1021 x 1021 add and mul tables alone take 4 MiB
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    rc = subprocess.run(
+        [sys.executable, "-c", _RETAINED_BY_GF_1021_2],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert int(rc.stdout) < 512 * 1024  # measured: 78 KiB
