@@ -19,14 +19,14 @@ the q^k codewords.  It is exact on every RS and PRS code:
   3. so d(w, C) is the least number of mismatches of c_S and w off S.
 Step 2 needs every k columns of G independent (the code is MDS); the table
 build checks it, and raises AssertionError when a step of the elimination
-finds no pivot; Code.is_mds reads that check.  For every S the code keeps S, its complement J and the
-k x (n-k) matrix P_S, so that c_S is w_S on S and w_S*P_S on J.  They come
-from one batched Gauss-Jordan elimination of the columns (S, J) of G, built
-once per code in blocks whose (sets, k, n) arrays hold at most SCAN_CHUNK/16
-entries.  P_S takes C(n,k)*k*(n-k) entries, which LIMITS.codewords bounds
-as it bounds the q^k rows of the codeword table.  A word then costs one
-gather of w on every S, k table gathers for w_S*P_S, and one comparison
-with w on every J.
+finds no pivot; Code.is_mds reads that check.  For every S the code keeps
+S, its complement J and the k x (n-k) matrix P_S, so that c_S is w_S on S
+and w_S*P_S on J.  They come from one batched Gauss-Jordan elimination of
+the columns (S, J) of G, built once per code in blocks whose (sets, k, n)
+arrays hold at most SCAN_CHUNK/16 entries.  P_S takes C(n,k)*k*(n-k)
+entries, which LIMITS.codewords bounds as it bounds the q^k rows of the
+codeword table.  A word then costs one gather of w on every S, k table
+gathers for w_S*P_S, and one comparison with w on every J.
 
 The weight table is built one parity-check column h at a time: a syndrome's
 weight becomes the smaller of its weight so far and one more than the least
