@@ -540,13 +540,36 @@ def test_golden_fixtures():
 
 
 def test_family_reports_match_recorded_digests():
-    # SHA-256 of render_json for the family, hypergraph, completeness and
-    # cubic-coverage reports up to the sizes of the benchmark sweep
+    # SHA-256 of render_json and of render_csv for the family, hypergraph,
+    # completeness and cubic-coverage reports up to the sizes of the benchmark
+    # sweep
     digests = json.loads((FIXTURES / "report_digests.json").read_text())
+    csv_digests = json.loads((FIXTURES / "csv_digests.json").read_text())
+    assert set(csv_digests) == set(digests)
     for argv, digest in digests.items():
         report, code = _run(argv.split())
         assert code == 0, argv
         assert hashlib.sha256(render_json(report).encode()).hexdigest() == digest, argv
+        csv_digest = hashlib.sha256(render_csv(report).encode()).hexdigest()
+        assert csv_digest == csv_digests[argv], argv
+
+
+# every family tag at q in {4, 5, 7, 8, 9, 11, 13, 16}, with k = q-2 and
+# q-3 and the sets of the other family tests: the SHA-256 of the JSON report,
+# or the exit code and message of a rejected configuration
+_FAMILY_TAG_CASES = json.loads((FIXTURES / "family_tag_cases.json").read_text())
+
+
+@pytest.mark.parametrize("argv", list(_FAMILY_TAG_CASES))
+def test_every_family_tag_gives_its_recorded_report_or_error(argv, capsys):
+    recorded = _FAMILY_TAG_CASES[argv]
+    report, code = _run(argv.split())
+    if isinstance(recorded, str):
+        assert code == 0
+        assert hashlib.sha256(render_json(report).encode()).hexdigest() == recorded
+    else:
+        assert (report, code) == (None, recorded["exit"])
+        assert capsys.readouterr().err == recorded["stderr"]
 
 
 def test_out_file(tmp_path):
