@@ -37,6 +37,7 @@ from deephole.codes import Code, prs
 from deephole.errors import TheoremAssertionError
 from deephole.gf import GF
 from deephole.poly import monic_irreducibles
+from deephole.table import Table
 
 
 def prs_covering_radius(q: int, k: int) -> int:
@@ -192,10 +193,7 @@ def completeness_check(field: GF) -> dict:
         "union_size": union_size,
         "total_deep_cosets": (q - 1) * len(deep),
         "equal": union_size == (q - 1) * len(deep) and bool(union[deep].all()),
-        "per_family": [
-            {"poly": list(p.coeffs), "cosets": f.coset_count}
-            for p, f in zip(quads, fams)
-        ],
+        "per_family": _per_family(quads, fams),
     }
 
 
@@ -219,8 +217,16 @@ def cubic_coverage_experiment(field: GF) -> dict:
         "covered": covered,
         "total": total,
         "fraction": covered / total,
-        "per_family": [
-            {"poly": list(p.coeffs), "cosets": f.coset_count}
-            for p, f in zip(cubics, fams)
-        ],
+        "per_family": _per_family(cubics, fams),
     }
+
+
+def _per_family(polys, fams) -> Table:
+    """The (poly, cosets) rows of the families of polys, one per
+    polynomial."""
+    return Table(
+        {
+            "poly": np.array([p.coeffs for p in polys], dtype=np.int64),
+            "cosets": np.array([f.coset_count for f in fams], dtype=np.int64),
+        }
+    )

@@ -20,6 +20,8 @@ import os
 import sys
 from dataclasses import dataclass, asdict
 
+import numpy as np
+
 from deephole import classify, codes, families, numbertheory
 from deephole.codes import prs, rs
 from deephole.errors import BoundExceededError, TheoremAssertionError
@@ -178,7 +180,7 @@ def run_family(cfg: ExperimentConfig, field: GF) -> tuple[dict, dict]:
                 f"(q-1)q^2 = {expected} deep cosets"
             )
     result = {
-        "families": [f.describe() for f in fams],
+        "families": families.family_table(fams),
         "num_families": len(fams),
         "total_distinct_cosets": total,
     }
@@ -196,6 +198,7 @@ def run_hypergraph(cfg: ExperimentConfig, field: GF) -> tuple[dict, dict]:
     code = h.code
     # the report names each class by the packed id of its representative
     packed = functools.partial(codes.class_representatives, field.q, code.redundancy)
+    polys = sorted(h.edges)
     result = {
         "num_vertices": stats["num_vertices"],
         "num_edges": stats["num_edges"],
@@ -203,10 +206,12 @@ def run_hypergraph(cfg: ExperimentConfig, field: GF) -> tuple[dict, dict]:
         "vertices": sorted(
             list(code.unpack_syndrome(v)) for v in packed(h.vertices).tolist()
         ),
-        "edges": [
-            {"poly": list(coeffs), "vertices": sorted(packed(verts).tolist())}
-            for coeffs, verts in sorted(h.edges.items())
-        ],
+        "edges": Table(
+            {
+                "poly": np.array(polys),
+                "vertices": np.sort(packed(np.stack([h.edges[p] for p in polys])), axis=1),
+            }
+        ),
     }
     return result, stats["checks"]
 
@@ -339,9 +344,12 @@ _TABLE_MARK = json.dumps(_TABLE_PLACEHOLDER)
 
 def render_json(report: dict) -> str:
     """``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, with
-    each ``Table`` written as the list of its rows.  ``json.dumps`` writes a
-    placeholder for each table; the table's own template text then replaces
-    it, at the nesting level that the placeholder's line indent gives."""
+    each ``Table`` written as the list of its rows, ``Table.rows()``: the
+    ``n3`` rows, the ``family`` families, the ``completeness`` and
+    ``cubic-coverage`` per-family counts and the ``hypergraph`` edges.
+    ``json.dumps`` writes a placeholder for each table; the text of the
+    table's one ``%``-template then replaces it, at the nesting level that
+    the placeholder's line indent gives."""
     indent, tables = 2, []
 
     def placeholder(obj):
@@ -381,7 +389,7 @@ def _csv_rows(report: dict) -> tuple[list[str], list[list]]:
         header = ["tag", "params", "coset_count"]
         rows = [
             [f["tag"], json.dumps(f["params"], sort_keys=True), f["coset_count"]]
-            for f in res["families"]
+            for f in res["families"].rows()
         ]
         return header, rows
     if cmd == "ssp":
@@ -401,8 +409,8 @@ def _csv_rows(report: dict) -> tuple[list[str], list[list]]:
         header = ["q", "k", "total_cosets", "family_tag", "family_cosets",
                   "covered_fraction"]
         rows = [
-            [res["q"], res["k"], total, tag, fam["cosets"], frac]
-            for fam in res["per_family"]
+            [res["q"], res["k"], total, tag, cosets, frac]
+            for cosets in res["per_family"].columns["cosets"].tolist()
         ]
         return header, rows
     header = ["key", "value"]

@@ -24,6 +24,9 @@ family, and check a p given alone as a block of one.  A monic p
 of degree 2 or 3 is reducible exactly when it has a root in GF(q), and
 Code.rational_words then raises ValueError naming it.
 
+family_table holds the families of one tag as the report's rows, a
+table.Table of their tag, params, coset counts and first three sample words.
+
 Every emitted coset is verified to sit at distance equal to the covering
 radius by exact computation; the structural hypotheses behind a construction
 (covering radius q-k, expected coset counts) are machine-checked and raise
@@ -44,6 +47,7 @@ from deephole.codes import Code, rs
 from deephole.errors import TheoremAssertionError
 from deephole.gf import GF
 from deephole.poly import Poly, is_irreducible, mod_inverse
+from deephole.table import Table
 
 TAGS = ("degree_k", "inverse_monomial", "zero_sum_free", "quadratic", "cubic")
 
@@ -83,13 +87,21 @@ class DeepHoleFamily:
     def coset_count(self) -> int:
         return len(self.cosets) * (self.code.field.q - 1 if self.scale_closed else 1)
 
-    def describe(self, sample_words: int = 3) -> dict:
-        return {
-            "tag": self.tag,
-            "params": self.params,
-            "coset_count": self.coset_count,
-            "sample_words": [list(w) for w in self.words[:sample_words]],
+
+def family_table(fams) -> Table:
+    """The report rows of families of one tag: the tag, the params, the coset
+    count and the first three sample words of each; params or words of
+    different shapes raise ValueError."""
+    if not fams:
+        return Table({})
+    return Table(
+        {
+            "tag": fams[0].tag,
+            "params": {name: np.array([f.params[name] for f in fams]) for name in fams[0].params},
+            "coset_count": np.array([f.coset_count for f in fams]),
+            "sample_words": np.array([f.words[:3] for f in fams]),
         }
+    )
 
 
 def _check_prs_k_range(code: Code):

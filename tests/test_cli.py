@@ -143,17 +143,17 @@ def test_ssp_counts_are_checked_against_the_closed_forms(monkeypatch):
 def test_family_command():
     report, code = _run(["family", "quadratic", "--q", "5", "--k", "3"])
     assert code == 0
-    fams = report["result"]["families"]
+    fams = report["result"]["families"].rows()
     assert len(fams) == 10
     assert all(f["coset_count"] == 24 for f in fams)
     report, code = _run(["family", "degree_k", "--q", "5", "--k", "3"])
     assert code == 0
-    assert report["result"]["families"][0]["coset_count"] == 20
+    assert report["result"]["families"].rows()[0]["coset_count"] == 20
     report, code = _run(
         ["family", "zero_sum_free", "--q", "13", "--set", "0,1,2,3,4", "--r", "2"]
     )
     assert code == 0
-    assert report["result"]["families"][0]["coset_count"] == 1
+    assert report["result"]["families"].rows()[0]["coset_count"] == 1
     report, code = _run(
         ["family", "inverse_monomial", "--q", "5", "--set", "1,2,3,4", "--k", "2"]
     )
@@ -618,7 +618,8 @@ tracer.install()
 report, code = deephole.cli.run_command(sys.argv[2:])
 metrics = spans.layer_metrics(tracer.spans)
 problems = spans.cross_check(tracer.spans, metrics, 0)
-print(json.dumps({"code": code, "result": report["result"], "problems": problems, **metrics}))
+result = json.loads(deephole.cli.render_json(report))["result"]
+print(json.dumps({"code": code, "result": result, "problems": problems, **metrics}))
 """
 
 

@@ -21,6 +21,7 @@ from deephole.families import (
     cubic_nondeep_by_splitting,
     degree_k_family,
     dh_intersection,
+    family_table,
     inverse_monomial_family,
     quadratic_families,
     quadratic_family,
@@ -398,9 +399,9 @@ def test_families_on_extension_field():
         assert aff.error_distance(w) == aff.n - aff.k
 
 
-def test_family_describe():
+def test_family_table():
     fam = quadratic_family(prs(G5, 3), Poly(G5, (2, 0, 1)))
-    d = fam.describe()
+    [d] = family_table([fam]).rows()
     assert d["tag"] == "quadratic"
     assert d["coset_count"] == 24
     assert d["params"] == {"poly": [2, 0, 1]}

@@ -69,7 +69,7 @@ def _assert_classes_stand_for(code, fam, packed):
     packed = np.unique(packed)
     assert fam.scale_closed
     assert np.array_equal(_multiples(code, fam.cosets), packed)
-    assert fam.describe()["coset_count"] == len(packed)
+    assert families.family_table([fam]).rows()[0]["coset_count"] == len(packed)
 
 
 # the sizes of tests/fixtures/report_digests.json
@@ -134,12 +134,12 @@ def test_the_zero_sum_free_coset_is_not_scale_closed(q):
     assert fam.cosets.tolist() == code.class_ids([own]).tolist()
     # its class holds q - 1 cosets, and the family only the one
     assert len(_multiples(code, fam.cosets)) == q - 1
-    assert fam.describe()["coset_count"] == 1
+    assert families.family_table([fam]).rows()[0]["coset_count"] == 1
     argv = ["family", "zero_sum_free", "--q", str(q), "--set", "0,1,2,3", "--r", "2"]
     report, exit_code = run_command(argv)
     assert exit_code == 0
     assert report["result"]["total_distinct_cosets"] == 1
-    assert report["result"]["families"][0]["coset_count"] == 1
+    assert report["result"]["families"].rows()[0]["coset_count"] == 1
 
 
 @pytest.mark.parametrize("q, k", [(7, 5), (13, 11), (7, 4), (8, 5), (11, 8)])

@@ -33,7 +33,6 @@ REFERENCES = {
     "codes.Code.is_mds": "an acceptance criterion",
     "gf.GF.is_square": "poly.is_irreducible at degree 2",
     "poly.RationalFunction": "Code.rational_words",
-    "table.Table.rows": "Table.render_json",
     "numbertheory.QuadraticExtension.lift": "QuadraticExtension.cubic_residue_counts",
     "numbertheory.QuadraticExtension.residue": "the alpha column of n3_sweep",
     "numbertheory.n3_bruteforce": "the brute-force column of n3_sweep",

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from deephole.table import Table
+from deephole.table import SLOT, Table
 
 
 def _dumps_at(rows, indent, level):
@@ -38,6 +38,33 @@ def test_table_rows_len_and_render():
             assert t.render_json(indent, level) == _dumps_at(rows, indent, level)
 
 
+def test_nested_and_shared_columns_render_as_json_dumps():
+    words = np.arange(2 * 3 * 4, dtype=np.uint8).reshape(2, 3, 4)
+    t = Table(
+        {
+            "tag": 'c%d "\u00e9" \u00e9\u2192 %%',
+            "params": {"poly": np.array([[1, 0, 1], [2, 1, 1]]), "k": np.array([3, -4])},
+            "words": words,
+            "flat": np.zeros((2, 2, 0), dtype=np.int16),
+            "none": {},
+            "inner": {"deeper": {"x": np.array([5, 6], dtype=np.int32)}, "s": "%"},
+        }
+    )
+    assert len(t) == 2
+    rows = t.rows()
+    assert rows[1] == {
+        "tag": 'c%d "\u00e9" \u00e9\u2192 %%',
+        "params": {"poly": [2, 1, 1], "k": -4},
+        "words": words[1].tolist(),
+        "flat": [[], []],
+        "none": {},
+        "inner": {"deeper": {"x": 6}, "s": "%"},
+    }
+    for indent in (2, 4):
+        for level in range(4):
+            assert t.render_json(indent, level) == _dumps_at(rows, indent, level)
+
+
 def test_zero_row_table():
     t = Table({"x": np.zeros(0, dtype=np.int64), "y": np.zeros((0, 3), dtype=np.int32)})
     assert len(t) == 0
@@ -45,6 +72,9 @@ def test_zero_row_table():
     assert t.render_json(2, 0) == "[]" == _dumps_at([], 2, 0)
     assert t.render_json(2, 3) == "[]" == _dumps_at([], 2, 3)
     assert len(Table({})) == 0 and Table({}).rows() == []
+    t = Table({"s": "x", "p": {"a": np.zeros((0, 2, 2), dtype=np.int64)}})
+    assert len(t) == 0 and t.rows() == []
+    assert t.render_json(4, 1) == "[]" == _dumps_at([], 4, 1)
 
 
 @pytest.mark.parametrize(
@@ -57,8 +87,16 @@ def test_zero_row_table():
         {"a": np.array(["1", "2"])},
         {"a": np.array([1, 2], dtype=object)},
         {"a": np.array([1, 2], dtype=np.uint64)},  # does not fit int64
-        {"a": np.zeros((2, 2, 2), dtype=np.int64)},  # 3-D
         {"a": np.int64(3)},  # 0-D
+        {"a": [{"b": 1}, {"b": 2}]},  # a list of dicts
+        {"a": np.arange(2), "p": {"b": np.arange(2.0)}},  # float, nested
+        {"a": None},
+        {"a": np.arange(2), "p": {"b": np.arange(3)}},  # row counts differ, nested
+        {"a": "x" + SLOT},  # a string holding the slot marker
+        {"a": {"b": SLOT}},
+        {"a" + SLOT: np.arange(2)},
+        {"p": {SLOT: np.arange(2)}},
+        {3: np.arange(2)},  # a name that is not a str
     ],
 )
 def test_bad_columns_raise_value_error(columns):
