@@ -542,7 +542,8 @@ def test_golden_fixtures():
 def test_family_reports_match_recorded_digests():
     # SHA-256 of render_json and of render_csv for the family, hypergraph,
     # completeness and cubic-coverage reports up to the sizes of the benchmark
-    # sweep
+    # sweep, and for the n3 reports at q in {4, 5, 7, 8, 9, 11, 13, 16, 17}:
+    # both r3 branches, prime and extension fields
     digests = json.loads((FIXTURES / "report_digests.json").read_text())
     csv_digests = json.loads((FIXTURES / "csv_digests.json").read_text())
     assert set(csv_digests) == set(digests)
