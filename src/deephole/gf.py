@@ -13,9 +13,10 @@ accepts when coefficient vectors (c_0, ..., c_{m-1}) are compared
 lexicographically, low-degree coefficient first; a prime field has the
 modulus x.  The generator is the smallest encoding whose powers, taken by
 ``poly.pow_mod`` modulo the modulus, pass the prime-divisor test of order
-q-1.  The log and exp tables step through its powers by one vectorised map
-b -> g*b.  A prime field adds, multiplies and inverts residues directly and
-builds no log table for them.
+q-1.  An extension field runs both searches over one uncached GF(p).  The
+log and exp tables step through its powers by one vectorised map b -> g*b.
+A prime field adds, multiplies and inverts residues directly and builds no
+log table for them.
 """
 
 from __future__ import annotations
@@ -61,16 +62,17 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """First monic irreducible of degree m over GF(p), coefficient vectors
-    compared lexicographically low-degree-first.  The scan starts at c_0 = 1,
-    since every candidate with c_0 = 0 has the root 0."""
+def _smallest_irreducible(base: "GF", m: int) -> tuple[int, ...]:
+    """First monic irreducible of degree m over the prime field base,
+    coefficient vectors compared lexicographically low-degree-first.  The
+    scan starts at c_0 = 1, since every candidate with c_0 = 0 has the root
+    0."""
     if m == 1:
         return (0, 1)
     # deferred: poly imports gf at module level
     from deephole.poly import Poly, is_irreducible
 
-    base = GF(p)  # uncached: its p x p tables go with this search
+    p = base.p
     for low in itertools.product(range(1, p), *[range(p)] * (m - 1)):
         f = Poly(base, low + (1,))
         if is_irreducible(f):
@@ -98,12 +100,18 @@ class GF:
         self.p = p
         self.m = m
         self.q = q
-        self.modulus = _smallest_irreducible(p, m)
         self._powers = tuple(p**i for i in range(m))
         self._logs = None      # log table relative to self.generator()
         self._exps = None
         self._generator = None
         self._np_tables = {}
+        # a prime field is its own base; an extension keeps one uncached GF(p)
+        # for its modulus and generator searches, without the p x p tables
+        # that the modulus search may build
+        base = self if m == 1 else GF(p)
+        self.modulus = _smallest_irreducible(base, m)
+        base._np_tables.clear()
+        self._base = None if m == 1 else base
 
     # -- identity ------------------------------------------------------
 
@@ -236,7 +244,7 @@ class GF:
             # deferred: poly imports gf at module level
             from deephole.poly import Poly, pow_mod
 
-            base = make_field(self.p)
+            base = self._base or self
             mod, one = Poly(base, self.modulus), Poly.one(base)
             n = self.q - 1
             fs = prime_factors(n) if n > 1 else []

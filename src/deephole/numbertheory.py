@@ -2,28 +2,30 @@
 monic irreducible cubics in the residue classes modulo an irreducible
 quadratic.
 
-The residue ring GF(q)[x]/(q(x)) is realized through an explicit isomorphism
-onto GF(q^2), so cubic-residue counting and the order-3 character both run on
-ordinary field arithmetic.  The brute-force count still enumerates every monic
-irreducible cubic: all of them are lifted into GF(q^2) in one table-gather
-evaluation (``poly.evaluate``), and each ring's counts at l*alpha are gathered
-over arrays.  The character-based count is gathered over arrays from the
+``n3_sweep`` is the one path for the cubic distribution.  It realizes every
+residue ring GF(q)[x]/(q(x)) inside GF(q^2) at once: GF(q) embeds once per
+sweep, and per block of quadratics one ``poly.evaluate`` over all of GF(q^2)
+finds every root theta, one more builds every residue map x -> theta, and a
+third lifts every monic irreducible cubic at every theta.  The brute-force
+column is gathered from the lifts; the character column is gathered from the
 discrete logs of GF(q^2) and never reads the brute force, so one checks the
-other; ``n3_sweep`` returns both as columns of a ``table.Table``, and the
-scalar ``n3_formula`` and ``r3`` stay as the per-class reference.
+other.  The scalar references ``n3_bruteforce``, ``n3_formula`` and ``r3``
+take one quadratic and one class (c0, c1) and compute in GF(q)[x]/(q(x))
+with ``Poly`` arithmetic, not through GF(q^2).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
+from deephole import codes
 from deephole.errors import TheoremAssertionError
 from deephole.gf import GF, make_field
-from deephole.poly import Poly, evaluate, is_irreducible, monic_irreducibles
+from deephole.poly import Poly, evaluate, is_irreducible, monic_irreducibles, pow_mod
 from deephole.table import Table
 
 # -- subset sums -------------------------------------------------------------
@@ -119,111 +121,70 @@ def degree_k1_nondeephole(field: GF, D, k: int, a: int) -> bool:
 # -- distribution of irreducible cubics ---------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def _embedding(base: GF) -> tuple[GF, np.ndarray]:
     """GF(q^2) and the image of every base-field element in it.  The base
     generator-polynomial root goes to tau, the smallest-encoding root of the
     base modulus in GF(q^2); fetching the GF(q^2) tables first makes a field
-    over TABLE_LIMIT fail here, before any work."""
+    over TABLE_LIMIT fail here, before any enumeration."""
     ext = make_field(base.p, 2 * base.m)
-    points = np.arange(ext.q)
-    tau = points[evaluate(ext, [base.modulus], points)[0] == 0][0]
-    digits = [base.digits(e) for e in range(base.q)]
-    embed = evaluate(ext, digits, [tau])[:, 0]
-    embed.setflags(write=False)
+    tau = np.argmax(evaluate(ext, [base.modulus], np.arange(ext.q))[0] == 0)
+    embed = evaluate(ext, [base.digits(e) for e in range(base.q)], [tau])[:, 0]
     return ext, embed
 
 
-class QuadraticExtension:
-    """GF(q)[x]/(q(x)) realized inside GF(q^2).
-
-    The base field embeds through a root tau of the base modulus in the big
-    field, computed once per base field; the residue class of x maps to a
-    root theta of q(x).  Both roots are chosen smallest-encoding-first so the
-    realization is deterministic.  Residue classes and cubic residues are
-    evaluated over arrays by ``poly.evaluate``; ``lift`` is the scalar route.
-    """
-
-    def __init__(self, qpoly: Poly):
-        base = qpoly.field
-        if qpoly.degree != 2 or not qpoly.is_monic or not is_irreducible(qpoly):
-            raise ValueError(f"{qpoly!r} is not a monic irreducible quadratic")
-        self.base = base
-        self.qpoly = qpoly
-        self.ext, self._embed = _embedding(base)
-        ext = self.ext
-        points = np.arange(ext.q)
-        emb_q = self._embed[list(qpoly.coeffs)]
-        self.theta = int(points[evaluate(ext, [emb_q], points)[0] == 0][0])
-        # class c0 + c1 x has code c0 + q*c1; _classes[code] is its image
-        codes = np.arange(base.q**2)
-        linear = self._embed[np.stack([codes % base.q, codes // base.q], axis=1)]
-        self._classes = evaluate(ext, linear, [self.theta])[:, 0]
-        self._codes = np.zeros(ext.q, dtype=np.intp)
-        self._codes[self._classes] = codes
-        if np.bincount(self._classes, minlength=ext.q).max() != 1:
-            raise AssertionError("residue map is not a bijection")
-        self._cubic_counts = None
-
-    def embed(self, a: int) -> int:
-        """Image in GF(q^2) of a base-field element."""
-        return int(self._embed[a])
-
-    def lift(self, f: Poly) -> int:
-        """Image in GF(q^2) of f(x) mod q(x), by scalar Horner steps: the
-        reference for the cubic lifts of cubic_residue_counts and n3_sweep."""
-        ext = self.ext
-        acc = 0
-        for c in reversed(f.coeffs):
-            acc = ext.add(ext.mul(acc, self.theta), self.embed(c))
-        return acc
-
-    def residue(self, alpha: int) -> tuple[int, int]:
-        """Coefficients (c0, c1) of the residue class c0 + c1 x mapping to
-        alpha: the scalar reference for the alpha column of n3_sweep."""
-        return divmod(int(self._codes[alpha]), self.base.q)[::-1]
-
-    def residue_classes(self) -> list[int]:
-        """Nonzero residue classes in deterministic order (class c0 + c1 x
-        at position c0 + q*c1 - 1), as ext encodings."""
-        return self._classes[1:].tolist()
-
-    def cubic_residue_counts(self) -> np.ndarray:
-        """Multiplicity of each residue among the monic irreducible cubics,
-        indexed by ext encoding; every cubic lifted in one evaluation."""
-        if self._cubic_counts is None:
-            cubics = [p.coeffs for p in monic_irreducibles(self.base, 3)]
-            lifted = evaluate(self.ext, self._embed[cubics], [self.theta])[:, 0]
-            self._cubic_counts = np.bincount(lifted, minlength=self.ext.q)
-        return self._cubic_counts
+def _residue_maps(ext: GF, quadratics: np.ndarray, linear: np.ndarray):
+    """theta, the smallest-encoding root in GF(q^2) of each row of a (B, 3)
+    array of embedded monic irreducible quadratics, and the residue maps
+    x -> theta as a (B, len(linear)) array: the image of each row of linear,
+    the embedded coefficients of a class c0 + c1 x.  One evaluation over all
+    of GF(q^2) finds every theta, and one more at the thetas builds every
+    map."""
+    theta = np.argmax(evaluate(ext, quadratics, np.arange(ext.q)) == 0, axis=1)
+    return theta, evaluate(ext, linear, theta).T
 
 
-def n3_bruteforce(ring: QuadraticExtension, alpha: int) -> int:
+def _cubic_residues(qpoly: Poly) -> Counter:
+    """Multiplicity of each residue p % q(x) among the monic irreducible
+    cubics p, by Poly division."""
+    return Counter(p % qpoly for p in monic_irreducibles(qpoly.field, 3))
+
+
+def _residue(qpoly: Poly, alpha) -> Poly:
+    """The residue class alpha = (c0, c1) of GF(q)[x]/(q(x)) as the Poly
+    c0 + c1 x, after checking that q(x) is a monic irreducible quadratic and
+    that alpha is nonzero."""
+    if qpoly.degree != 2 or not qpoly.is_monic or not is_irreducible(qpoly):
+        raise ValueError(f"{qpoly!r} is not a monic irreducible quadratic")
+    a = Poly(qpoly.field, alpha)
+    if not a:
+        raise ValueError("alpha must be a nonzero residue class")
+    return a
+
+
+def n3_bruteforce(qpoly: Poly, alpha) -> int:
     """Number of pairs (p, l): p monic irreducible cubic, l nonzero scalar,
-    with p = l*alpha modulo q(x); by full enumeration of cubics."""
-    if alpha == 0:
-        raise ValueError("alpha must be a nonzero residue class")
-    counts = ring.cubic_residue_counts()
-    ext = ring.ext
-    return sum(
-        int(counts[ext.mul(ring.embed(l), alpha)]) for l in range(1, ring.base.q)
-    )
+    with p = l*alpha modulo q(x); by full enumeration of cubics, each reduced
+    in GF(q)[x]/(q(x)) by Poly division."""
+    a = _residue(qpoly, alpha)
+    residues = _cubic_residues(qpoly)
+    return sum(residues[a.scale(l)] for l in range(1, qpoly.field.q))
 
 
-def r3(ring: QuadraticExtension, alpha: int) -> int:
-    """Character correction term: 0 unless q = 2 mod 3, else 2 on the cube
-    subgroup of GF(q^2)* and -1 off it."""
-    if alpha == 0:
-        raise ValueError("alpha must be a nonzero residue class")
-    if ring.base.q % 3 != 2:
+def r3(qpoly: Poly, alpha) -> int:
+    """Character correction term: 0 unless q = 2 mod 3, else 2 when alpha is
+    a cube in (GF(q)[x]/(q(x)))*, that is alpha^((q^2-1)/3) = 1 modulo
+    q(x), and -1 otherwise."""
+    a = _residue(qpoly, alpha)
+    q = qpoly.field.q
+    if q % 3 != 2:
         return 0
-    return 2 if ring.ext.discrete_log(alpha) % 3 == 0 else -1
+    return 2 if pow_mod(a, (q * q - 1) // 3, qpoly) == Poly.one(qpoly.field) else -1
 
 
-def n3_formula(ring: QuadraticExtension, alpha: int) -> int:
+def n3_formula(qpoly: Poly, alpha) -> int:
     """(q(q-1) - r3(alpha)) / 3; exact."""
-    q = ring.base.q
-    t = q * (q - 1) - r3(ring, alpha)
+    q = qpoly.field.q
+    t = q * (q - 1) - r3(qpoly, alpha)
     if t % 3:
         raise AssertionError("character formula did not produce a multiple of 3")
     return t // 3
@@ -232,39 +193,43 @@ def n3_formula(ring: QuadraticExtension, alpha: int) -> int:
 def n3_sweep(field: GF) -> Table:
     """Columns (q(x), alpha, brute force, formula, r3) over every monic
     irreducible quadratic and every nonzero residue class, quadratic-major.
-    Every irreducible cubic is lifted into every ring by one evaluation at
-    the rings' roots theta; the brute-force column of each ring is then one
-    gather over (scalar l, class alpha) of its cubic residue counts at
-    l*alpha.  The formula and r3 columns are gathered from the discrete logs
-    of GF(q^2) and never read the brute force."""
-    ext, embed = _embedding(field)
+
+    The quadratics go in blocks, so that no per-block array holds more than
+    codes.SCAN_CHUNK entries.  Each block takes three evaluations over
+    GF(q^2): every theta, every residue map, and every irreducible cubic
+    lifted at every theta.  The brute-force count at alpha is the number of
+    cubics whose lift lies in the coset alpha*GF(q)*, since each such cubic
+    is l*alpha for exactly one l; cosets are compared by their
+    smallest-encoding element, gathered from the product table.  The formula
+    and r3 columns are gathered from the discrete logs of GF(q^2) and never
+    read the brute force."""
     q = field.q
-    quadratics = monic_irreducibles(field, 2)
-    rings = [QuadraticExtension(qpoly) for qpoly in quadratics]
+    ext, embed = _embedding(field)
+    coset = ext.mul_table[embed[1:]].min(axis=0)
+    # alpha is a cube in GF(q^2)* iff its log is 0 mod 3; r3 is 0 unless q = 2 mod 3
+    r3_of = np.where(np.array(ext._log_tables()[0]) % 3 == 0, 2, -1) * (q % 3 == 2)
+    quadratics = np.array([p.coeffs for p in monic_irreducibles(field, 2)])
     cubics = embed[[p.coeffs for p in monic_irreducibles(field, 3)]]
-    lifted = evaluate(ext, cubics, [ring.theta for ring in rings])
-    scaled = ext.mul_table[embed[1:]]  # (l, beta) -> l*beta
-    alphas, brute = [], []
-    for ring, lifts in zip(rings, lifted.T):
-        classes = ring.residue_classes()
-        counts = np.bincount(lifts, minlength=ext.q)
-        brute.append(counts[scaled[:, classes]].sum(axis=0))
-        alphas.append(classes)
-    alphas = np.concatenate(alphas)
-    if q % 3 == 2:
-        logs = np.array([ext.discrete_log(a) for a in range(1, ext.q)])
-        r3_col = np.where(logs[alphas - 1] % 3 == 0, 2, -1)
-    else:
-        r3_col = np.zeros(len(alphas), dtype=np.int64)
+    # the nonzero class c0 + c1 x at row c0 + q*c1 - 1
+    codes_ = np.arange(1, q * q)
+    residues = np.stack([codes_ % q, codes_ // q], axis=1)
+    block = max(1, codes.SCAN_CHUNK // max(ext.q, len(cubics)))
+    brute, r3_col = [], []
+    for start in range(0, len(quadratics), block):
+        quads = embed[quadratics[start : start + block]]
+        theta, maps = _residue_maps(ext, quads, embed[residues])
+        offsets = ext.q * np.arange(len(theta))
+        lifts = coset[evaluate(ext, cubics, theta)] + offsets
+        counts = np.bincount(lifts.ravel(), minlength=offsets.size * ext.q)
+        brute.append(counts[coset[maps] + offsets[:, None]].ravel())
+        r3_col.append(r3_of[maps].ravel())
+    r3_col = np.concatenate(r3_col)
     t = q * (q - 1) - r3_col
     if np.any(t % 3):
         raise AssertionError("character formula did not produce a multiple of 3")
-    # residue_classes() lists class c0 + c1 x at position c0 + q*c1 - 1
-    codes = np.arange(1, q * q)
-    residues = np.stack([codes % q, codes // q], axis=1)
     return Table(
         {
-            "qpoly": np.repeat([p.coeffs for p in quadratics], len(codes), axis=0),
+            "qpoly": np.repeat(quadratics, len(residues), axis=0),
             "alpha": np.tile(residues, (len(quadratics), 1)),
             "n3_bruteforce": np.concatenate(brute),
             "n3_formula": t // 3,

@@ -316,10 +316,10 @@ def test_enum_exceptional_radius_is_informational(q, k):
 
 def test_n3_over_the_table_limit_exits_before_any_quadratic(monkeypatch, capsys):
     # n3 --q 67 needs GF(67^2), and 67^2 = 4489 exceeds TABLE_LIMIT
-    def per_quadratic_work(qpoly):
-        raise AssertionError("n3 started per-quadratic work")
+    def enumeration(field, d):
+        raise AssertionError("n3 started enumerating irreducibles")
 
-    monkeypatch.setattr(numbertheory, "QuadraticExtension", per_quadratic_work)
+    monkeypatch.setattr(numbertheory, "monic_irreducibles", enumeration)
     report, code = _run(["n3", "--q", "67", "--unsafe-bounds"])
     assert report is None and code == 1
     err = capsys.readouterr().err

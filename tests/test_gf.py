@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from deephole.errors import BoundExceededError
+from deephole import gf
 from deephole.gf import GF, field_of_order, make_field, prime_factors
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]
@@ -56,6 +57,24 @@ def test_make_field_errors_and_idempotence():
     assert field_of_order(9) is make_field(3, 2)
     with pytest.raises(ValueError):
         field_of_order(12)
+
+
+def test_an_extension_field_builds_one_uncached_base_field(monkeypatch):
+    # the modulus and generator searches share one GF(3), and neither reads
+    # or fills make_field's cache
+    built = []
+    init = GF.__init__
+
+    def counting_init(self, p, m=1):
+        built.append((p, m))
+        init(self, p, m)
+
+    monkeypatch.setattr(GF, "__init__", counting_init)
+    before = gf._cached_field.cache_info()
+    field = GF(3, 4)
+    assert field.mul_table[field.generator(), 1] == field.generator()
+    assert built == [(3, 4), (3, 1)]
+    assert gf._cached_field.cache_info() == before
 
 
 def test_basic_arithmetic():

@@ -1,13 +1,15 @@
+import functools
 import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from deephole import codes, numbertheory
 from deephole.codes import rs
 from deephole.gf import field_of_order, make_field
 from deephole.numbertheory import (
-    QuadraticExtension,
     degree_k1_nondeephole,
     initial_segment,
     is_zero_sum_free,
@@ -20,7 +22,7 @@ from deephole.numbertheory import (
     subset_sum_row,
     zero_sum_violations,
 )
-from deephole.poly import Poly, is_irreducible, monic_irreducibles
+from deephole.poly import Poly, evaluate, is_irreducible, monic_irreducibles
 
 G5 = make_field(5)
 G7 = make_field(7)
@@ -145,119 +147,120 @@ def test_nondeephole_criterion_matches_exact_distance():
             assert not_deep == degree_k1_nondeephole(field, D, k, a)
 
 
-def test_quadratic_extension_is_field_homomorphism():
-    for base in (make_field(2), make_field(3), G5, make_field(2, 2)):
-        qpoly = monic_irreducibles(base, 2)[0]
-        ring = QuadraticExtension(qpoly)
-        ext = ring.ext
-        assert ext.q == base.q**2
-        for a in range(base.q):
-            for b in range(base.q):
-                assert ring.embed(base.add(a, b)) == ext.add(
-                    ring.embed(a), ring.embed(b)
-                )
-                assert ring.embed(base.mul(a, b)) == ext.mul(
-                    ring.embed(a), ring.embed(b)
-                )
-        # theta is a root of the embedded quadratic
-        emb = [ring.embed(c) for c in qpoly.coeffs]
-        acc = 0
-        for c in reversed(emb):
-            acc = ext.add(ext.mul(acc, ring.theta), c)
-        assert acc == 0
-        # every residue class appears exactly once
-        assert sorted(ring.residue_classes()) == list(range(1, ext.q))
+def _classes(q):
+    """Every nonzero residue class (c0, c1), in the order of n3_sweep's rows."""
+    return [(c % q, c // q) for c in range(1, q * q)]
+
+
+def test_embedding_is_a_homomorphism_and_residue_maps_biject():
+    for q in (2, 3, 4, 5, 8, 9):
+        base = field_of_order(q)
+        ext, embed = numbertheory._embedding(base)
+        assert ext.q == q * q
+        for a in range(q):
+            for b in range(q):
+                assert embed[base.add(a, b)] == ext.add(int(embed[a]), int(embed[b]))
+                assert embed[base.mul(a, b)] == ext.mul(int(embed[a]), int(embed[b]))
+        quadratics = [p.coeffs for p in monic_irreducibles(base, 2)]
+        linear = embed[_classes(q)]
+        thetas, maps = numbertheory._residue_maps(ext, embed[quadratics], linear)
+        assert maps.shape == (len(quadratics), q * q - 1)
+        for coeffs, theta, row in zip(quadratics, thetas.tolist(), maps.tolist()):
+            # theta is the smallest root of the embedded quadratic, by scalar
+            # Horner steps over all of GF(q^2)
+            emb = [int(embed[c]) for c in coeffs]
+            roots = [
+                x for x in range(ext.q)
+                if ext.add(ext.mul(ext.add(ext.mul(emb[2], x), emb[1]), x), emb[0]) == 0
+            ]
+            assert theta == roots[0]
+            # every nonzero class maps to a distinct nonzero element
+            assert sorted(row) == list(range(1, ext.q))
 
 
 def test_n3_q2():
     g2 = make_field(2)
-    ring = QuadraticExtension(monic_irreducibles(g2, 2)[0])
-    values = {ring.residue(a): n3_bruteforce(ring, a) for a in ring.residue_classes()}
+    qpoly = monic_irreducibles(g2, 2)[0]
+    values = {alpha: n3_bruteforce(qpoly, alpha) for alpha in _classes(2)}
     assert values[(1, 0)] == 0  # the constant class has no cubic
     assert values[(0, 1)] == 1
     assert values[(1, 1)] == 1
-    for a in ring.residue_classes():
-        assert n3_formula(ring, a) == n3_bruteforce(ring, a)
+    for alpha in _classes(2):
+        assert n3_formula(qpoly, alpha) == n3_bruteforce(qpoly, alpha)
 
 
 def test_n3_q4_constant():
     g4 = make_field(2, 2)
     for qpoly in monic_irreducibles(g4, 2)[:2]:
-        ring = QuadraticExtension(qpoly)
-        for a in ring.residue_classes():
-            assert n3_bruteforce(ring, a) == 4  # q(q-1)/3 with q = 1 mod 3
-            assert r3(ring, a) == 0
+        for alpha in _classes(4):
+            assert n3_bruteforce(qpoly, alpha) == 4  # q(q-1)/3 with q = 1 mod 3
+            assert r3(qpoly, alpha) == 0
 
 
 def test_n3_q5_sweep():
     seen = set()
     for qpoly in monic_irreducibles(G5, 2):
-        ring = QuadraticExtension(qpoly)
-        for a in ring.residue_classes():
-            bf = n3_bruteforce(ring, a)
-            assert bf == n3_formula(ring, a)
+        for alpha in _classes(5):
+            bf = n3_bruteforce(qpoly, alpha)
+            assert bf == n3_formula(qpoly, alpha)
             seen.add(bf)
     assert seen == {6, 7}  # both character values occur at q = 2 mod 3
 
 
-def test_n3_bruteforce_matches_scalar_recount():
-    # an independent recount: cubics by the irreducibility test, lifted one
-    # at a time by the scalar Horner rule of QuadraticExtension.lift
-    for base in (make_field(2), make_field(3), make_field(2, 2), G5, G7):
-        q = base.q
-        cubics = [
-            Poly(base, low + (1,))
-            for low in itertools.product(range(q), repeat=3)
-            if is_irreducible(Poly(base, low + (1,)))
-        ]
-        for qpoly in monic_irreducibles(base, 2):
-            ring = QuadraticExtension(qpoly)
-            ext = ring.ext
-            lifted = Counter(ring.lift(p) for p in cubics)
-            for alpha in ring.residue_classes():
-                recount = sum(
-                    lifted[ext.mul(ring.embed(l), alpha)] for l in range(1, q)
-                )
-                assert n3_bruteforce(ring, alpha) == recount
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_n3_sweep_columns_match_the_poly_references(q, monkeypatch):
+    # every row against the references in GF(q)[x]/(q(x)): both r3 branches
+    # (q = 2 mod 3 or not), prime and extension fields.  Each cubic residue
+    # count is reduced once per quadratic, and checked against a recount over
+    # the cubics that the irreducibility test finds
+    monkeypatch.setattr(
+        numbertheory, "_cubic_residues", functools.cache(numbertheory._cubic_residues)
+    )
+    base = field_of_order(q)
+    table = n3_sweep(base)
+    cols = {name: col.tolist() for name, col in table.columns.items()}
+    assert list(cols) == ["qpoly", "alpha", "n3_bruteforce", "n3_formula", "r3"]
+    cubics = [
+        Poly(base, low + (1,))
+        for low in itertools.product(range(q), repeat=3)
+        if is_irreducible(Poly(base, low + (1,)))
+    ]
+    expected = {name: [] for name in cols}
+    for qpoly in monic_irreducibles(base, 2):
+        assert numbertheory._cubic_residues(qpoly) == Counter(p % qpoly for p in cubics)
+        for alpha in _classes(q):
+            expected["qpoly"].append(list(qpoly.coeffs))
+            expected["alpha"].append(list(alpha))
+            expected["n3_bruteforce"].append(n3_bruteforce(qpoly, alpha))
+            expected["n3_formula"].append(n3_formula(qpoly, alpha))
+            expected["r3"].append(r3(qpoly, alpha))
+    assert cols == expected
+    assert len(table) == (q * q - q) // 2 * (q * q - 1)
 
 
-def test_n3_sweep_rows_match_per_alpha_functions():
-    rows = n3_sweep(G5)
-    expected = []
-    for qpoly in monic_irreducibles(G5, 2):
-        ring = QuadraticExtension(qpoly)
-        for alpha in ring.residue_classes():
-            expected.append(
-                {
-                    "qpoly": list(qpoly.coeffs),
-                    "alpha": list(ring.residue(alpha)),
-                    "n3_bruteforce": n3_bruteforce(ring, alpha),
-                    "n3_formula": n3_formula(ring, alpha),
-                    "r3": r3(ring, alpha),
-                }
-            )
-    assert rows.rows() == expected
-    assert len(rows) == 10 * 24
+@pytest.mark.parametrize("q", [5, 8, 9])
+def test_n3_sweep_blocks_give_the_one_block_table(q, monkeypatch):
+    # a SCAN_CHUNK of three quadratics' worth forces several blocks (the last
+    # one short at q = 5 and 8), and no evaluation in them holds more than
+    # SCAN_CHUNK entries
+    base = field_of_order(q)
+    one_block = n3_sweep(base).rows()
+    quadratics = len(monic_irreducibles(base, 2))
+    chunk = 3 * max(q * q, len(monic_irreducibles(base, 3)))
+    monkeypatch.setattr(codes, "SCAN_CHUNK", chunk)
+    sizes = []
 
+    def recording_evaluate(field, coeffs, xs):
+        out = evaluate(field, coeffs, xs)
+        sizes.append(out.size)
+        return out
 
-def test_n3_sweep_columns_match_per_alpha_functions_on_small_fields():
-    # both r3 branches (q = 2 mod 3 or not), prime and extension fields
-    for q in (2, 3, 4, 7, 8, 9):
-        base = field_of_order(q)
-        table = n3_sweep(base)
-        cols = {name: col.tolist() for name, col in table.columns.items()}
-        expected = {name: [] for name in cols}
-        for qpoly in monic_irreducibles(base, 2):
-            ring = QuadraticExtension(qpoly)
-            for alpha in ring.residue_classes():
-                expected["qpoly"].append(list(qpoly.coeffs))
-                expected["alpha"].append(list(ring.residue(alpha)))
-                expected["n3_bruteforce"].append(n3_bruteforce(ring, alpha))
-                expected["n3_formula"].append(n3_formula(ring, alpha))
-                expected["r3"].append(r3(ring, alpha))
-        assert list(cols) == ["qpoly", "alpha", "n3_bruteforce", "n3_formula", "r3"]
-        assert cols == expected, q
-        assert len(table) == (q * q - q) // 2 * (q * q - 1)
+    monkeypatch.setattr(numbertheory, "evaluate", recording_evaluate)
+    assert n3_sweep(base).rows() == one_block
+    blocks = -(-quadratics // 3)
+    assert blocks > 3
+    assert len(sizes) == 2 + 3 * blocks  # the embedding, then three per block
+    assert max(sizes) <= chunk
 
 
 def test_n3_pair_accounting():
@@ -265,26 +268,26 @@ def test_n3_pair_accounting():
     for base in (make_field(2), make_field(3), G5, make_field(2, 2)):
         q = base.q
         qpoly = monic_irreducibles(base, 2)[0]
-        ring = QuadraticExtension(qpoly)
-        total = sum(n3_bruteforce(ring, a) for a in ring.residue_classes())
+        total = sum(n3_bruteforce(qpoly, alpha) for alpha in _classes(q))
         assert total == (q**3 - q) // 3 * (q - 1)
 
 
 def test_r3_is_generator_independent():
-    for base in (make_field(2), G5):
-        ring = QuadraticExtension(monic_irreducibles(base, 2)[0])
-        ext = ring.ext
+    # n3_sweep reads cube-subgroup membership from the logs of GF(q^2) to its
+    # generator; the membership is the same for every generator
+    for base in (make_field(2), G5, make_field(2, 3)):
+        ext = make_field(base.p, 2 * base.m)
         gens = [g for g in range(1, ext.q) if ext.is_generator(g)]
-        for a in ring.residue_classes():
+        for a in range(1, ext.q):
             kernel = {ext.discrete_log(a, g) % 3 == 0 for g in gens}
-            assert len(kernel) == 1  # cube-subgroup membership is canonical
+            assert len(kernel) == 1
 
 
 def test_r3_errors():
-    ring = QuadraticExtension(monic_irreducibles(G5, 2)[0])
-    with pytest.raises(ValueError):
-        n3_bruteforce(ring, 0)
-    with pytest.raises(ValueError):
-        r3(ring, 0)
-    with pytest.raises(ValueError):
-        QuadraticExtension(Poly(G5, (4, 0, 1)))  # reducible
+    qpoly = monic_irreducibles(G5, 2)[0]
+    for reference in (n3_bruteforce, n3_formula, r3):
+        with pytest.raises(ValueError):
+            reference(qpoly, (0, 0))
+        for bad in ((4, 0, 1), (2, 0, 2), (2, 1)):  # reducible, not monic, linear
+            with pytest.raises(ValueError):
+                reference(Poly(G5, bad), (1, 0))
