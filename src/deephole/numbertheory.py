@@ -211,8 +211,8 @@ def n3_sweep(field: GF) -> Table:
     quadratics = np.array([p.coeffs for p in monic_irreducibles(field, 2)])
     cubics = embed[[p.coeffs for p in monic_irreducibles(field, 3)]]
     # the nonzero class c0 + c1 x at row c0 + q*c1 - 1
-    codes_ = np.arange(1, q * q)
-    residues = np.stack([codes_ % q, codes_ // q], axis=1)
+    ids = np.arange(1, q * q)
+    residues = np.stack([ids % q, ids // q], axis=1)
     block = max(1, codes.SCAN_CHUNK // max(ext.q, len(cubics)))
     brute, r3_col = [], []
     for start in range(0, len(quadratics), block):

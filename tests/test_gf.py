@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deephole.errors import BoundExceededError
 from deephole import gf
+from deephole.errors import BoundExceededError
 from deephole.gf import GF, field_of_order, make_field, prime_factors
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]

@@ -32,7 +32,7 @@ REFERENCES = {
     "codes.Code.parity_check_matrix": "Code.syndromes; perfbench/spans.py wraps it",
     "codes.Code.is_mds": "an acceptance criterion",
     "gf.GF.is_square": "poly.is_irreducible at degree 2",
-    "gf.GF.discrete_log": "the GF(q^2) logs of n3_sweep's r3 column",
+    "gf.GF.discrete_log": "the log table that n3_sweep's r3 column reads",
     "poly.RationalFunction": "Code.rational_words",
     "numbertheory.n3_bruteforce": "the brute-force column of n3_sweep",
     "numbertheory.n3_formula": "the formula column of n3_sweep",
