@@ -13,15 +13,17 @@ families.cubic_families, which build the basis words, syndromes and spans of
 a block of polynomials, and check all the families of the block, in array
 passes.
 
-Deepness does not change when a syndrome is scaled, so coset sets are coset
-arrays (families.coset_array) of class ids (Code.class_ids), each of q - 1
-cosets, and every count is q - 1 times a count of classes.  A union of
-families is one boolean mask over the classes (Code.class_mask), compared
-with the deep set by one masked test.  The hypergraph's vertices are the q^2
-deep classes, and its statistics are read from its (edges x vertices) 0/1
-incidence matrix: degrees are its column sums, pairwise edge intersections
-the entries of E.E^T, and the even split of each edge one product with the
-indicator of the high degree.
+Deepness does not change when a syndrome is scaled, so a coset is named by
+its class id (codes.class_ids), coset sets are coset arrays
+(families.coset_array) of class ids, each of q - 1 cosets, and every count
+is q - 1 times a count of classes.  A union of families is one boolean mask
+over the classes (Code.class_mask), compared with the deep set by one
+masked test.  The hypergraph's vertices are the q^2 deep classes, and its
+statistics are read from its (edges x vertices) 0/1 incidence matrix:
+degrees are its column sums, pairwise edge intersections the entries of
+E.E^T, and the even split of each edge one product with the indicator of
+the high degree.  Nothing here packs a class into a base-q integer; the
+hypergraph report alone does, from codes.class_representatives.
 """
 
 from __future__ import annotations

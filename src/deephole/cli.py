@@ -195,23 +195,18 @@ def run_completeness(cfg: ExperimentConfig, field: GF) -> tuple[dict, dict]:
 def run_hypergraph(cfg: ExperimentConfig, field: GF) -> tuple[dict, dict]:
     h = classify.build_hypergraph(field)
     stats = classify.hypergraph_stats(h)
-    code = h.code
-    # the report names each class by the packed id of its representative
-    packed = functools.partial(codes.class_representatives, field.q, code.redundancy)
+    q, r = field.q, h.code.redundancy
     polys = sorted(h.edges)
+    # an edge names its classes by their representatives packed base q,
+    # lowest coordinate least significant
+    reps = codes.class_representatives(q, r, np.stack([h.edges[p] for p in polys]))
+    edges = np.sort(reps @ q ** np.arange(r), axis=1)
     result = {
         "num_vertices": stats["num_vertices"],
         "num_edges": stats["num_edges"],
         "degree_histogram": stats["degree_histogram"],
-        "vertices": sorted(
-            list(code.unpack_syndrome(v)) for v in packed(h.vertices).tolist()
-        ),
-        "edges": Table(
-            {
-                "poly": np.array(polys),
-                "vertices": np.sort(packed(np.stack([h.edges[p] for p in polys])), axis=1),
-            }
-        ),
+        "vertices": sorted(codes.class_representatives(q, r, h.vertices).tolist()),
+        "edges": Table({"poly": np.array(polys), "vertices": edges}),
     }
     return result, stats["checks"]
 

@@ -3,8 +3,9 @@
 Words are tuples of field-element encodings.  The projective evaluation order
 is the canonical field order (nonzero ascending, zero last), so generator and
 parity-check matrices reproduce the classical doubly-extended layout
-column-for-column.  Cosets are identified by syndromes; a packed syndrome is
-the base-q integer sum(s_i * q^i).
+column-for-column.  A coset is named by its class id, the place of the
+scalar class of its syndrome in the weight table below; only the hypergraph
+report packs representatives into base-q integers.
 
 Two independent error-distance algorithms are provided and cross-validated in
 the test suite: an exhaustive search over the information sets, and a
@@ -57,11 +58,13 @@ r-1 coordinates are independent, so for an MDS code W holds exactly r - 1
 columns and n - r + 1 passes over the whole table remain.
 
 A position in this table is a class id: the class of s != 0 has id
-offsets[j] + id // q^(j+1) for the packed id of its representative and j
-its first nonzero coordinate (Code.class_ids).  coset_leader_weights() is
-the table, and the covering radius its maximum.  Code.class_span gives the
-class ids of a span, one per combination of its syndromes whose first
-nonzero coefficient is 1, in the same box order over GF(q)^m.
+offsets[j] plus the place of its representative in box j, for j its first
+nonzero coordinate.  class_ids maps (..., m) vectors to class ids and
+class_representatives maps class ids back to representative vectors; no
+other code maps between the two.  coset_leader_weights() is the table, and
+the covering radius its maximum.  Code.class_span gives the class ids of a
+span, one per combination of its syndromes whose first nonzero coefficient
+is 1, in the same box order over GF(q)^m.
 
 The tables are bounded by one Limits value, the context variable LIMITS:
 the weight table and every span of syndromes need q^r <= LIMITS.syndromes,
@@ -279,25 +282,6 @@ class Code:
             out = add_t[out, mul_t[col, words[..., j, None]]]
         return out
 
-    def pack_syndrome(self, s) -> int:
-        q = self.field.q
-        return sum(si * q**i for i, si in enumerate(s))
-
-    def unpack_syndrome(self, idx: int) -> tuple[int, ...]:
-        q = self.field.q
-        return tuple((idx // q**i) % q for i in range(self.redundancy))
-
-    def coset_id(self, word) -> int:
-        return self.pack_syndrome(self.syndrome(word))
-
-    def class_ids(self, ids) -> np.ndarray:
-        """The class id of every packed syndrome id, the position of its
-        scalar class in the weight table (see the module docstring); -1 for
-        the zero syndrome."""
-        q = self.field.q
-        digits = np.asarray(ids)[..., None] // q ** np.arange(self.redundancy) % q
-        return _class_ids(self.field, digits)
-
     def class_span(self, syndromes) -> np.ndarray:
         """Class id of every combination sum c_j*s_j of the given syndromes
         whose first nonzero coefficient is 1, one per class of the span, in
@@ -316,7 +300,7 @@ class Code:
             fld.add_table[_combinations(fld, syns[..., j + 1 :, :], r), syns[..., [j], :]]
             for j in range(syns.shape[-2])
         )
-        ids = np.concatenate([_class_ids(fld, box) for box in boxes], axis=-1)
+        ids = np.concatenate([class_ids(fld, box) for box in boxes], axis=-1)
         if (ids < 0).any():
             raise ValueError("the syndromes are linearly dependent")
         return ids
@@ -443,7 +427,7 @@ class Code:
             method = "syndrome_span" if fits else "exhaustive"
         if method == "syndrome_span":
             weights = self.coset_leader_weights()
-            c = int(self.class_ids(self.coset_id(word)))
+            c = int(class_ids(self.field, self.syndromes(word)))
             return 0 if c < 0 else int(weights[c])
         if method == "exhaustive":
             return self._info_set_distance(word)
@@ -594,31 +578,34 @@ def _column_pass(field: GF, compact, h, offsets):
     compact[home] = min(compact[home], 1)
 
 
-def _class_ids(field: GF, syndromes) -> np.ndarray:
-    """The class id of every syndrome of an (..., r) array, -1 for zero: its
-    representative, scaled so that its first nonzero coordinate j is 1, is
-    packed by Horner's rule, and the packed id is q^j + q^(j+1) times its
-    place in box j."""
-    q, r = field.q, syndromes.shape[-1]
-    first = (syndromes != 0).argmax(axis=-1)
-    # inv_table[0] = 0, so the zero syndrome packs to 0
-    inv = field.inv_table[np.take_along_axis(syndromes, first[..., None], -1)[..., 0]]
+def class_ids(field: GF, vectors) -> np.ndarray:
+    """The class id of every vector of an (..., m) array over GF(q), -1 for
+    zero: its representative, scaled so that its first nonzero coordinate j
+    is 1, is packed by Horner's rule, and the packed value is q^j plus
+    q^(j+1) times its place in box j."""
+    vectors = np.asarray(vectors)
+    q, m = field.q, vectors.shape[-1]
+    first = (vectors != 0).argmax(axis=-1)
+    # inv_table[0] = 0, so the zero vector packs to 0
+    inv = field.inv_table[np.take_along_axis(vectors, first[..., None], -1)[..., 0]]
     ids = np.zeros(first.shape, dtype=np.int64)
-    for t in range(r - 1, -1, -1):
+    for t in range(m - 1, -1, -1):
         ids *= q
-        ids += field.mul_table[inv, syndromes[..., t]]
-    ids //= (q ** np.arange(1, r + 1))[first]
-    ids += np.asarray(_box_offsets(q, r))[first]
+        ids += field.mul_table[inv, vectors[..., t]]
+    ids //= (q ** np.arange(1, m + 1))[first]
+    ids += np.asarray(_box_offsets(q, m))[first]
     return np.where(inv != 0, ids, -1)
 
 
-def class_representatives(q: int, m: int, class_ids) -> np.ndarray:
-    """The packed id of the representative of every class id of GF(q)^m:
-    q^j plus q^(j+1) times its place in box j."""
+def class_representatives(q: int, m: int, ids) -> np.ndarray:
+    """The representative of every class id of GF(q)^m, as an (..., m)
+    array: 0 before its first nonzero coordinate j, 1 at j, and its place in
+    box j written base q after j, lowest digit first."""
     offsets = np.asarray(_box_offsets(q, m))
-    class_ids = np.asarray(class_ids, dtype=np.int64)
-    j = np.searchsorted(offsets, class_ids, side="right") - 1
-    return q**j + (class_ids - offsets[j]) * q ** (j + 1)
+    ids = np.asarray(ids, dtype=np.int64)
+    j = np.searchsorted(offsets, ids, side="right") - 1
+    packed = q**j + (ids - offsets[j]) * q ** (j + 1)
+    return packed[..., None] // q ** np.arange(m) % q
 
 
 def _box_offsets(q: int, r: int) -> list[int]:

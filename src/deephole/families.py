@@ -1,28 +1,32 @@
 """The explicit deep-hole families and their coset identities.
 
-Scaling a word keeps its distance to the code, so each construction returns
-a DeepHoleFamily holding the class ids (Code.class_ids) of its cosets as a
-coset array, a sorted, unique, read-only int64 array, each id standing for
-q - 1 cosets, plus a few representative words.  Only the single coset of
-zero_sum_free is not closed under scaling, and counts as 1.  A union of
-families is one boolean mask over the classes (Code.class_mask), an
-intersection np.intersect1d.  The degree-k, quadratic and cubic families are
-GF(q)-spans of two or three syndromes, so their class ids come from
-Code.class_span, one per numerator whose first nonzero coefficient is 1, and
-the sample words are combinations of the basis words, by one table gather.
+Scaling a word keeps its distance to the code, so a coset is named by its
+class id (codes.class_ids), and each construction returns a DeepHoleFamily
+holding the class ids of its cosets as a coset array, a sorted, unique,
+read-only int64 array, each id standing for q - 1 cosets, plus a few
+representative words.  Only the single coset of zero_sum_free is not closed
+under scaling, and counts as 1.  No code here packs a coset into a base-q
+integer; only the hypergraph report does.  A union of families is one
+boolean mask over the classes (Code.class_mask), an intersection
+np.intersect1d.  The degree-k, quadratic and cubic families are GF(q)-spans
+of two or three syndromes, so their class ids come from Code.class_span, one
+per numerator whose first nonzero coefficient is 1, and the sample words
+are combinations of the basis words, by one table gather.
 
 quadratic_families and cubic_families build and check many polynomials p at
-once, per block of at most codes.SCAN_CHUNK span entries: one
-Code.rational_words call gives the basis words x^i/p(x) of every p in the
-block, one Code.syndromes call their syndromes and one Code.class_span call
-every span, a (P, C) array of class ids.  Every check then runs once per
-block, one weight gather for the distances and one row sort with a mask of
-adjacent duplicates for the class counts, and a failing check names the
-first failing polynomial; the block's sample words come from one more
-gather.  quadratic_family and cubic_family then hold each checked row as a
-family, and check a p given alone as a block of one.  A monic p
-of degree 2 or 3 is reducible exactly when it has a root in GF(q), and
-Code.rational_words then raises ValueError naming it.
+once, both degrees in one path, per block of at most codes.SCAN_CHUNK span
+entries: one Code.rational_words call gives the basis words x^i/p(x) of
+every p in the block, one Code.syndromes call their syndromes and one
+Code.class_span call every span, a (P, C) array of class ids.  Every check
+then runs once per block, one weight gather for the deep mask and one row
+sort with a mask of adjacent duplicates for the class counts, and a failing
+check names the first failing polynomial.  The sample words are the first
+three deep numerators, found by one codes.class_ids call over the
+numerators' coefficient vectors, and built by one more gather.
+quadratic_family and cubic_family then hold each checked row as a family,
+and check a p given alone as a block of one.  A monic p of degree 2 or 3 is
+reducible exactly when it has a root in GF(q), and Code.rational_words then
+raises ValueError naming it.
 
 family_table holds the families of one tag as the report's rows, a
 table.Table of their tag, params, coset counts and first three sample words.
@@ -37,7 +41,6 @@ construction's range, such as a reducible polynomial, raises ValueError.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 
 import numpy as np
@@ -124,60 +127,41 @@ def _require_max_distance(code: Code) -> int:
     return rho
 
 
-def _verify_deep(code: Code, rows: np.ndarray, rho: int, what: str, items=(None,)):
-    """Check that every class of a (P, C) array of coset rows sits at the
-    covering radius; a failing row i is named what.format(items[i])."""
-    off = code.coset_leader_weights()[rows] != rho
-    failing = np.flatnonzero(off.any(axis=1))
-    if len(failing):
-        i = failing[0]
-        bad = rows[i][off[i]]
+def _verify_deep(code: Code, cosets: np.ndarray, rho: int, what: str):
+    """Check that every class of a coset array sits at the covering radius."""
+    bad = cosets[code.coset_leader_weights()[cosets] != rho]
+    if len(bad):
         raise TheoremAssertionError(
-            f"{what.format(items[i])}: {len(bad)} classes not at distance {rho} "
-            f"(e.g. class {bad[0]})"
+            f"{what}: {len(bad)} classes not at distance {rho} (e.g. class {bad[0]})"
         )
 
 
-def _sample_words(field: GF, basis, indices) -> list[tuple[tuple[int, ...], ...]]:
-    """The words sum c_j*basis_j at the given indices, (c_0, c_1, ...) packed
-    base q with c_0 the least significant digit: for a (P, d, n) block of
-    bases and (m,) or (P, m) indices, P tuples of m words, by one gather of
-    every product c_j*basis_j and a sum over j."""
+def _sample_words(field: GF, basis, coeffs) -> list[tuple[tuple[int, ...], ...]]:
+    """The words sum c_j*basis_j for the given coefficient vectors
+    (c_0, c_1, ...): for a (P, d, n) block of bases and (m, d) or (P, m, d)
+    vectors, P tuples of m words, by one gather of every product c_j*basis_j
+    and a sum over j."""
     basis = np.asarray(basis)[:, None]
-    digits = np.asarray(indices)[..., None] // field.q ** np.arange(basis.shape[2]) % field.q
-    terms = field.mul_table[digits[..., None], basis]  # (P, m, d, n)
+    terms = field.mul_table[np.asarray(coeffs)[..., None], basis]  # (P, m, d, n)
     words = terms[..., 0, :]
     for j in range(1, terms.shape[2]):
         words = field.add_table[words, terms[..., j, :]]
     return [tuple(map(tuple, row)) for row in words.tolist()]
 
 
-@functools.cache
-def _numerator_classes(field: GF) -> np.ndarray:
-    """The position in Code.class_span order of the class of every numerator
-    a + b x + c x^2, at index a + q*b + q^2*c, and -1 at zero: each class
-    holds the nonzero multiples of its representative."""
-    q = field.q
-    count = q * q + q + 1
-    digits = codes.class_representatives(q, 3, np.arange(count))[:, None] // q ** np.arange(3) % q
-    multiples = field.mul_table[np.arange(1, q)[:, None, None], digits] @ q ** np.arange(3)
-    classes = np.full(q**3, -1, dtype=np.intp)
-    classes[multiples] = np.arange(count)
-    classes.flags.writeable = False  # one array for every caller
-    return classes
-
-
-def _first_deep_numerators(field: GF, deep: np.ndarray) -> np.ndarray:
-    """The indices of the first three numerators of each row of a (P, C)
-    mask of deep classes in Code.class_span order, as a (P, 3) array."""
-    hits = deep.take(_numerator_classes(field)[1:], axis=1)
-    out = np.empty((len(deep), 3), dtype=np.intp)
+def _first_deep_numerators(field: GF, deep: np.ndarray, d: int) -> np.ndarray:
+    """The coefficient vectors (a, b, ...) of the first three nonzero
+    numerators a + b x + ... of degree < d, in the order of their index
+    a + q*b + ..., whose classes are deep in each row of a (P, C) mask in
+    Code.class_span order, as a (P, 3, d) array."""
+    numerators = np.indices((field.q,) * d).reshape(d, -1)[::-1].T[1:]
+    hits = deep[:, codes.class_ids(field, numerators)]
+    first = np.empty((len(deep), 3), dtype=np.intp)
     rows = np.arange(len(deep))
     for j in range(3):
-        first = hits.argmax(axis=1)
-        out[:, j] = first + 1
-        hits[rows, first] = False
-    return out
+        first[:, j] = hits.argmax(axis=1)
+        hits[rows, first[:, j]] = False
+    return numerators[first]
 
 
 def _monic(polys, d: int, what: str) -> list[Poly]:
@@ -241,7 +225,7 @@ def degree_k_family(code: Code) -> DeepHoleFamily:
     words = tuple(code.word(xk, last=v) for v in range(3))
     if len(cosets) != q:
         raise TheoremAssertionError(f"degree-k family: {len(cosets)} classes, not q")
-    _verify_deep(code, cosets[None], rho, "degree-k family")
+    _verify_deep(code, cosets, rho, "degree-k family")
     return DeepHoleFamily("degree_k", {"k": k}, cosets, words, code)
 
 
@@ -265,8 +249,8 @@ def inverse_monomial_family(code: Code, delta: int) -> DeepHoleFamily:
     rho = code.covering_radius()
     # the words a*u, a != 0, are one class
     cosets = coset_array(code.class_span((code.syndrome(u),)))
-    [words] = _sample_words(field, [[u]], range(1, min(q, 4)))
-    _verify_deep(code, cosets[None], rho, "inverse-monomial family")
+    [words] = _sample_words(field, [[u]], np.arange(1, min(q, 4))[:, None])
+    _verify_deep(code, cosets, rho, "inverse-monomial family")
     return DeepHoleFamily("inverse_monomial", {"delta": delta}, cosets, words, code)
 
 
@@ -291,7 +275,7 @@ def zero_sum_free_family(field: GF, D, r: int) -> DeepHoleFamily:
         raise TheoremAssertionError(
             f"zero-sum-free word has distance {dist}, expected n-k = {code.n - k}"
         )
-    own = code.class_ids(code.coset_id(w))
+    own = codes.class_ids(field, code.syndromes(w))
     # the class of the words a*x^k, a != 0
     xk = code.syndrome(code.word(Poly.monomial(field, k)))
     others = [code.class_span((xk,))] + [
@@ -313,31 +297,41 @@ def zero_sum_free_family(field: GF, D, r: int) -> DeepHoleFamily:
     )
 
 
-def _quadratic_rows(code: Code, polys):
-    """(p, (cosets, words)) for each p of polys, in order, with the q + 1
-    classes of (a + b x)/p(x) checked per block of _rational_spans in array
-    passes: one row sort for the class count and one weight gather for the
-    distance, each naming the first failing polynomial; a reducible p raises
-    ValueError naming it.  An empty polys checks no radius."""
+def _rational_rows(code: Code, polys, d: int):
+    """(p, (cosets, words)) for each p of polys, in order: the deep classes
+    of the numerators of degree < d over p(x), for d = 2 (quadratic) or 3
+    (cubic), checked per block of _rational_spans in array passes: one
+    weight gather for the deep mask and one row sort for the class count,
+    q + 1 for d = 2 and (q^2 + q + 2)/2 for d = 3, naming the first failing
+    polynomial.  The sample words are the first three deep numerators in the
+    order of their coefficients' index a + q*b + q^2*c, so the numerators 1,
+    2 and 3 for d = 2.  A reducible p raises ValueError naming it.  An empty
+    polys checks no radius."""
+    field = code.field
+    q = field.q
+    what = {2: "quadratic", 3: "cubic"}[d]
+    if d == 3 and (code.kind != "projective" or code.k != q - 3):
+        raise ValueError("cubic construction requires the PRS code with k = q-3")
     _check_prs_k_range(code)
-    polys = _monic(polys, 2, "quadratic")
+    polys = _monic(polys, d, what)
     if not polys:
         return
     rho = _require_max_distance(code)
-    field = code.field
-    for chunk, basis, ids in _rational_spans(code, polys, 2):
-        cosets = _coset_rows(ids, field.q + 1, "DH({!r})", chunk)
-        _verify_deep(code, cosets, rho, "quadratic family of {!r}", chunk)
-        # numerator a + b x has index a + q*b
-        words = _sample_words(field, basis, range(1, 4))
+    expected = {2: q + 1, 3: (q * q + q + 2) // 2}[d]  # classes, of q - 1 cosets each
+    weights = code.coset_leader_weights()
+    for chunk, basis, ids in _rational_spans(code, polys, d):
+        deep = weights[ids] == rho
+        ids[~deep] = -1
+        cosets = _coset_rows(ids, expected, what + " family of {!r}", chunk)
+        words = _sample_words(field, basis, _first_deep_numerators(field, deep, d))
         yield from zip(chunk, zip(cosets, words))
 
 
 def quadratic_families(code: Code, polys) -> list[DeepHoleFamily]:
     """[quadratic_family(code, p, row) for each p of polys], the rows checked
-    in blocks by _quadratic_rows; one call per polynomial, which
+    in blocks by _rational_rows; one call per polynomial, which
     perfbench/spans.py counts as one construction."""
-    return [quadratic_family(code, p, row) for p, row in _quadratic_rows(code, polys)]
+    return [quadratic_family(code, p, row) for p, row in _rational_rows(code, polys, 2)]
 
 
 def quadratic_family(code: Code, p: Poly, row=None) -> DeepHoleFamily:
@@ -346,49 +340,16 @@ def quadratic_family(code: Code, p: Poly, row=None) -> DeepHoleFamily:
     (cosets, words) pair checked by quadratic_families, or None to check p
     as a block of one."""
     if row is None:
-        [(_, row)] = _quadratic_rows(code, [p])
+        [(_, row)] = _rational_rows(code, [p], 2)
     cosets, words = row
     return DeepHoleFamily("quadratic", {"poly": list(p.coeffs)}, cosets, words, code)
 
 
-def _check_cubic_code(code: Code):
-    if code.kind != "projective" or code.k != code.field.q - 3:
-        raise ValueError("cubic construction requires the PRS code with k = q-3")
-    _check_prs_k_range(code)
-
-
-def _cubic_rows(code: Code, polys):
-    """(p, (cosets, words)) for each p of polys, in order, the deep classes
-    of (a + b x + c x^2)/p(x) found by exact distance filtering of the
-    nonzero numerators, one per class, and checked per block of
-    _rational_spans in array passes: one weight gather for the deep mask and
-    one row sort for the class count, naming the first failing polynomial; a
-    reducible p raises ValueError naming it.  An empty polys checks no
-    radius."""
-    _check_cubic_code(code)
-    polys = _monic(polys, 3, "cubic")
-    if not polys:
-        return
-    rho = _require_max_distance(code)
-    field = code.field
-    q = field.q
-    expected = (q * q + q + 2) // 2  # classes, of q - 1 cosets each
-    weights = code.coset_leader_weights()
-    for chunk, basis, ids in _rational_spans(code, polys, 3):
-        deep = weights[ids] == rho
-        ids[~deep] = -1
-        cosets = _coset_rows(ids, expected, "cubic family of {!r}", chunk)
-        # the sample words are the first three deep numerators a + b x + c x^2
-        # in the order of their index a + q*b + q^2*c
-        words = _sample_words(field, basis, _first_deep_numerators(field, deep))
-        yield from zip(chunk, zip(cosets, words))
-
-
 def cubic_families(code: Code, polys) -> list[DeepHoleFamily]:
     """[cubic_family(code, p, row) for each p of polys], the rows checked in
-    blocks by _cubic_rows; one call per polynomial, which perfbench/spans.py
-    counts as one construction."""
-    return [cubic_family(code, p, row) for p, row in _cubic_rows(code, polys)]
+    blocks by _rational_rows; one call per polynomial, which
+    perfbench/spans.py counts as one construction."""
+    return [cubic_family(code, p, row) for p, row in _rational_rows(code, polys, 3)]
 
 
 def cubic_family(code: Code, p: Poly, row=None) -> DeepHoleFamily:
@@ -396,7 +357,7 @@ def cubic_family(code: Code, p: Poly, row=None) -> DeepHoleFamily:
     monic irreducible cubic p.  row is p's (cosets, words) pair checked by
     cubic_families, or None to check p as a block of one."""
     if row is None:
-        [(_, row)] = _cubic_rows(code, [p])
+        [(_, row)] = _rational_rows(code, [p], 3)
     cosets, words = row
     return DeepHoleFamily("cubic", {"poly": list(p.coeffs)}, cosets, words, code)
 

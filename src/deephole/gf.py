@@ -299,7 +299,8 @@ class GF:
     def _np_table(self, kind: str) -> np.ndarray:
         """uint16 lookup table for vectorised code, built on first use: the
         (q, q) `add` table digit by digit, the (q, q) `mul` table from the log
-        and exp tables, and the (q,) `inv` table with inv[0] = 0.  Every
+        and exp tables, the (q,) `inv` table with inv[0] = 0, and the (q,)
+        `log` table of discrete logs to generator() with log[0] = 0.  Every
         intermediate is below 2 * TABLE_LIMIT, so uint16 never wraps."""
         tab = self._np_tables.get(kind)
         if tab is None:
@@ -312,6 +313,8 @@ class GF:
             if kind == "inv":
                 # row 0 of the product table holds no 1, so inv[0] = 0
                 tab = np.argmax(self.mul_table == 1, axis=1).astype(np.uint16)
+            elif kind == "log":
+                tab = np.array(self._log_tables()[0], dtype=np.uint16)
             elif kind == "add":
                 elems = np.arange(q, dtype=np.uint16)
                 for pw in self._powers:
@@ -336,6 +339,10 @@ class GF:
     @property
     def inv_table(self) -> np.ndarray:
         return self._np_table("inv")
+
+    @property
+    def log_table(self) -> np.ndarray:
+        return self._np_table("log")
 
 
 @functools.lru_cache(maxsize=None)

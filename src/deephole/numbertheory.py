@@ -207,7 +207,7 @@ def n3_sweep(field: GF) -> Table:
     ext, embed = _embedding(field)
     coset = ext.mul_table[embed[1:]].min(axis=0)
     # alpha is a cube in GF(q^2)* iff its log is 0 mod 3; r3 is 0 unless q = 2 mod 3
-    r3_of = np.where(np.array(ext._log_tables()[0]) % 3 == 0, 2, -1) * (q % 3 == 2)
+    r3_of = np.where(ext.log_table % 3 == 0, 2, -1) * (q % 3 == 2)
     quadratics = np.array([p.coeffs for p in monic_irreducibles(field, 2)])
     cubics = embed[[p.coeffs for p in monic_irreducibles(field, 3)]]
     # the nonzero class c0 + c1 x at row c0 + q*c1 - 1

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from deephole import classify, families, numbertheory
+from deephole import classify, codes, families, numbertheory
 from deephole.codes import prs, rs
 from deephole.gf import field_of_order, make_field
 from deephole.poly import Poly, monic_irreducibles
@@ -191,9 +191,7 @@ def test_criterion_10_zero_sum_free_deep_holes():
     code = fam.code
     w = fam.words[0]
     assert code.error_distance(w, method="exhaustive") == 3
-    degree_cosets = {
-        code.coset_id(code.word(Poly.monomial(g13, 2, a))) for a in range(1, 13)
-    }
+    degree_cosets = {code.syndrome(code.word(Poly.monomial(g13, 2, a))) for a in range(1, 13)}
     inv_cosets = np.concatenate(
         [
             families.inverse_monomial_family(code, d).cosets
@@ -201,8 +199,8 @@ def test_criterion_10_zero_sum_free_deep_holes():
             if d not in (0, 1, 2, 3, 4)
         ]
     )
-    assert code.coset_id(w) not in degree_cosets
-    assert not np.isin(code.class_ids(code.coset_id(w)), inv_cosets)
+    assert code.syndrome(w) not in degree_cosets
+    assert not np.isin(codes.class_ids(g13, code.syndrome(w)), inv_cosets)
     # the initial-segment candidate sets: every tested (p, r) turns out to
     # contain a zero-sum subset, so each verdict is recorded explicitly
     verdicts = {}

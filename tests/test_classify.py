@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from deephole import classify, linalg
+from deephole import classify, codes, linalg
 from deephole.classify import (
     Hypergraph,
     build_hypergraph,
@@ -68,14 +68,16 @@ def test_deep_syndromes_against_exhaustive_word_distances():
         code = prs(field, k)
         deep = deep_syndromes(code)
         rho = code.covering_radius()
-        # one word per packed syndrome, supported on the first r coordinates
+        # one word per syndrome, supported on the first r coordinates, in the
+        # order of the syndromes packed base q
         r = code.redundancy
+        syns = np.arange(q**r)[:, None] // q ** np.arange(r) % q
         words = np.zeros((q**r, code.n), dtype=np.intp)
-        words[:, :r] = np.arange(q**r)[:, None] // q ** np.arange(r) % q
+        words[:, :r] = syns
         words = words[np.argsort(code.syndromes(words) @ q ** np.arange(r))]
-        classes = code.class_ids(np.arange(q**r))
+        classes = codes.class_ids(field, syns)
         for idx, w in enumerate(words.tolist()):
-            assert code.coset_id(w) == idx
+            assert code.syndrome(w) == tuple(syns[idx].tolist())
             d = code.error_distance(w, method="exhaustive")
             assert (d == rho) == (classes[idx] in deep)
 

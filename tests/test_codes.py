@@ -105,12 +105,6 @@ def test_syndrome():
         c.syndrome((0, 0))
 
 
-def test_pack_unpack_roundtrip():
-    c = prs(G5, 2)
-    for idx in range(c.field.q**c.redundancy):
-        assert c.pack_syndrome(c.unpack_syndrome(idx)) == idx
-
-
 def test_error_distance_examples():
     c = prs(G5, 3)
     w = (2, 1, 1, 2, 3, 0)
@@ -242,10 +236,16 @@ def _scalar_class_ids(field, r) -> list[int]:
     return out
 
 
+def _vectors(q, m) -> np.ndarray:
+    """Every vector of GF(q)^m as a (q^m, m) array, row i holding the
+    digits of i base q, lowest first."""
+    return np.arange(q**m)[:, None] // q ** np.arange(m) % q
+
+
 def _weights_by_packed_id(code) -> np.ndarray:
     """The weight table read at every packed syndrome through class_ids, 0
     at the zero syndrome."""
-    classes = code.class_ids(np.arange(code.field.q**code.redundancy))
+    classes = codes.class_ids(code.field, _vectors(code.field.q, code.redundancy))
     return np.where(classes >= 0, code.coset_leader_weights()[classes], 0)
 
 
@@ -439,12 +439,13 @@ def test_weight_table_matches_exhaustive_distances(code):
     # one word per packed syndrome: the q^r words supported on the first r
     # coordinates, whose r columns of H are independent, sorted by syndrome
     q, r = code.field.q, code.redundancy
+    syns = _vectors(q, r)
     words = np.zeros((q**r, code.n), dtype=np.intp)
-    words[:, :r] = np.arange(q**r)[:, None] // q ** np.arange(r) % q
+    words[:, :r] = syns
     words = words[np.argsort(code.syndromes(words) @ q ** np.arange(r))]
     weights = _weights_by_packed_id(code)
     for s, word in enumerate(words.tolist()):
-        assert code.syndrome(word) == code.unpack_syndrome(s)
+        assert code.syndrome(word) == tuple(syns[s].tolist())
         assert weights[s] == code.error_distance(word, method="exhaustive")
 
 
@@ -551,7 +552,7 @@ def test_one_compact_entry_is_the_distance_of_every_syndrome(code):
     # whose r columns of H are independent
     q, r = code.field.q, code.redundancy
     words = np.zeros((q**r, code.n), dtype=np.intp)
-    words[:, :r] = np.arange(q**r)[:, None] // q ** np.arange(r) % q
+    words[:, :r] = _vectors(q, r)
     ids = code.syndromes(words) @ q ** np.arange(r)
     assert np.array_equal(np.sort(ids), np.arange(q**r))
     distances = [code.error_distance(w, "syndrome_span") for w in words.tolist()]
@@ -608,10 +609,8 @@ def test_weight_table_counts_match_mds_closed_form(code):
         assert (q - 1) * counts[w] == comb(n, w) * (q - 1) ** w
     # scaling a representative by a generator of GF(q)* keeps its class
     sample = np.random.default_rng(q).integers(0, len(weights), size=4096)
-    powers = q ** np.arange(r)
-    digits = codes.class_representatives(q, r, sample)[:, None] // powers % q
-    scaled = fld.mul_table[fld.generator(), digits] @ powers
-    assert np.array_equal(code.class_ids(scaled), sample)
+    scaled = fld.mul_table[fld.generator(), codes.class_representatives(q, r, sample)]
+    assert np.array_equal(codes.class_ids(fld, scaled), sample)
 
 
 def _every_column_passed(field, columns) -> np.ndarray:
@@ -673,12 +672,11 @@ def _class_span_by_scalars(code, words):
     words are dependent."""
     f, q, m = code.field, code.field.q, len(words)
     ids = []
-    for packed in codes.class_representatives(q, m, np.arange((q**m - 1) // (q - 1))):
+    for rep in codes.class_representatives(q, m, np.arange((q**m - 1) // (q - 1))).tolist():
         combo = [0] * code.n
-        for j, w in enumerate(words):
-            c = int(packed) // q**j % q
+        for c, w in zip(rep, words):
             combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, w)]
-        ids.append(int(code.class_ids(code.coset_id(combo))))
+        ids.append(int(codes.class_ids(f, code.syndrome(combo))))
     return None if -1 in ids else ids
 
 
@@ -786,21 +784,24 @@ def test_class_span_over_a_batch_axis_matches_one_span_each(code, data):
         assert ids[idx].tolist() == expected
 
 
-@pytest.mark.parametrize("q, k", [(2, 1), (4, 1), (5, 3), (8, 5), (9, 6)])
-def test_class_ids_match_scalar_normalisation(q, k):
-    code = prs(q, k)
-    r = code.redundancy
-    ids = np.arange(q**r)
-    expected = _scalar_class_ids(code.field, r)
-    assert code.class_ids(ids).tolist() == expected
-    assert code.class_ids(ids.reshape(q, -1)).ravel().tolist() == expected
-    # every class id names the packed id of its representative, the
-    # syndrome whose first nonzero coordinate is 1
-    for s in ids.tolist()[1:]:
-        if next(x for x in code.unpack_syndrome(s) if x) == 1:
-            assert codes.class_representatives(q, r, expected[s]) == s
-    reps = codes.class_representatives(q, r, np.arange((q**r - 1) // (q - 1)))
-    assert code.class_ids(reps).tolist() == list(range(len(reps)))
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_class_ids_match_scalar_normalisation(m, q):
+    field = field_of_order(q)
+    vectors = _vectors(q, m)
+    expected = _scalar_class_ids(field, m)
+    assert codes.class_ids(field, vectors).tolist() == expected
+    assert codes.class_ids(field, vectors.reshape(q, -1, m)).ravel().tolist() == expected
+    # every class id names its representative, the vector whose first
+    # nonzero coordinate is 1
+    ids = np.arange((q**m - 1) // (q - 1))
+    reps = codes.class_representatives(q, m, ids)
+    assert reps.shape == (len(ids), m)
+    assert codes.class_ids(field, reps).tolist() == ids.tolist()
+    for v, c in zip(vectors.tolist()[1:], expected[1:]):
+        if next(x for x in v if x) == 1:
+            assert reps[c].tolist() == v
+    assert codes.class_representatives(q, m, ids.reshape(-1, 1)).shape == (len(ids), 1, m)
 
 
 def test_class_mask_is_the_union_of_id_arrays():

@@ -223,6 +223,8 @@ def test_tables_match_scalar_ops():
         mul = [[f.mul(a, b) for b in elems] for a in elems]
         assert f.add_table.tolist() == add, f
         assert f.mul_table.tolist() == mul, f
+        assert f.log_table.tolist() == [0] + [f.discrete_log(a) for a in elems[1:]], f
+        assert not f.log_table.flags.writeable, f
 
 
 def test_log_tables_of_gf_2_16_stay_near_the_kept_lists():

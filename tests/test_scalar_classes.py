@@ -31,12 +31,12 @@ def _scalar_tables(code):
     weight = np.zeros(q**r, dtype=np.int64)
     reps = np.full(len(compact), -1, dtype=np.int64)
     for s in range(1, q**r):
-        syndrome = code.unpack_syndrome(s)
+        syndrome = [s // q**i % q for i in range(r)]
         j = next(t for t, x in enumerate(syndrome) if x)
         rep = [field.mul(field.inv(syndrome[j]), x) for x in syndrome]
         cid = offsets[j] + sum(x * q ** (t - j - 1) for t, x in enumerate(rep) if t > j)
         weight[s] = compact[cid]
-        if code.pack_syndrome(rep) == s:
+        if rep == syndrome:
             reps[cid] = s
     assert (reps > 0).all()
     return weight, reps
@@ -129,9 +129,9 @@ def test_the_zero_sum_free_coset_is_not_scale_closed(q):
     D = (0, 1, 2, 3)
     fam = families.zero_sum_free_family(field_of_order(q), D, 2)
     code = fam.code
-    own = code.coset_id(fam.words[0])
+    own = code.syndrome(fam.words[0])
     assert not fam.scale_closed
-    assert fam.cosets.tolist() == code.class_ids([own]).tolist()
+    assert fam.cosets.tolist() == codes.class_ids(code.field, [own]).tolist()
     # its class holds q - 1 cosets, and the family only the one
     assert len(_multiples(code, fam.cosets)) == q - 1
     assert families.family_table([fam]).rows()[0]["coset_count"] == 1
