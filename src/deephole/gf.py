@@ -309,18 +309,19 @@ class GF:
                     f"q = {self.q} exceeds table limit {TABLE_LIMIT}"
                 )
             q, p = self.q, self.p
-            tab = np.zeros((q, q), dtype=np.uint16)
             if kind == "inv":
                 # row 0 of the product table holds no 1, so inv[0] = 0
                 tab = np.argmax(self.mul_table == 1, axis=1).astype(np.uint16)
             elif kind == "log":
                 tab = np.array(self._log_tables()[0], dtype=np.uint16)
             elif kind == "add":
+                tab = np.zeros((q, q), dtype=np.uint16)
                 elems = np.arange(q, dtype=np.uint16)
                 for pw in self._powers:
                     d = elems // pw % p
                     tab += (d[:, None] + d[None, :]) % p * pw
             else:
+                tab = np.zeros((q, q), dtype=np.uint16)
                 logs, exps = self._log_tables()
                 logs = np.array(logs[1:], dtype=np.uint16)
                 tab[1:, 1:] = np.array(exps, dtype=np.uint16)[logs[:, None] + logs]

@@ -243,6 +243,20 @@ def test_log_tables_of_gf_2_16_stay_near_the_kept_lists():
     assert peak - kept < 16 * f.q  # measured: 9 bytes per element
 
 
+def test_a_log_table_builds_no_square_table():
+    # the (q,) table of discrete logs, without a (q, q) uint16 array beside
+    # it, 32 MiB at q = 4096
+    f = GF(2, 12)
+    f._log_tables()
+    tracemalloc.start()
+    try:
+        f.log_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * f.q  # measured: 2 bytes per element
+
+
 _RETAINED_BY_GF_1021_2 = """
 import tracemalloc
 from deephole.gf import make_field
