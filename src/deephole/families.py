@@ -149,13 +149,14 @@ def _sample_words(field: GF, basis, coeffs) -> list[tuple[tuple[int, ...], ...]]
     return [tuple(map(tuple, row)) for row in words.tolist()]
 
 
-def _first_deep_numerators(field: GF, deep: np.ndarray, d: int) -> np.ndarray:
-    """The coefficient vectors (a, b, ...) of the first three nonzero
-    numerators a + b x + ... of degree < d, in the order of their index
-    a + q*b + ..., whose classes are deep in each row of a (P, C) mask in
-    Code.class_span order, as a (P, 3, d) array."""
-    numerators = np.indices((field.q,) * d).reshape(d, -1)[::-1].T[1:]
-    hits = deep[:, codes.class_ids(field, numerators)]
+def _first_deep_numerators(deep: np.ndarray, numerators, classes) -> np.ndarray:
+    """The first three of the (N, d) numerator coefficient vectors, in
+    order, whose classes are deep in each row of a (P, C) mask in
+    Code.class_span order, as a (P, 3, d) array; classes holds the class id
+    of each numerator."""
+    # take, not fancy indexing, so that hits is C-contiguous and each argmax
+    # stops at the first true entry of its row
+    hits = deep.take(classes, axis=1)
     first = np.empty((len(deep), 3), dtype=np.intp)
     rows = np.arange(len(deep))
     for j in range(3):
@@ -319,11 +320,16 @@ def _rational_rows(code: Code, polys, d: int):
     rho = _require_max_distance(code)
     expected = {2: q + 1, 3: (q * q + q + 2) // 2}[d]  # classes, of q - 1 cosets each
     weights = code.coset_leader_weights()
+    # the nonzero numerators a + b x + ... as coefficient vectors, in the
+    # order of their index a + q*b + ..., and their classes
+    numerators = np.indices((q,) * d).reshape(d, -1)[::-1].T[1:]
+    classes = codes.class_ids(field, numerators)
     for chunk, basis, ids in _rational_spans(code, polys, d):
         deep = weights[ids] == rho
         ids[~deep] = -1
         cosets = _coset_rows(ids, expected, what + " family of {!r}", chunk)
-        words = _sample_words(field, basis, _first_deep_numerators(field, deep, d))
+        first = _first_deep_numerators(deep, numerators, classes)
+        words = _sample_words(field, basis, first)
         yield from zip(chunk, zip(cosets, words))
 
 

@@ -519,7 +519,8 @@ def test_first_deep_numerators_match_a_scan_of_every_numerator(field):
     expected = [
         [t for t in range(1, q**3) if row[classes[t]]][:3] for row in deep
     ]
-    first = families._first_deep_numerators(field, deep, 3)
+    numerators = np.array([(t % q, t // q % q, t // q**2) for t in range(1, q**3)])
+    first = families._first_deep_numerators(deep, numerators, codes.class_ids(field, numerators))
     assert (first @ q ** np.arange(3)).tolist() == expected
     assert expected[4] == [q * q, 2 * q * q, 3 * q * q]
 
