@@ -328,8 +328,7 @@ def _rational_rows(code: Code, polys, d: int):
         deep = weights[ids] == rho
         ids[~deep] = -1
         cosets = _coset_rows(ids, expected, what + " family of {!r}", chunk)
-        first = _first_deep_numerators(deep, numerators, classes)
-        words = _sample_words(field, basis, first)
+        words = _sample_words(field, basis, _first_deep_numerators(deep, numerators, classes))
         yield from zip(chunk, zip(cosets, words))
 
 
