@@ -229,16 +229,14 @@ class Code:
             raise ValueError(f"extension coordinate {last} out of range")
         return evals + (0 if last is None else last,)
 
-    def rational_words(self, nums, dens, last: int = 0) -> np.ndarray:
-        """The words (num_i/den_i evaluated on D, last) as an (N, n) array,
+    def rational_words(self, nums, dens) -> np.ndarray:
+        """The words (num_i/den_i evaluated on D, 0) as an (N, n) array,
         for N numerator and denominator coefficient rows (low degree first):
         one poly.evaluate call over D for all 2N rows, then a gather through
         the field's inverse table."""
         if self.kind != "projective":
             raise ValueError("rational-function words are projective")
         fld = self.field
-        if not 0 <= last < fld.q:
-            raise ValueError(f"extension coordinate {last} out of range")
         nums, dens = list(nums), list(dens)
         if len(nums) != len(dens):
             raise ValueError(f"{len(nums)} numerators for {len(dens)} denominators")
@@ -257,7 +255,7 @@ class Code:
         if len(poles):
             pole = Poly(fld, dens[poles[0]])
             raise ValueError(f"denominator {pole!r} has a root in {fld!r}")
-        words = np.full((len(nums), self.n), last, dtype=num.dtype)
+        words = np.zeros((len(nums), self.n), dtype=num.dtype)
         words[:, :-1] = fld.mul_table[num, fld.inv_table[den]]
         return words
 
@@ -588,10 +586,11 @@ def class_ids(field: GF, vectors) -> np.ndarray:
     first = (vectors != 0).argmax(axis=-1)
     # inv_table[0] = 0, so the zero vector packs to 0
     inv = field.inv_table[np.take_along_axis(vectors, first[..., None], -1)[..., 0]]
+    mul_t = field.mul_table
     ids = np.zeros(first.shape, dtype=np.int64)
     for t in range(m - 1, -1, -1):
         ids *= q
-        ids += field.mul_table[inv, vectors[..., t]]
+        ids += mul_t[inv, vectors[..., t]]
     ids //= (q ** np.arange(1, m + 1))[first]
     ids += np.asarray(_box_offsets(q, m))[first]
     return np.where(inv != 0, ids, -1)

@@ -49,7 +49,7 @@ from deephole import codes, numbertheory
 from deephole.codes import Code, rs
 from deephole.errors import TheoremAssertionError
 from deephole.gf import GF
-from deephole.poly import Poly, is_irreducible, mod_inverse
+from deephole.poly import Poly, is_irreducible, pow_mod
 from deephole.table import Table
 
 TAGS = ("degree_k", "inverse_monomial", "zero_sum_free", "quadratic", "cubic")
@@ -410,7 +410,8 @@ def dh_intersection(code: Code, p1: Poly, p2: Poly) -> np.ndarray:
     if p1 == p2:
         raise ValueError("the two quadratics must differ")
     xq_x = Poly(field, (0,) * q + (1,)) - Poly.x(field)
-    base = (xq_x % p1) * mod_inverse(p2 % p1, p1) % p1
+    # GF(q)[x]/(p1) is the field GF(q^2), so 1/b = b^(q^2-2)
+    base = (xq_x % p1) * pow_mod(p2 % p1, q * q - 2, p1) % p1
     # the words of a*base/p1, a != 0, are one class
     w = code.rational_words([base.coeffs], [p1.coeffs])
     shared = coset_array(code.class_span(code.syndromes(w)))

@@ -14,8 +14,9 @@ lexicographically, low-degree coefficient first; a prime field has the
 modulus x.  The generator is the smallest encoding whose powers, taken by
 ``poly.pow_mod`` modulo the modulus, pass the prime-divisor test of order
 q-1.  An extension field runs both searches over one uncached GF(p).  The
-log and exp tables step through its powers by one vectorised map b -> g*b.
-A prime field adds, multiplies and inverts residues directly and builds no
+log and exp tables step through its powers by one vectorised map b -> g*b,
+so every discrete log is to that generator, and the inverse and product
+tables are read from them.  A prime field adds, multiplies and inverts residues directly and builds no
 log table for them.
 """
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import gcd
 
 import numpy as np
 
@@ -262,31 +262,13 @@ class GF:
             return True
         return self.pow(a, (self.q - 1) // 2) == 1
 
-    def _check_element(self, a: int) -> None:
+    def discrete_log(self, a: int) -> int:
+        """Exponent t in [0, q-1) with generator()^t = a."""
         if not 0 <= a < self.q:
             raise ValueError(f"{a} is not an element of {self!r}")
-
-    def is_generator(self, g: int) -> bool:
-        self._check_element(g)
-        if g == 0:
-            return False
-        if self.q == 2:
-            return g == 1
-        logs, _ = self._log_tables()
-        return gcd(logs[g], self.q - 1) == 1
-
-    def discrete_log(self, a: int, g: int | None = None) -> int:
-        """Exponent t in [0, q-1) with g^t = a; g defaults to generator()."""
-        self._check_element(a)
         if a == 0:
             raise ValueError("discrete log of zero")
-        logs, _ = self._log_tables()
-        if g is None or g == self.generator():
-            return logs[a]
-        if not self.is_generator(g):
-            raise ValueError(f"{g} does not generate the multiplicative group")
-        n = self.q - 1
-        return logs[a] * pow(logs[g], -1, n) % n if n > 1 else 0
+        return self._log_tables()[0][a]
 
     # -- element enumeration ----------------------------------------------
 
@@ -298,8 +280,8 @@ class GF:
 
     def _np_table(self, kind: str) -> np.ndarray:
         """uint16 lookup table for vectorised code, built on first use: the
-        (q, q) `add` table digit by digit, the (q, q) `mul` table from the log
-        and exp tables, the (q,) `inv` table with inv[0] = 0, and the (q,)
+        (q, q) `add` table digit by digit, the (q, q) `mul` table and the (q,)
+        `inv` table with inv[0] = 0 from the log and exp tables, and the (q,)
         `log` table of discrete logs to generator() with log[0] = 0.  Every
         intermediate is below 2 * TABLE_LIMIT, so uint16 never wraps."""
         tab = self._np_tables.get(kind)
@@ -310,8 +292,10 @@ class GF:
                 )
             q, p = self.q, self.p
             if kind == "inv":
-                # row 0 of the product table holds no 1, so inv[0] = 0
-                tab = np.argmax(self.mul_table == 1, axis=1).astype(np.uint16)
+                # 1/a = g^(q-1-log a), read from the doubled exp list
+                logs, exps = self._log_tables()
+                tab = np.array(exps, dtype=np.uint16)[q - 1 - np.array(logs)]
+                tab[0] = 0
             elif kind == "log":
                 tab = np.array(self._log_tables()[0], dtype=np.uint16)
             elif kind == "add":
@@ -347,13 +331,11 @@ class GF:
 
 
 @functools.lru_cache(maxsize=None)
-def _cached_field(p: int, m: int) -> GF:
-    return GF(p, m)
-
-
 def make_field(p: int, m: int = 1) -> GF:
-    """Construct (or fetch the cached) GF(p^m) with the canonical modulus."""
-    return _cached_field(p, m)
+    """Construct (or fetch the cached) GF(p^m) with the canonical modulus.
+    The cache is keyed by the arguments as passed: make_field(5) and
+    make_field(5, 1) are equal fields cached apart."""
+    return GF(p, m)
 
 
 def field_of_order(q: int) -> GF:

@@ -28,6 +28,9 @@ from deephole.gf import GF, make_field
 from deephole.poly import Poly, evaluate, is_irreducible, monic_irreducibles, pow_mod
 from deephole.table import Table
 
+# the zero-sum r-subsets a zero_sum_free report lists
+VIOLATIONS_SHOWN = 10
+
 # -- subset sums -------------------------------------------------------------
 
 
@@ -88,8 +91,9 @@ def is_zero_sum_free(field: GF, D, r: int) -> bool:
     return subset_sum_count(field, D, r, 0) == 0
 
 
-def zero_sum_violations(field: GF, D, r: int, limit: int = 10) -> list[tuple[int, ...]]:
-    """Up to `limit` r-subsets of D summing to zero, in enumeration order."""
+def zero_sum_violations(field: GF, D, r: int) -> list[tuple[int, ...]]:
+    """Up to VIOLATIONS_SHOWN r-subsets of D summing to zero, in enumeration
+    order."""
     D = tuple(D)
     if any(not 0 <= d < field.q for d in D):
         raise ValueError(f"D has an element outside {field!r}")
@@ -100,7 +104,7 @@ def zero_sum_violations(field: GF, D, r: int, limit: int = 10) -> list[tuple[int
             total = field.add(total, s)
         if total == 0:
             out.append(sub)
-            if len(out) >= limit:
+            if len(out) >= VIOLATIONS_SHOWN:
                 break
     return out
 

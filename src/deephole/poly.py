@@ -130,10 +130,6 @@ class Poly:
             f, (f.sub(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=0))
         )
 
-    def __neg__(self):
-        f = self.field
-        return Poly(f, (f.neg(c) for c in self.coeffs))
-
     def __mul__(self, other):
         self._check(other)
         f = self.field
@@ -201,31 +197,6 @@ def gcd(a: Poly, b: Poly) -> Poly:
     while b:
         a, b = b, a % b
     return a.monic()
-
-
-def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, s, t) with g = s*a + t*b and g monic."""
-    f = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(f), Poly.zero(f)
-    t0, t1 = Poly.zero(f), Poly.one(f)
-    while r1:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if not r0:
-        raise ValueError("gcd(0, 0) is undefined")
-    c = f.inv(r0.lead)
-    return r0.scale(c), s0.scale(c), t0.scale(c)
-
-
-def mod_inverse(a: Poly, mod: Poly) -> Poly:
-    """Inverse of a modulo mod; requires gcd(a, mod) = 1."""
-    g, s, _ = xgcd(a, mod)
-    if g.degree != 0:
-        raise ValueError(f"{a!r} is not invertible modulo {mod!r}")
-    return s % mod
 
 
 def distinct_roots(f: Poly) -> set[int]:

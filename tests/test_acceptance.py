@@ -210,7 +210,7 @@ def test_criterion_10_zero_sum_free_deep_holes():
             D = numbertheory.initial_segment(p, r)
             ok = numbertheory.is_zero_sum_free(field, D, r)
             verdicts[(p, r)] = ok
-            bad = numbertheory.zero_sum_violations(field, D, r, limit=1)
+            bad = numbertheory.zero_sum_violations(field, D, r)
             print(
                 f"\ninitial segment p={p} r={r} set={D}: "
                 + ("zero-sum-free" if ok else f"violation {list(bad[0])}")

@@ -1,3 +1,4 @@
+import ast
 import contextvars
 import hashlib
 import itertools
@@ -425,6 +426,25 @@ def _readme_commands():
 def test_readme_commands_run(argv):
     report, code = _run(argv)
     assert code == 0 and report is not None
+
+
+def test_readme_library_example_prints_what_its_comments_state():
+    # each expression line of the example is evaluated and compared with the
+    # value that opens its comment
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    namespace, stated = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if not code.strip():
+            continue
+        if isinstance(ast.parse(code).body[0], ast.Expr):
+            value = ast.literal_eval(re.match(r"\s*(\(.*?\)|\d+)", comment)[1])
+            assert eval(code, namespace) == value, line
+            stated.append(value)
+        else:
+            exec(code, namespace)
+    assert stated == [2, 24, 6, (2, 1, 1, 2, 3, 0), 2]
 
 
 def test_reports_are_deterministic():

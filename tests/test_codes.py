@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from deephole import codes, linalg, numbertheory
 from deephole.codes import Code, prs, rs
 from deephole.errors import BoundExceededError
-from deephole.gf import field_of_order, make_field
+from deephole.gf import GF, field_of_order, make_field
 from deephole.poly import Poly, RationalFunction, monic_irreducibles
 
 G5 = make_field(5)
@@ -37,8 +37,8 @@ def test_rational_words_examples():
         [2, 2, 3, 3, 0, 0],
     ]
     f = Poly(G5, (3, 1, 2))
-    (asrat,) = c.rational_words([f.coeffs], [(1,)], last=f.coeffs[2])
-    assert tuple(asrat.tolist()) == c.encode(f)
+    (asrat,) = c.rational_words([f.coeffs], [(1,)])
+    assert tuple(asrat.tolist()) == c.encode(f)[:-1] + (0,)
     with pytest.raises(ValueError):
         c.rational_words([(1,)], [(4, 1)])
 
@@ -804,6 +804,23 @@ def test_class_ids_match_scalar_normalisation(m, q):
     assert codes.class_representatives(q, m, ids.reshape(-1, 1)).shape == (len(ids), 1, m)
 
 
+def test_class_ids_reads_the_product_table_once(monkeypatch):
+    # the benchmark wraps GF.mul_table as a span, so a read per coordinate
+    # would add m - 1 spans per call
+    reads = []
+    table = GF.mul_table
+
+    def counting(self):
+        reads.append(self)
+        return table.fget(self)
+
+    monkeypatch.setattr(GF, "mul_table", property(counting))
+    field = make_field(3, 2)
+    vectors = _vectors(field.q, 4)
+    assert codes.class_ids(field, vectors).tolist() == _scalar_class_ids(field, 4)
+    assert len(reads) == 1
+
+
 def test_class_mask_is_the_union_of_id_arrays():
     code = prs(G5, 3)
     mask = code.class_mask([np.array([0, 4]), np.array([4, 30]), np.array([], dtype=int)])
@@ -815,10 +832,10 @@ def test_rational_words_match_pointwise_evaluation():
     code = prs(field, 6)
     dens = [monic_irreducibles(field, d)[3].coeffs for d in (2, 3)]
     nums = [(0, 1), (4, 3, 5)]
-    words = code.rational_words(nums, dens, last=7)
+    words = code.rational_words(nums, dens)
     for word, num, den in zip(words.tolist(), nums, dens):
         rat = RationalFunction(Poly(field, num), Poly(field, den))
-        assert word == [rat(x) for x in code.D] + [7]
+        assert word == [rat(x) for x in code.D] + [0]
     assert code.rational_words([], []).shape == (0, code.n)
     with pytest.raises(ValueError):
         code.rational_words([(1,)], [(0, 1)])  # x has the root 0
@@ -834,10 +851,6 @@ def test_rational_words_match_pointwise_evaluation():
         (lambda: rs(G5, 2, scale=(6, 1, 1, 1, 1)), "scale vector"),
         (lambda: rs(5, 2, scale=(-1, 1, 1, 1, 1)), "scale vector"),
         (lambda: rs(make_field(3, 2), 2, scale=(10,) + (1,) * 8), "scale vector"),
-        (lambda: prs(5, 3).rational_words([(1,)], [(2, 0, 1)], last=9),
-         "extension coordinate 9 out of range"),
-        (lambda: prs(5, 3).rational_words([(1,)], [(2, 0, 1)], last=-1),
-         "extension coordinate -1 out of range"),
         (lambda: numbertheory.subset_sum_row(G5, (0, 1, 7), 2), "outside GF(5)"),
         (lambda: numbertheory.subset_sum_row(G5, (-1, 1), 1), "outside GF(5)"),
         (lambda: prs(5, 3).rational_words([(-1,)], [(2, 0, 1)]), "coefficient -1 out of range"),

@@ -216,17 +216,21 @@ def test_degree_k_contained_in_quadratic_union_at_q_minus_2():
         assert np.isin(degree_k_family(c).cosets, union).all()
 
 
-def test_dh_intersection_all_pairs_q5():
-    c = prs(G5, 3)
-    quads = monic_irreducibles(G5, 2)
-    assert len(quads) == 10
+@pytest.mark.parametrize("field", [G5, G7, G9], ids=repr)
+def test_dh_intersection_all_pairs(field):
+    # dh_intersection raises unless the congruence class, built with the
+    # inverse b^(q^2-2) in GF(q)[x]/(p1), is the brute-force intersection
+    q = field.q
+    c = prs(field, q - 2)
+    quads = monic_irreducibles(field, 2)
+    assert len(quads) == (q * q - q) // 2
     for p1, p2 in itertools.combinations(quads, 2):
         shared = dh_intersection(c, p1, p2)
         assert len(shared) == 1  # one class of q - 1 cosets
     with pytest.raises(ValueError):
         dh_intersection(c, quads[0], quads[0])
     with pytest.raises(ValueError):
-        dh_intersection(prs(G5, 2), quads[0], quads[1])
+        dh_intersection(prs(field, q - 3), quads[0], quads[1])
 
 
 def test_fact3_multiway_intersections():

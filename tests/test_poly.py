@@ -15,7 +15,6 @@ from deephole.poly import (
     evaluate,
     gcd,
     is_irreducible,
-    mod_inverse,
     monic_irreducibles,
     pow_mod,
 )
@@ -88,29 +87,6 @@ def test_gcd():
     assert gcd(g, Poly.zero(G5)) == g.monic()
     with pytest.raises(ValueError):
         gcd(Poly.zero(G5), Poly.zero(G5))
-
-
-def test_mod_inverse():
-    mod = Poly(G5, (2, 0, 1))  # x^2 + 2
-    inv = mod_inverse(Poly.x(G5), mod)
-    assert inv == Poly(G5, (0, 2))  # x * 2x = 2x^2 = -4 = 1
-    assert mod_inverse(Poly.one(G5), mod) == Poly.one(G5)
-    c = Poly(G5, (3,))
-    assert mod_inverse(c, mod) == Poly(G5, (G5.pow(3, G5.q - 2),))
-    with pytest.raises(ValueError):
-        mod_inverse(Poly(G5, (4, 1)) * Poly(G5, (1, 1)), Poly(G5, (4, 1)))
-
-
-def test_mod_inverse_all_residues_mod_irreducible_quadratics():
-    for q, m in [(2, 1), (3, 1), (4, 2), (5, 1), (7, 1)]:
-        field = make_field(2, 2) if q == 4 else make_field(q)
-        for mod in monic_irreducibles(field, 2):
-            for c1 in range(field.q):
-                for c0 in range(field.q):
-                    a = Poly(field, (c0, c1))
-                    if not a:
-                        continue
-                    assert (a * mod_inverse(a, mod)) % mod == Poly.one(field)
 
 
 def test_is_irreducible():
