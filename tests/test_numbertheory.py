@@ -92,6 +92,20 @@ def test_subset_sum_closed_forms_match_dp(q):
             ), (nonzero, k)
 
 
+def test_zero_sum_violations_stop_at_violations_shown():
+    # the first VIOLATIONS_SHOWN zero-sum subsets in enumeration order
+    for r in (2, 3):
+        every = [
+            sub for sub in itertools.combinations(range(13), r)
+            if sum(sub) % 13 == 0
+        ]
+        shown = zero_sum_violations(G13, range(13), r)
+        assert shown == every[:numbertheory.VIOLATIONS_SHOWN]
+    assert len(every) > numbertheory.VIOLATIONS_SHOWN > len(
+        zero_sum_violations(G13, range(13), 2)
+    )
+
+
 def test_is_zero_sum_free():
     assert is_zero_sum_free(G13, (0, 1, 2, 3, 4), 2)
     assert not is_zero_sum_free(G7, (0, 1, 2, 3, 4), 2)  # 3 + 4 = 0

@@ -89,6 +89,31 @@ def test_gcd():
         gcd(Poly.zero(G5), Poly.zero(G5))
 
 
+def test_mod_inverse():
+    # modulo an irreducible quadratic, GF(q)[x]/(p) is GF(q^2) and the
+    # inverse dh_intersection takes is b^(q^2-2)
+    mod = Poly(G5, (2, 0, 1))  # x^2 + 2
+    assert pow_mod(Poly.x(G5), 23, mod) == Poly(G5, (0, 2))  # x * 2x = 2x^2 = -4 = 1
+    assert pow_mod(Poly.one(G5), 23, mod) == Poly.one(G5)
+    c = Poly(G5, (3,))
+    assert pow_mod(c, 23, mod) == Poly(G5, (G5.pow(3, G5.q - 2),))
+    # x - 1 divides x^2 - 1, so it has no inverse there and the power is none
+    a, reducible = Poly(G5, (4, 1)), Poly(G5, (4, 0, 1))
+    assert a * pow_mod(a, 23, reducible) % reducible != Poly.one(G5)
+
+
+def test_mod_inverse_all_residues_mod_irreducible_quadratics():
+    for q in (2, 3, 4, 5, 7, 9):
+        field = field_of_order(q)
+        for mod in monic_irreducibles(field, 2):
+            for c1 in range(field.q):
+                for c0 in range(field.q):
+                    a = Poly(field, (c0, c1))
+                    if not a:
+                        continue
+                    assert (a * pow_mod(a, q * q - 2, mod)) % mod == Poly.one(field)
+
+
 def test_is_irreducible():
     assert is_irreducible(Poly(G5, (2, 0, 1)))  # disc -8 = 2, a non-square
     assert not is_irreducible(Poly(G5, (4, 0, 1)))  # root 1
