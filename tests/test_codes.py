@@ -449,6 +449,26 @@ def test_weight_table_matches_exhaustive_distances(code):
         assert weights[s] == code.error_distance(word, method="exhaustive")
 
 
+@pytest.mark.parametrize(
+    "q, k", [(11, 9), (11, 8), (13, 11), (13, 10)], ids=lambda v: str(v)
+)
+def test_every_class_of_the_sweep_codes_matches_the_exhaustive_oracle(q, k):
+    # the r = 3 and 4 codes of the family sweeps, which the hypothesis
+    # strategies (q <= 9) never draw: one word per class, supported on the
+    # first r coordinates, whose r columns of H are independent
+    field = field_of_order(q)
+    code = prs(field, k)
+    r = code.redundancy
+    words = np.zeros((q**r, code.n), dtype=np.intp)
+    words[:, :r] = _vectors(q, r)
+    word_of = np.empty(q**r, dtype=np.intp)
+    word_of[code.syndromes(words) @ q ** np.arange(r)] = np.arange(q**r)
+    weights = code.coset_leader_weights()
+    reps = codes.class_representatives(q, r, np.arange(len(weights)))
+    for c, word in enumerate(words[word_of[reps @ q ** np.arange(r)]].tolist()):
+        assert weights[c] == code.error_distance(word, method="exhaustive"), c
+
+
 @st.composite
 def column_sets(draw):
     """(field, columns): 0 to r+3 random columns of length r, q^r <= 1000,
