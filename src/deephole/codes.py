@@ -41,21 +41,29 @@ i, the lines through [h] are indexed by the representatives u with u_i = 0,
 and every other representative lies on exactly one of them.  Their points
 u + t*h normalise coordinate by coordinate: for u in a box j < i each is a
 representative as it stands, and for j > i each point with t != 0 is t
-times the representative h + u/t, in box i.  So each box is updated a block
-of lines at a time, by one (q, lines) array of positions, one gather, a
-minimum over the line, and one scatter; each entry is written once per
-column, and [h] itself takes weight at most 1.
+times the representative h + u/t, in box i.  Each coordinate after j adds
+one (rows, digits) term to the positions, so the lines of box j are an
+outer sum of terms.  The columns that share i share their terms but for a
+leading column axis, so a group of columns gets its positions of every box
+at once: (columns, q, lines) blocks of at most _block() entries, holding
+the lines of several whole columns or a run of lines of one, in column
+order.  A column's pass over a block is one gather, a minimum over each
+line, and one scatter, so a column whose lines fit in a block is passed by
+one of each; [h] itself, on none of its lines, takes weight 1.
 
 That pass over the whole table is taken only by the columns outside one
 hyperplane W = {s : s_(r-1) = l.(s_0, ..., s_(r-2))}; the table is seeded
 with the columns in W, one dimension down.  The result of the passes does
-not depend on the order of the columns, and after the columns in W it is
-exact on W and r + 1 off it, since their span lies in W.  On W it is the
-table of their first r-1 coordinates, built by the same function and moved
-through the chart s' -> (s', l.s'), which maps representatives to
-representatives.  l makes W hold a greedy maximal set of columns whose first
-r-1 coordinates are independent, so for an MDS code W holds exactly r - 1
-columns and n - r + 1 passes over the whole table remain.
+not depend on the order of the columns, or on when a weight-1 class [h] is
+set, and after the columns in W it is exact on W and r + 1 off it, since
+their span lies in W.  On W it is the table of their first r-1
+coordinates, built by the same function down to r = 1, where the one class
+has weight 1 when some column is nonzero, and moved through the chart
+s' -> (s', l.s'), which maps representatives to representatives.  l makes
+W hold a greedy maximal set of columns whose first r-1 coordinates are
+independent, found by reducing the columns in order until r - 1 are kept,
+so for an MDS code W holds exactly r - 1 columns and n - r + 1 passes over
+the whole table remain.
 
 A position in this table is a class id: the class of s != 0 has id
 offsets[j] plus the place of its representative in box j, for j its first
@@ -86,7 +94,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from deephole import linalg
 from deephole.errors import BoundExceededError
 from deephole.gf import GF, field_of_order
 from deephole.poly import Poly, evaluate
@@ -484,20 +491,18 @@ def _leader_weights(field: GF, columns, unreached: int = 0) -> np.ndarray:
     max(unreached, r + 1) where none does, so that a table built one
     dimension down keeps the value of the table it seeds.  The columns in
     the hyperplane of _hyperplane are taken one dimension down and charted
-    into it; each other column takes one _column_pass."""
-    q = field.q
+    into it; the others pass over the whole table in _column_pass."""
     columns = np.asarray(columns, dtype=np.intp)
     r = columns.shape[1]
-    offsets = _box_offsets(q, r)
     unreached = max(unreached, r + 1)
+    if r == 1:  # the one class, of weight 1 when some column is nonzero
+        return np.full(1, 1 if columns.any() else unreached, dtype=np.int8)
+    offsets = _box_offsets(field.q, r)
     compact = np.full(offsets[-1], unreached, dtype=np.int8)
-    if r > 1:  # for r = 1, W is {0} and holds no class
-        ell, inside, outside = _hyperplane(field, columns)
-        sub = _leader_weights(field, columns[inside, :-1], unreached)
-        _chart(field, compact, sub, ell, offsets)
-        columns = columns[outside]
-    for h in columns:
-        _column_pass(field, compact, h, offsets)
+    ell, inside, outside = _hyperplane(field, columns)
+    sub = _leader_weights(field, columns[inside, :-1], unreached)
+    _chart(field, compact, sub, ell, offsets)
+    _column_pass(field, compact, columns[outside], offsets)
     return compact
 
 
@@ -505,24 +510,40 @@ def _hyperplane(field: GF, columns) -> tuple[list[int], list[int], list[int]]:
     """l in GF(q)^(r-1), and the indices of the (m, r) columns in the
     hyperplane W = {s : s_(r-1) = l.(s_0, ..., s_(r-2))} and of those off
     it.  W holds a greedy maximal set B of columns whose first r-1
-    coordinates C' are independent: the pivots of the reduced [C' | I]
-    among its first m columns are B, and its right block E has E_B C'_B = I
-    on the rows of B, so l = E_B^T times the last coordinates of B."""
-    cols = columns.tolist()
-    m, d = len(cols), columns.shape[1] - 1
-    heads = columns[:, :d].T.tolist()
-    rows = [h + [int(i == t) for i in range(d)] for t, h in enumerate(heads)]
-    reduced, pivots = linalg.rref(field, rows)
-    add, mul = field.add, field.mul
-    ell = [0] * d
-    for row, b in zip(reduced, pivots):
-        if b < m:
-            ell = [add(x, mul(cols[b][d], e)) for x, e in zip(ell, row[m:])]
-    inside, outside = [], []
-    for j, col in enumerate(cols):
-        dot = functools.reduce(add, map(mul, ell, col), 0)
-        (inside if dot == col[d] else outside).append(j)
-    return ell, inside, outside
+    coordinates are independent.  Until r-1 are kept, each column in turn
+    is reduced by the kept ones, its last coordinate carried along, and is
+    kept when one of its first r-1 coordinates is left nonzero: scaled to 1
+    at the first such, its pivot, and cleared from the kept ones there.  So
+    every kept row is 1 at its pivot and 0 at the others, and l, the
+    carried coordinate of each kept row at its pivot and 0 elsewhere, meets
+    every kept row, and so every column of B."""
+    d = columns.shape[1] - 1
+    add, mul, neg = field.add, field.mul, field.neg
+    kept = {}  # pivot -> reduced row
+    for col in columns.tolist():
+        if len(kept) == d:
+            break
+        for p, row in kept.items():
+            if col[p]:
+                c = neg(col[p])
+                col = [add(x, mul(c, y)) for x, y in zip(col, row)]
+        p = next((t for t in range(d) if col[t]), None)
+        if p is None:
+            continue
+        c = field.inv(col[p])
+        col = [mul(c, x) for x in col]
+        for t, row in kept.items():
+            if row[p]:
+                c = neg(row[p])
+                kept[t] = [add(x, mul(c, y)) for x, y in zip(row, col)]
+        kept[p] = col
+    ell = [kept[t][d] if t in kept else 0 for t in range(d)]
+    add_t, mul_t = field.add_table, field.mul_table
+    dot = np.zeros(len(columns), dtype=add_t.dtype)
+    for t, e in enumerate(ell):
+        dot = add_t[dot, mul_t[e, columns[:, t]]]
+    on = dot == columns[:, d]
+    return ell, np.flatnonzero(on).tolist(), np.flatnonzero(~on).tolist()
 
 
 def _chart(field: GF, compact, sub, ell, offsets):
@@ -550,30 +571,31 @@ def _chart(field: GF, compact, sub, ell, offsets):
             compact[at] = sub[stop + b : stop + b + len(at)]
 
 
-def _column_pass(field: GF, compact, h, offsets):
-    """The pass of the column h over the whole table, in place (see the
-    module docstring)."""
-    nonzero = np.flatnonzero(h)
-    if not len(nonzero):
-        return
-    q, r = field.q, len(h)
+def _column_pass(field: GF, compact, columns, offsets):
+    """The passes of the given columns, an (m, r) array or one column, over
+    the whole table, in place (see the module docstring)."""
+    q, r = field.q, len(offsets) - 1
+    columns = np.asarray(columns).reshape(-1, r)
+    first = (columns != 0).argmax(axis=1)
+    lead = columns[np.arange(len(columns)), first]
     add_t, mul_t = field.add_table, field.mul_table
-    i = int(nonzero[0])
-    h = mul_t[field.inv(int(h[i])), h].astype(np.intp)  # scaled so that h_i = 1
-    for j in range(r):
-        if j == i:
-            continue
-        # every point other than [h] lies on one line through [h]: its
-        # weight becomes the smaller of its own and one more than the
-        # line's least
-        for at in _line_positions(add_t, mul_t, h, i, j, offsets):
-            on_line = compact[at]
-            least = on_line.min(axis=0)
-            least += 1
-            np.minimum(on_line, least, out=on_line)
-            compact[at] = on_line
-    home = offsets[i] + int(h[i + 1 :] @ q ** np.arange(r - 1 - i))
-    compact[home] = min(compact[home], 1)
+    # each h scaled so that h_i = 1 at its first nonzero coordinate i
+    hs = mul_t[field.inv_table[lead][:, None], columns]
+    first[lead == 0] = r  # a zero column passes nowhere
+    for i in sorted(set(first.tolist()) - {r}):
+        h = hs[first == i]
+        # [h] has weight 1, and lies on none of its own lines
+        compact[offsets[i] + h[:, i + 1 :] @ q ** np.arange(r - 1 - i)] = 1
+        for block in _line_positions(add_t, mul_t, h, i, offsets):
+            # one column's lines at a time, in column order: every point
+            # becomes the smaller of its weight and one more than its
+            # line's least
+            for at in block:
+                on_line = compact[at]
+                least = np.minimum.reduce(on_line)
+                least += 1
+                np.minimum(on_line, least, out=on_line)
+                compact[at] = on_line
 
 
 def class_ids(field: GF, vectors) -> np.ndarray:
@@ -611,57 +633,108 @@ def _box_offsets(q: int, r: int) -> list[int]:
     """Where each box of the compact table starts, and its length last: box
     j holds the q^(r-1-j) representatives whose first nonzero coordinate is
     j, packed base q by their coordinates after j."""
-    return np.cumsum([0] + [q ** (r - 1 - j) for j in range(r)]).tolist()
+    return list(itertools.accumulate((q ** (r - 1 - j) for j in range(r)), initial=0))
 
 
-def _line_positions(add_t, mul_t, h, i: int, j: int, offsets):
-    """Compact positions of the points of the lines through [h] (h_i = 1 its
-    first nonzero coordinate) that meet box j at a representative u with
-    u_i = 0, as (q, L) arrays with one line per column, in blocks of lines;
-    the lines are disjoint, so each block is updated on its own.  For j < i
-    row t is u + t*h, a representative as it stands; for j > i row 0 is u
-    and row s != 0 is h + s*u, the representative of u + h/s.  Either way
-    each coordinate after j adds one (rows, digits) term, broadcast onto the
-    lines so far: the last terms make the lines of one block, and the first
-    ones are taken a block at a time.  The field tables are uint16, so every
-    term is widened before it is scaled."""
-    q, r = len(add_t), len(h)
+def _line_positions(add_t, mul_t, hs, i: int, offsets):
+    """Compact positions of the lines through [h] of every column h of the
+    (G, r) array hs, each scaled so that h_i = 1 is its first nonzero
+    coordinate, as (columns, q, lines) blocks of at most _block() entries,
+    one line per column of a (q, lines) array; the lines of one column are
+    disjoint, so each block is updated on its own.  A block holds the lines
+    of as many whole columns as fit, or a run of the lines of one.  Box j's
+    lines are the outer sum of the terms of _box_terms: the last terms make
+    a tail that fits a block, and the others head lines, each followed by
+    the tail; a run of whole head lines goes into the block as one sum, and
+    the runs of every box are packed into the blocks in turn.  A block
+    array is new, so it may be kept."""
+    q, r = len(add_t), len(offsets) - 1
+    lines = (offsets[-1] - 1) // q
+    if not lines:
+        return
+    step = max(1, _block() // (q * lines))
+    for start in range(0, len(hs), step):
+        h = hs[start : start + step]
+        width = max(1, _block() // (len(h) * q))
+        fits = 0  # digits of a tail that fits a block
+        while q ** (fits + 1) <= width:
+            fits += 1
+        # box j has q^free lines, in head lines of q^tail; runs of whole
+        # head lines are packed into blocks of at most width lines
+        blocks, fill = [[]], 0
+        for j in range(r):
+            if j == i:
+                continue
+            free = r - 1 - j - (j < i)
+            tail = min(free, fits)
+            heads, count, done = q ** (free - tail), q**tail, 0
+            while done < heads:
+                if fill + count > width:
+                    blocks.append([])
+                    fill = 0
+                n = min(heads - done, (width - fill) // count)
+                blocks[-1].append((j, tail, done, n))
+                fill += n * count
+                done += n
+        box = None
+        for runs in blocks:
+            out = np.empty((len(h), q, sum(n * q**tail for _, tail, _, n in runs)), np.intp)
+            fill = 0
+            for j, tail, done, n in runs:
+                if box != j:
+                    # a run's positions: its head lines, each followed by
+                    # the q^tail lines of the tail
+                    terms = _box_terms(add_t, mul_t, h, i, j, offsets)
+                    split = len(terms) - tail
+                    head = functools.reduce(_append_digit, terms[:split])
+                    one = np.zeros((1, 1, 1), dtype=np.intp)  # the empty sum
+                    rest = functools.reduce(_append_digit, terms[split:], one)
+                    box = j
+                lines = n * q**tail
+                dest = out[:, :, fill : fill + lines].reshape(len(h), q, n, -1)
+                np.add(head[:, :, done : done + n, None], rest[:, :, None, :], out=dest)
+                fill += lines
+            yield out
+
+
+def _box_terms(add_t, mul_t, h, i: int, j: int, offsets) -> list[np.ndarray]:
+    """The terms of the positions of the lines of the columns h that meet
+    box j, as (G or 1, rows, digits) arrays: the lead term of one digit,
+    then one of q digits per free coordinate after j, the last first."""
+    q, r = len(add_t), h.shape[1]
     digits = np.arange(q)
     if j < i:
-        terms = [np.full((1, 1), offsets[j])]
+        # row t is u + t*h, a representative in box j as it stands
+        terms = [(offsets[j] + digits * q ** (i - j - 1))[None, :, None]]
         for k in range(r - 1, j, -1):
-            if k == i:
-                part = digits[:, None]
-            elif k < i:
-                part = digits[None, :]
-            else:
-                part = add_t[mul_t[:, h[k], None], digits].astype(np.intp)
-            terms.append(part * q ** (k - j - 1))
-    else:
-        lead = add_t[h[j], digits].astype(np.intp) * q ** (j - i - 1)
-        lead += offsets[i] + int(h[i + 1 : j] @ q ** np.arange(j - i - 1))
-        lead[0] = offsets[j]
-        terms = [lead[:, None]]
-        for k in range(r - 1, j, -1):
-            part = add_t[h[k], mul_t].astype(np.intp) * q ** (k - i - 1)
-            part[0] = digits * q ** (k - j - 1)
-            terms.append(part)
-    # the tail takes the last terms while a (q, lines) block of them fits
-    split = len(terms)
-    while split > 1 and q * math.prod(t.shape[1] for t in terms[split - 1 :]) <= _block():
-        split -= 1
-    head = functools.reduce(_append_digit, terms[:split])
-    tail = functools.reduce(_append_digit, terms[split:], np.zeros((1, 1), dtype=np.intp))
-    step = _block_rows(q * tail.shape[1])
-    for start in range(0, head.shape[1], step):
-        yield _append_digit(head[:, start : start + step], tail)
+            if k < i:
+                terms.append((digits * q ** (k - j - 1))[None, None, :])
+            elif k > i:
+                part = add_t[mul_t[h[:, k, None], digits][:, :, None], digits].astype(np.intp)
+                part *= q ** (k - j - 1)
+                terms.append(part)
+        return terms
+    # row 0 is u, and row s != 0 is h + s*u, the representative of u + h/s
+    lead = add_t[h[:, j, None], digits].astype(np.intp)
+    lead *= q ** (j - i - 1)
+    lead += offsets[i]
+    if j > i + 1:
+        lead += (h[:, i + 1 : j] @ q ** np.arange(j - i - 1))[:, None]
+    lead[:, 0] = offsets[j]
+    terms = [lead[:, :, None]]
+    for k in range(r - 1, j, -1):
+        part = add_t[h[:, k, None, None], mul_t].astype(np.intp)
+        part *= q ** (k - i - 1)
+        part[:, 0] = digits * q ** (k - j - 1)
+        terms.append(part)
+    return terms
 
 
 def _append_digit(at, part) -> np.ndarray:
-    """at[row, line] + part[row, digit], with (line, digit) flattened into
+    """at[..., line] + part[..., digit], with (line, digit) flattened into
     one line axis."""
-    out = at[:, :, None] + part[:, None, :]
-    return out.reshape(len(out), -1)
+    out = at[..., :, None] + part[..., None, :]
+    return out.reshape(out.shape[:-2] + (-1,))
 
 
 def _block() -> int:
@@ -670,7 +743,9 @@ def _block() -> int:
     Freeing a larger temporary raises that threshold, and the heap then keeps
     later temporaries resident.  Blocking the weight table's lines this way
     took the peak RSS of the perfbench oracle workload from 44.4 to 43.2 MB
-    (median of nine passes, 2-core Xeon)."""
+    (median of nine passes, 2-core Xeon).  A block of line positions holds
+    the lines of several small columns at once, so that a small table is
+    passed in few gathers."""
     return SCAN_CHUNK // 16
 
 

@@ -330,11 +330,14 @@ class GF:
         return self._np_table("log")
 
 
-@functools.lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1) -> GF:
     """Construct (or fetch the cached) GF(p^m) with the canonical modulus.
-    The cache is keyed by the arguments as passed: make_field(5) and
-    make_field(5, 1) are equal fields cached apart."""
+    The cache is keyed on (p, m), so make_field(5) is make_field(5, 1)."""
+    return _cached_field(p, m)
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_field(p: int, m: int) -> GF:
     return GF(p, m)
 
 

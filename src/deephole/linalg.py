@@ -1,8 +1,10 @@
 """Exact Gaussian elimination over GF(q) for small dense matrices.
 
 Matrices are lists of row lists of field-element encodings; ``rref`` is
-pure and leaves its input untouched.  The weight table's hyperplane seed
-(``codes._hyperplane``) finds its hyperplane by one ``rref``.
+pure and leaves its input untouched.  It is the reference that the weight
+table's hyperplane seed (``codes._hyperplane``, which reduces the columns
+in order and stops at r - 1 kept) is checked against, and the tests' rank
+check.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import contextvars
 import copy
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -518,6 +519,40 @@ def test_leader_weight_kernel_matches_scalar_bfs(case):
     assert table == _bfs_leader_weights(field, columns, r)
 
 
+@given(column_sets())
+def test_hyperplane_holds_the_pivot_columns_of_rref(case):
+    # the reference: the pivots among the first m columns of the reduced
+    # [C' | I], C' the first r-1 coordinates of the m columns, are the
+    # greedy basis B, and l = E_B^T times the last coordinates of B
+    field, columns = case
+    m, r = columns.shape
+    if r < 2:
+        return
+    d = r - 1
+    rows = [list(h) + [int(i == t) for i in range(d)] for t, h in enumerate(columns[:, :d].T.tolist())]
+    reduced, pivots = linalg.rref(field, rows)
+    basis = [b for b in pivots if b < m]
+    reference = [0] * d
+    for row, b in zip(reduced, pivots):
+        if b < m:
+            reference = [field.add(x, field.mul(int(columns[b, d]), e)) for x, e in zip(reference, row[m:])]
+    ell, inside, outside = codes._hyperplane(field, columns)
+
+    def on_w(col, ell):
+        dot = 0
+        for e, x in zip(ell, col[:d]):
+            dot = field.add(dot, field.mul(e, x))
+        return dot == col[d]
+
+    cols = columns.tolist()
+    assert set(basis) <= set(inside)
+    assert all(on_w(cols[b], ell) for b in basis)
+    assert inside == [j for j, col in enumerate(cols) if on_w(col, reference)]
+    assert sorted(inside + outside) == list(range(m))
+    if len(basis) == d:  # B spans GF(q)^(r-1), so l is unique
+        assert ell == reference
+
+
 # (q, columns, the indices of the columns in the seed's hyperplane W)
 CHART_CASES = {
     "r=1": (5, [[0], [3], [3]], None),
@@ -658,7 +693,8 @@ def test_only_the_columns_off_the_hyperplane_pass_over_the_full_table(
     pass_step = codes._column_pass
 
     def counted(field, compact, h, offsets):
-        sizes.append(len(compact))
+        # one size per column passed: the step takes an (m, r) array of them
+        sizes.extend([len(compact)] * len(np.reshape(h, (-1, len(offsets) - 1))))
         pass_step(field, compact, h, offsets)
 
     monkeypatch.setattr(codes, "_column_pass", counted)
@@ -667,6 +703,37 @@ def test_only_the_columns_off_the_hyperplane_pass_over_the_full_table(
     assert sizes.count((q**r - 1) // (q - 1)) == n - r + 1
     assert table.dtype == np.int8
     assert table.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("split", ["columns", "lines"])
+@pytest.mark.parametrize("q, k", [(7, 5), (7, 4), (7, 3)], ids=["r=3", "r=4", "r=5"])
+def test_weight_table_blocks_give_the_one_block_table(q, k, split, monkeypatch):
+    # a block of two columns' lines splits the column groups; a quarter of
+    # one column's lines splits the lines of every column; and no block of
+    # positions holds more than _block() entries
+    field = field_of_order(q)
+    one_block = prs(field, k).coset_leader_weights()
+    lines = (q ** (q - k) - 1) // (q - 1)  # per column, r = q + 1 - k
+    block = 2 * q * lines if split == "columns" else q * lines // 4
+    monkeypatch.setattr(codes, "SCAN_CHUNK", 16 * block)
+    assert codes._block() == block
+    shapes = []
+    positions = codes._line_positions
+
+    def recording(*args):
+        for at in positions(*args):
+            shapes.append(at.shape)
+            yield at
+
+    monkeypatch.setattr(codes, "_line_positions", recording)
+    table = prs(field, k).coset_leader_weights()
+    assert table.tobytes() == one_block.tobytes()
+    assert max(math.prod(shape) for shape in shapes) <= block
+    full = [shape for shape in shapes if shape[1:] == (q, lines)]
+    if split == "columns":
+        assert (2, q, lines) in full and len(full) > 1
+    else:
+        assert not full and sum(shape[2] < lines for shape in shapes) > 4
 
 
 def test_weight_table_memory_is_bounded():

@@ -59,6 +59,12 @@ def test_make_field_errors_and_idempotence():
         field_of_order(12)
 
 
+def test_make_field_caches_one_field_per_p_and_m():
+    # a prime field given with or without m = 1 is one cache entry
+    assert make_field(5) is make_field(5, 1) is make_field(5, m=1) is field_of_order(5)
+    assert make_field(p=7) is make_field(7, 1)
+
+
 def test_an_extension_field_builds_one_uncached_base_field(monkeypatch):
     # the modulus and generator searches share one GF(3), and neither reads
     # or fills make_field's cache
@@ -70,11 +76,11 @@ def test_an_extension_field_builds_one_uncached_base_field(monkeypatch):
         init(self, p, m)
 
     monkeypatch.setattr(GF, "__init__", counting_init)
-    before = gf.make_field.cache_info()
+    before = gf._cached_field.cache_info()
     field = GF(3, 4)
     assert field.mul_table[field.generator(), 1] == field.generator()
     assert built == [(3, 4), (3, 1)]
-    assert gf.make_field.cache_info() == before
+    assert gf._cached_field.cache_info() == before
 
 
 def test_basic_arithmetic():

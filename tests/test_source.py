@@ -31,6 +31,7 @@ REFERENCES = {
     "codes.Code.encode": "the rows of Code.codewords",
     "codes.Code.parity_check_matrix": "Code.syndromes; perfbench/spans.py wraps it",
     "codes.Code.is_mds": "an acceptance criterion",
+    "linalg.rref": "codes._hyperplane",
     "gf.GF.is_square": "poly.is_irreducible at degree 2",
     "gf.GF.discrete_log": "GF.log_table, which n3_sweep's r3 column reads",
     "poly.RationalFunction": "Code.rational_words",
