@@ -678,34 +678,33 @@ def _line_positions(add_t, mul_t, hs, i: int, offsets):
                 done += n
         box = None
         for runs in blocks:
-            out = np.empty((len(h), q, sum(n * q**tail for _, tail, _, n in runs)), np.intp)
-            fill = 0
+            block = []
             for j, tail, done, n in runs:
                 if box != j:
                     # a run's positions: its head lines, each followed by
-                    # the q^tail lines of the tail
+                    # the q^tail lines of the tail; the last box's go first
+                    head = rest = None
                     terms = _box_terms(add_t, mul_t, h, i, j, offsets)
                     split = len(terms) - tail
                     head = functools.reduce(_append_digit, terms[:split])
                     one = np.zeros((1, 1, 1), dtype=np.intp)  # the empty sum
                     rest = functools.reduce(_append_digit, terms[split:], one)
+                    del terms
                     box = j
-                lines = n * q**tail
-                dest = out[:, :, fill : fill + lines].reshape(len(h), q, n, -1)
-                np.add(head[:, :, done : done + n, None], rest[:, :, None, :], out=dest)
-                fill += lines
-            yield out
+                block.append(_append_digit(head[:, :, done : done + n], rest))
+            yield block[0] if len(block) == 1 else np.concatenate(block, axis=2)
 
 
 def _box_terms(add_t, mul_t, h, i: int, j: int, offsets) -> list[np.ndarray]:
-    """The terms of the positions of the lines of the columns h that meet
-    box j, as (G or 1, rows, digits) arrays: the lead term of one digit,
-    then one of q digits per free coordinate after j, the last first."""
+    """The terms of the positions of the lines of the G columns h that meet
+    box j, as (G or 1, rows, digits) arrays: the lead term, (G, q, 1), then
+    one of q digits per free coordinate after j, the last first."""
     q, r = len(add_t), h.shape[1]
     digits = np.arange(q)
     if j < i:
         # row t is u + t*h, a representative in box j as it stands
-        terms = [(offsets[j] + digits * q ** (i - j - 1))[None, :, None]]
+        lead = offsets[j] + digits * q ** (i - j - 1)
+        terms = [np.zeros((len(h), 1, 1), dtype=np.intp) + lead[:, None]]
         for k in range(r - 1, j, -1):
             if k < i:
                 terms.append((digits * q ** (k - j - 1))[None, None, :])
