@@ -682,7 +682,8 @@ def _line_positions(add_t, mul_t, hs, i: int, offsets):
             for j, tail, done, n in runs:
                 if box != j:
                     # a run's positions: its head lines, each followed by
-                    # the q^tail lines of the tail; the last box's go first
+                    # the q^tail lines of the tail; the previous box's head
+                    # and tail are dropped before this box's are built
                     head = rest = None
                     terms = _box_terms(add_t, mul_t, h, i, j, offsets)
                     split = len(terms) - tail
