@@ -72,7 +72,8 @@ class_representatives maps class ids back to representative vectors; no
 other code maps between the two.  coset_leader_weights() is the table, and
 the covering radius its maximum.  Code.class_span gives the class ids of a
 span, one per combination of its syndromes whose first nonzero coefficient
-is 1, in the same box order over GF(q)^m.
+is 1, in the same box order over GF(q)^m; spans of q^r combinations or more
+read their ids from a table of all q^r vectors' class_ids, built in the call.
 
 The tables are bounded by one Limits value, the context variable LIMITS:
 the weight table and every span of syndromes need q^r <= LIMITS.syndromes,
@@ -295,17 +296,31 @@ class Code:
         by c_(j+1), c_(j+2), ... with the lowest least significant.  An
         (..., m, r) array of m >= 1 syndromes gives (..., (q^m-1)/(q-1))
         ids, one span per leading index; dependent syndromes raise
-        ValueError, since some combination is zero."""
+        ValueError, since some combination is zero.  A span of at least q^r
+        combinations in all packs each base q and reads its id from a table
+        of the class_ids of all q^r vectors, built in the call; a smaller
+        one takes class_ids of its combinations."""
         fld = self.field
-        self._check_syndromes()  # also keeps the packed ids within int64
-        r = self.redundancy
+        self._check_syndromes()  # also bounds the table of q^r ids
+        q, r = fld.q, self.redundancy
         syns = np.asarray(syndromes, dtype=np.intp)
         # box j: s_j plus every combination of the later syndromes
-        boxes = (
-            fld.add_table[_combinations(fld, syns[..., j + 1 :, :], r), syns[..., [j], :]]
-            for j in range(syns.shape[-2])
+        combos = np.concatenate(
+            [
+                fld.add_table[_combinations(fld, syns[..., j + 1 :, :], r), syns[..., [j], :]]
+                for j in range(syns.shape[-2])
+            ],
+            axis=-2,
         )
-        ids = np.concatenate([class_ids(fld, box) for box in boxes], axis=-1)
+        if combos.size < q**r * r:  # fewer combinations than vectors
+            ids = class_ids(fld, combos)
+        else:
+            table = class_ids(fld, np.arange(q**r)[:, None] // q ** np.arange(r) % q)
+            packed = np.zeros(combos.shape[:-1], dtype=np.intp)
+            for t in range(r - 1, -1, -1):
+                packed *= q
+                packed += combos[..., t]
+            ids = table[packed]
         if (ids < 0).any():
             raise ValueError("the syndromes are linearly dependent")
         return ids

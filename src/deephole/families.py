@@ -15,8 +15,10 @@ are combinations of the basis words, by one table gather.
 
 quadratic_families and cubic_families build and check many polynomials p at
 once, both degrees in one path, per block of at most codes.SCAN_CHUNK span
-entries: one Code.rational_words call gives the basis words x^i/p(x) of
-every p in the block, one Code.syndromes call their syndromes and one
+entries.  On a PRS code the syndrome of the word of x^i/p(x) is a window of
+the power sums S_t = sum over GF(q) of x^t/p(x), so one evaluation of every
+p in the block over GF(q) and one inverse gather give the basis words of
+every p and the r + d - 1 power sums that hold their syndromes, and one
 Code.class_span call every span, a (P, C) array of class ids.  Every check
 then runs once per block, one weight gather for the deep mask and one row
 sort with a mask of adjacent duplicates for the class counts, and a failing
@@ -25,7 +27,7 @@ three deep numerators, found by one codes.class_ids call over the
 numerators' coefficient vectors, and built by one more gather.
 quadratic_family and cubic_family then hold each checked row as a family,
 and check a p given alone as a block of one.  A monic p of degree 2 or 3 is
-reducible exactly when it has a root in GF(q), and Code.rational_words then
+reducible exactly when it has a root in GF(q), and the block that holds it
 raises ValueError naming it.
 
 family_table holds the families of one tag as the report's rows, a
@@ -49,7 +51,7 @@ from deephole import codes, numbertheory
 from deephole.codes import Code, rs
 from deephole.errors import TheoremAssertionError
 from deephole.gf import GF
-from deephole.poly import Poly, is_irreducible, pow_mod
+from deephole.poly import Poly, evaluate, is_irreducible, pow_mod
 from deephole.table import Table
 
 TAGS = ("degree_k", "inverse_monomial", "zero_sum_free", "quadratic", "cubic")
@@ -178,16 +180,38 @@ def _rational_spans(code: Code, polys, d: int):
     """(chunk, basis, ids) per block of polynomials whose spans hold at most
     codes.SCAN_CHUNK entries, in order: basis is the (P, d, n) array of the
     words of x^i/p(x), i < d, of the P polynomials of the chunk, and ids
-    their (P, C) Code.class_span, each built by one Code.rational_words, one
-    Code.syndromes and one Code.class_span call."""
-    q = code.field.q
-    monomials = [(0,) * i + (1,) for i in range(d)]
-    block = max(1, codes.SCAN_CHUNK // ((q**d - 1) // (q - 1) * code.redundancy))
+    their (P, C) Code.class_span.  The rows of H are x^t on D and a word's
+    extension coordinate is 0, so the syndrome of x^i/p(x) is (S_i, ...,
+    S_(i+r-1)), with S_t the sum of x^t/p(x) over GF(q).  A block takes one
+    poly.evaluate of its p over D, one inverse gather, the products x^t/p(x)
+    for t < r + d - 1 by one gather, whose first d rows are the basis words,
+    and the r + d - 1 sums by one add-table gather per point.  A p with a
+    root in GF(q) raises ValueError naming it."""
+    field = code.field
+    q, r = field.q, code.redundancy
+    add_t, mul_t = field.add_table, field.mul_table
+    xs = np.asarray(code.D)
+    # x^t at every point, 0^0 = 1 as in H
+    powers = np.ones((r + d - 1, q), dtype=mul_t.dtype)
+    for t in range(1, r + d - 1):
+        powers[t] = mul_t[powers[t - 1], xs]
+    # window i of the sums is the syndrome of x^i/p(x)
+    windows = np.arange(d)[:, None] + np.arange(r)
+    block = max(1, codes.SCAN_CHUNK // ((q**d - 1) // (q - 1) * r))
     for start in range(0, len(polys), block):
         chunk = polys[start : start + block]
-        dens = [p.coeffs for p in chunk for _ in monomials]
-        basis = code.rational_words(monomials * len(chunk), dens).reshape(-1, d, code.n)
-        yield chunk, basis, code.class_span(code.syndromes(basis))
+        den = evaluate(field, [p.coeffs for p in chunk], xs)
+        poles = np.flatnonzero((den == 0).any(axis=1))
+        if len(poles):
+            raise ValueError(f"denominator {chunk[poles[0]]!r} has a root in {field!r}")
+        # (points, P, t): x^t/p(x), the points first so each sum reads a block
+        terms = mul_t[powers.T[:, None, :], field.inv_table[den].T[:, :, None]]
+        sums = terms[0]
+        for x in range(1, q):
+            sums = add_t[sums, terms[x]]
+        basis = np.zeros((len(chunk), d, code.n), dtype=terms.dtype)
+        basis[..., :-1] = terms[..., :d].transpose(1, 2, 0)
+        yield chunk, basis, code.class_span(sums[:, windows])
 
 
 def _coset_rows(ids: np.ndarray, count: int, what: str, items) -> np.ndarray:

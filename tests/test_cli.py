@@ -177,6 +177,13 @@ def test_cubic_coverage_command():
     assert report["result"]["total"] == 360
 
 
+def test_cubic_coverage_total_is_checked_against_the_closed_formula(monkeypatch):
+    real = classify.deep_count_formula
+    monkeypatch.setattr(classify, "deep_count_formula", lambda q, r: real(q, r) + 1)
+    report, code = _run(["cubic-coverage", "--q", "5"])
+    assert report is None and code == 2
+
+
 def test_zero_sum_free_command():
     report, code = _run(["zero-sum-free", "--p", "7", "--r", "2"])
     assert code == 0

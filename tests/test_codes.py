@@ -871,6 +871,50 @@ def test_class_span_over_a_batch_axis_matches_one_span_each(code, data):
         assert ids[idx].tolist() == expected
 
 
+def _column_triples(q):
+    """PRS(q+1, q-3), r = 4, and every triple of its parity-check columns as
+    a (triples, 3, 4) array: C(q+1, 3) spans of q^2 + q + 1 classes, fewer
+    than q^4 each and at least q^4 in all for q >= 7."""
+    code = prs(field_of_order(q), q - 3)
+    return code, np.array(list(itertools.combinations(code.h_columns(), 3)))
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_class_span_lookup_gives_the_ids_of_class_ids(q, monkeypatch):
+    code, syns = _column_triples(q)
+    calls = []
+    real = codes.class_ids
+    monkeypatch.setattr(
+        codes, "class_ids", lambda field, v: calls.append(np.shape(v)) or real(field, v)
+    )
+    batch = code.class_span(syns)
+    # the batch packs its combinations and reads them from a table of the
+    # ids of all q^4 vectors
+    assert calls == [(q**4, 4)]
+    calls.clear()
+    each = [code.class_span(s) for s in syns]
+    # one set at a time, each span takes class_ids of its combinations
+    assert calls == [(q * q + q + 1, 4)] * len(syns)
+    assert batch.tolist() == [ids.tolist() for ids in each]
+
+
+def test_class_span_keeps_no_table():
+    code, syns = _column_triples(9)
+    before = (set(vars(code)), set(vars(codes)))
+    code.class_span(syns)  # the field's tables are built once
+    tracemalloc.start()
+    try:
+        ids = code.class_span(syns)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (set(vars(code)), set(vars(codes))) == before
+    # the int64 table of the 9^4 vectors' ids was built, and only the ids
+    # returned are kept
+    assert peak > 9**4 * 8
+    assert kept < ids.nbytes + 2**12
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_class_ids_match_scalar_normalisation(m, q):

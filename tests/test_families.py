@@ -11,7 +11,7 @@ import pytest
 from deephole import classify, codes, families
 from deephole.codes import Code, prs, rs
 from deephole.errors import TheoremAssertionError
-from deephole.gf import make_field
+from deephole.gf import field_of_order, make_field
 from deephole.poly import Poly, monic_irreducibles
 from deephole.families import (
     TAGS,
@@ -493,6 +493,26 @@ def test_a_reducible_polynomial_is_named(monkeypatch, size, build_all, build_one
         build_all(code, polys[:4] + [reducible] + polys[4:])
     with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
         build_one(code, reducible)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11])
+@pytest.mark.parametrize("d", [2, 3])
+def test_power_sums_are_the_syndromes_of_the_basis_words(monkeypatch, q, d):
+    # every monic irreducible p of degree d on PRS(q+1, q+1-(d+1)), where the
+    # families of degree d live
+    field = field_of_order(q)
+    code = prs(field, q - d)
+    polys = list(monic_irreducibles(field, d))
+    spanned = []
+    real = code.class_span
+    monkeypatch.setattr(code, "class_span", lambda syns: spanned.append(syns) or real(syns))
+    blocks = list(families._rational_spans(code, polys, d))
+    monomials = [(0,) * i + (1,) for i in range(d)]
+    dens = [p.coeffs for p in polys for _ in monomials]
+    words = code.rational_words(monomials * len(polys), dens).reshape(-1, d, code.n)
+    assert [p for chunk, _, _ in blocks for p in chunk] == polys
+    assert np.concatenate([basis for _, basis, _ in blocks]).tolist() == words.tolist()
+    assert np.concatenate(spanned).tolist() == code.syndromes(words).tolist()
 
 
 @pytest.mark.parametrize("field", [G7, G8, G9])
