@@ -315,7 +315,9 @@ class Code:
         if combos.size < q**r * r:  # fewer combinations than vectors
             ids = class_ids(fld, combos)
         else:
-            table = class_ids(fld, np.arange(q**r)[:, None] // q ** np.arange(r) % q)
+            # row p of the vectors holds the base-q digits of p, lowest first
+            vectors = np.indices((q,) * r, dtype=combos.dtype)[::-1].reshape(r, -1).T
+            table = class_ids(fld, vectors)
             packed = np.zeros(combos.shape[:-1], dtype=np.intp)
             for t in range(r - 1, -1, -1):
                 packed *= q
