@@ -212,10 +212,10 @@ def cubic_coverage_experiment(field: GF) -> dict:
     against the closed formula whenever the counting theorems apply."""
     q = field.q
     code = prs(field, q - 3)
+    cubics = monic_irreducibles(field, 3)
+    fams = families.cubic_families(code, cubics)  # checks k before any deep set
     deep = deep_syndromes(code)
     total = _checked_count(code, deep)
-    cubics = monic_irreducibles(field, 3)
-    fams = families.cubic_families(code, cubics)
     union = code.class_mask(f.cosets for f in fams)
     if int(union[deep].sum()) != int(union.sum()):
         raise TheoremAssertionError("cubic families produced a non-deep coset")

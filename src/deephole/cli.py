@@ -16,7 +16,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, asdict
 
@@ -61,21 +60,14 @@ class ExperimentConfig:
     def check_size_guard(self):
         if self.unsafe_bounds:
             return
-        text = os.environ.get("DEEPHOLE_MAX_Q", str(DEFAULT_MAX_Q))
-        try:
-            guard = int(text)
-        except ValueError:
-            guard = 0
-        if guard < 1:
-            raise UsageError(f"DEEPHOLE_MAX_Q must be a positive integer, got {text!r}")
         # checked before the field is built, and p^m taken only for small p, m
         p, m = (self.q, 1) if self.q is not None else (self.p, self.m)
         m = 1 if m is None else m
+        guard = DEFAULT_MAX_Q
         if m >= 1 and (p > guard or m > guard.bit_length() or p**m > guard):
             q = p if m == 1 else f"{p}^{m}"
             raise BoundExceededError(
-                f"q = {q} exceeds the size guard {guard} "
-                "(set DEEPHOLE_MAX_Q or pass --unsafe-bounds)"
+                f"q = {q} exceeds the size guard {guard} (pass --unsafe-bounds)"
             )
 
     def describe(self) -> dict:

@@ -296,22 +296,21 @@ class Code:
         by c_(j+1), c_(j+2), ... with the lowest least significant.  An
         (..., m, r) array of m >= 1 syndromes gives (..., (q^m-1)/(q-1))
         ids, one span per leading index; dependent syndromes raise
-        ValueError, since some combination is zero.  A span of at least q^r
-        combinations in all packs each base q and reads its id from a table
-        of the class_ids of all q^r vectors, built in the call; a smaller
-        one takes class_ids of its combinations."""
+        ValueError, since some combination is zero.  The boxes come from one
+        array of the combinations of s_1, s_2, ...: box 0 adds s_0 to each,
+        and box j >= 1 is the strided view of those with c_j = 1 the first
+        nonzero coefficient.  A span of at least q^r combinations in all
+        packs each base q and reads its id from a table of the class_ids of
+        all q^r vectors, built in the call; a smaller one takes class_ids of
+        its combinations."""
         fld = self.field
         self._check_syndromes()  # also bounds the table of q^r ids
         q, r = fld.q, self.redundancy
         syns = np.asarray(syndromes, dtype=np.intp)
-        # box j: s_j plus every combination of the later syndromes
-        combos = np.concatenate(
-            [
-                fld.add_table[_combinations(fld, syns[..., j + 1 :, :], r), syns[..., [j], :]]
-                for j in range(syns.shape[-2])
-            ],
-            axis=-2,
-        )
+        later = _combinations(fld, syns[..., 1:, :], r)  # row c_1 + c_2*q + ...
+        boxes = [later[..., q ** (j - 1) :: q**j, :] for j in range(1, syns.shape[-2])]
+        combos = np.concatenate([fld.add_table[later, syns[..., [0], :]], *boxes], -2)
+        del later, boxes  # released before the ids, which set the peak
         if combos.size < q**r * r:  # fewer combinations than vectors
             ids = class_ids(fld, combos)
         else:

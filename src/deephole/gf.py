@@ -6,18 +6,18 @@ identities and prime-field elements are just residues.  The canonical element
 order used throughout the package lists the nonzero elements ascending by
 encoding and puts 0 last.
 
-The field keeps no polynomial arithmetic of its own; it takes it from
-``poly``, over the prime field GF(p).  The reducing modulus of an extension
-field is the first monic irreducible of degree m that ``poly.is_irreducible``
-accepts when coefficient vectors (c_0, ..., c_{m-1}) are compared
-lexicographically, low-degree coefficient first; a prime field has the
-modulus x.  The generator is the smallest encoding whose powers, taken by
-``poly.pow_mod`` modulo the modulus, pass the prime-divisor test of order
-q-1.  An extension field runs both searches over one uncached GF(p).  The
-log and exp tables step through its powers by one vectorised map b -> g*b,
-so every discrete log is to that generator, and the inverse and product
-tables are read from them.  A prime field adds, multiplies and inverts residues directly and builds no
-log table for them.
+The field keeps no polynomial arithmetic of its own; its modulus search
+takes it from ``poly``, over an uncached GF(p) that is dropped once the
+modulus is found.  The reducing modulus of an extension field is the first
+monic irreducible of degree m that ``poly.is_irreducible`` accepts when
+coefficient vectors (c_0, ..., c_{m-1}) are compared lexicographically,
+low-degree coefficient first; a prime field has the modulus x.  The
+generator is the smallest encoding g whose walk 1 -> g -> g^2 -> ..., one
+vectorised map b -> g*b a step, meets all q-1 nonzero elements before it
+returns to 1.  That walk is kept as the exp table and the log table is read
+from it, so every discrete log is to that generator, and the inverse and
+product tables are read from them.  A prime field adds, multiplies and
+inverts residues directly and builds no log table for them.
 """
 
 from __future__ import annotations
@@ -103,15 +103,11 @@ class GF:
         self._powers = tuple(p**i for i in range(m))
         self._logs = None      # log table relative to self.generator()
         self._exps = None
-        self._generator = None
         self._np_tables = {}
-        # a prime field is its own base; an extension keeps one uncached GF(p)
-        # for its modulus and generator searches, without the p x p tables
-        # that the modulus search may build
-        base = self if m == 1 else GF(p)
-        self.modulus = _smallest_irreducible(base, m)
-        base._np_tables.clear()
-        self._base = None if m == 1 else base
+        # a prime field is its own base; an extension searches its modulus
+        # over an uncached GF(p), dropped here with the p x p tables that the
+        # search may build
+        self.modulus = _smallest_irreducible(self if m == 1 else GF(p), m)
 
     # -- identity ------------------------------------------------------
 
@@ -196,35 +192,25 @@ class GF:
     # -- multiplicative structure ----------------------------------------
 
     def _log_tables(self):
-        """Exponents of generator() by stepping b -> g*b from 1, and their
-        logs."""
-        if self._logs is None:
-            times = self._times(self.generator())
-            exps = [0] * (2 * self.q)  # doubled so log sums index directly
-            logs = [0] * self.q
-            acc = 1
-            for i in range(self.q - 1):
-                exps[i] = acc
-                logs[acc] = i
-                acc = times[acc]
-            for i in range(self.q - 1, 2 * self.q):
-                exps[i] = exps[i - (self.q - 1)]
-            self._exps = exps
-            self._logs = logs
+        """The discrete logs to generator() and its powers, the exp list
+        doubled so that log sums index it directly, both from the walk that
+        found the generator."""
+        self.generator()
         return self._logs, self._exps
 
-    def _times(self, g: int) -> list[int]:
-        """The map b -> g*b as a q-entry list: Horner's rule on the digits of
-        g over the (m, block) digit array of a block of TABLE_LIMIT elements
-        at a time.  Multiplying by x shifts the digits up one place and
-        replaces x^m by minus the low part of the modulus."""
+    def _times(self, g: int) -> np.ndarray:
+        """The map b -> g*b as a q-entry int64 array, a fifth of the memory
+        of a list of q ints: Horner's rule on the digits of g over the
+        (m, block) digit array of a block of TABLE_LIMIT elements at a time.
+        Multiplying by x shifts the digits up one place and replaces x^m by
+        minus the low part of the modulus."""
         p, m = self.p, self.m
         powers = np.array(self._powers, dtype=np.int64)
         low = np.array(self.modulus[:m], dtype=np.int64)[:, None]
         digits = self.digits(g)
         while not digits[-1]:  # a leading zero digit leaves acc at 0
             digits.pop()
-        out = []
+        out = np.empty(self.q, dtype=np.int64)
         for start in range(0, self.q, TABLE_LIMIT):
             b = np.arange(start, min(start + TABLE_LIMIT, self.q)) // powers[:, None] % p
             acc = np.zeros_like(b)
@@ -233,27 +219,31 @@ class GF:
                 acc[1:] = acc[:-1]
                 acc[0] = 0
                 acc = (acc - carry + c * b) % p
-            out += (powers @ acc).tolist()
+            out[start : start + TABLE_LIMIT] = powers @ acc
         return out
 
     def generator(self) -> int:
-        """Smallest encoding g with g^((q-1)/f) != 1 for every prime f
-        dividing q-1, powered as a polynomial over GF(p) modulo the
-        modulus."""
-        if self._generator is None:
-            # deferred: poly imports gf at module level
-            from deephole.poly import Poly, pow_mod
-
-            base = self._base or self
-            mod, one = Poly(base, self.modulus), Poly.one(base)
-            n = self.q - 1
-            fs = prime_factors(n) if n > 1 else []
+        """Smallest encoding g whose walk 1 -> g -> g^2 -> ..., by the map
+        b -> g*b, meets all q-1 nonzero elements before it returns to 1.
+        The first such walk is kept as the exp list, and the logs are read
+        from it."""
+        if self._exps is None:
             for g in range(1, self.q):
-                elem = Poly(base, self.digits(g))
-                if all(pow_mod(elem, n // f, mod) != one for f in fs):
-                    self._generator = g
+                times = self._times(g).item  # Python ints, not numpy scalars
+                exps = [1]
+                b = times(1)
+                while b != 1:
+                    exps.append(b)
+                    b = times(b)
+                if len(exps) == self.q - 1:
                     break
-        return self._generator
+            logs = [0] * self.q
+            for i, b in enumerate(exps):
+                logs[b] = i
+            exps += exps
+            exps += exps[:2]  # 2q entries, at q = 2 too
+            self._logs, self._exps = logs, exps  # _exps last: it marks both built
+        return self._exps[1]
 
     def is_square(self, a: int) -> bool:
         """Euler's criterion: the reference that poly.is_irreducible is

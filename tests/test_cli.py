@@ -184,6 +184,20 @@ def test_cubic_coverage_total_is_checked_against_the_closed_formula(monkeypatch)
     assert report is None and code == 2
 
 
+def test_cubic_coverage_checks_k_before_any_table(monkeypatch, capsys):
+    # at q = 4, k = q-3 = 1 is outside the construction's range: the command
+    # exits before it builds a weight table or enumerates the deep spans
+    def no_work(*args):
+        raise AssertionError("cubic-coverage built a table before checking k")
+
+    monkeypatch.setattr(classify, "deep_syndromes", no_work)
+    monkeypatch.setattr(codes.Code, "coset_leader_weights", no_work)
+    report, code = _run(["cubic-coverage", "--q", "4"])
+    assert report is None and code == 1
+    err = capsys.readouterr().err
+    assert "k = 1 outside the admissible range for q = 4" in err and "Traceback" not in err
+
+
 def test_zero_sum_free_command():
     report, code = _run(["zero-sum-free", "--p", "7", "--r", "2"])
     assert code == 0
@@ -334,29 +348,6 @@ def test_n3_over_the_table_limit_exits_before_any_quadratic(monkeypatch, capsys)
     assert "exceeds table limit 4096" in err and "Traceback" not in err
 
 
-def test_size_guard_env(monkeypatch):
-    monkeypatch.setenv("DEEPHOLE_MAX_Q", "17")
-    report, code = _run(["enum-deep-cosets", "--q", "17", "--k", "15"])
-    assert code == 0
-    assert report["result"]["total"] == 16 * 17 * 17
-    monkeypatch.setenv("DEEPHOLE_MAX_Q", "5")
-    _, code = _run(["enum-deep-cosets", "--q", "7", "--k", "5"])
-    assert code == 1
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
-def test_a_malformed_size_guard_is_named_unless_the_flag_lifts_it(
-    value, monkeypatch, capsys
-):
-    monkeypatch.setenv("DEEPHOLE_MAX_Q", value)
-    report, code = _run(["ssp", "--q", "5", "--k", "2", "--unsafe-bounds"])
-    assert code == 0 and report is not None
-    report, code = _run(["ssp", "--q", "5", "--k", "2"])
-    assert report is None and code == 1
-    err = capsys.readouterr().err
-    assert "DEEPHOLE_MAX_Q" in err and "Traceback" not in err
-
-
 def test_family_quadratic_total_is_checked_at_k_q_minus_2(monkeypatch, capsys):
     # at odd q and k = q-2 the quadratic families cover all (q-1)q^2 deep
     # cosets; one family alone covers q^2-1 of them
@@ -372,7 +363,10 @@ def test_family_quadratic_total_is_checked_at_k_q_minus_2(monkeypatch, capsys):
     assert code == 0 and report["result"]["total_distinct_cosets"] == 24
 
 
-def test_unsafe_bounds_flag():
+def test_unsafe_bounds_flag(capsys):
+    report, code = _run(["enum-deep-cosets", "--q", "17", "--k", "15"])
+    assert report is None and code == 1
+    assert "exceeds the size guard 13" in capsys.readouterr().err
     report, code = _run(["enum-deep-cosets", "--q", "17", "--k", "15", "--unsafe-bounds"])
     assert code == 0 and report["result"]["total"] == 16 * 17 * 17
 
@@ -387,10 +381,9 @@ def test_unsafe_bounds_flag():
     ],
     ids=" ".join,
 )
-def test_huge_fields_are_rejected_before_any_work(field, unsafe, monkeypatch, capsys):
+def test_huge_fields_are_rejected_before_any_work(field, unsafe, capsys):
     # the size is compared with the bound before factoring, testing
     # primality or taking p^m
-    monkeypatch.delenv("DEEPHOLE_MAX_Q", raising=False)
     start = time.perf_counter()
     report, code = _run(["ssp", *field, "--k", "2", *unsafe])
     assert time.perf_counter() - start < 2

@@ -770,13 +770,14 @@ def _class_span_by_scalars(code, words):
 @given(small_codes(scan_budget=float("inf")), st.data())
 def test_class_span_is_syndrome_linearity(code, data):
     # the syndromes themselves are checked against a scalar H*w in
-    # test_syndromes_match_scalar_h_times_w
+    # test_syndromes_match_scalar_h_times_w; with four words, boxes 2 and 3
+    # are strided views of the combinations of the later syndromes
     q = code.field.q
     words = data.draw(
         st.lists(
             st.lists(st.integers(0, q - 1), min_size=code.n, max_size=code.n),
             min_size=1,
-            max_size=3,
+            max_size=4,
         )
     )
     expected = _class_span_by_scalars(code, words)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deephole import gf
+from deephole import gf, poly
 from deephole.errors import BoundExceededError
 from deephole.gf import GF, field_of_order, make_field, prime_factors
 
@@ -48,6 +48,34 @@ def test_every_field_up_to_4096_is_pinned():
         assert (list(f.modulus), f.generator()) == (want["modulus"], want["generator"]), f
 
 
+@pytest.mark.parametrize("p, m", [(2, 2), (3, 2), (11, 2), (13, 2), (2, 12)])
+def test_the_generator_and_log_tables_need_no_polynomial_powers(p, m, monkeypatch):
+    # the generator is found by the walk that builds the exp list, so a
+    # fresh field builds both without poly.pow_mod; its modulus search may
+    # call it
+    path = Path(__file__).parent / "fixtures" / "fields.json"
+    want = json.loads(path.read_text())[str(p**m)]
+
+    def no_powers(*args):
+        raise AssertionError("poly.pow_mod called")
+
+    f = GF(p, m)
+    monkeypatch.setattr(poly, "pow_mod", no_powers)
+    g = f.generator()
+    logs, exps = f._log_tables()
+    monkeypatch.undo()
+    assert (list(f.modulus), g) == (want["modulus"], want["generator"])
+    # reference: the powers of g by polynomial products modulo the modulus
+    base = make_field(p)
+    mod, step = poly.Poly(base, f.modulus), poly.Poly(base, f.digits(g))
+    acc, powers = poly.Poly.one(base), []
+    for _ in range(f.q - 1):
+        powers.append(sum(c * p**i for i, c in enumerate(acc.coeffs)))
+        acc = acc * step % mod
+    assert exps == powers * 2 + powers[:2]  # doubled, 2q entries
+    assert [logs[a] for a in powers] == list(range(f.q - 1))
+
+
 def test_make_field_errors_and_idempotence():
     with pytest.raises(ValueError):
         make_field(6)
@@ -66,8 +94,8 @@ def test_make_field_caches_one_field_per_p_and_m():
 
 
 def test_an_extension_field_builds_one_uncached_base_field(monkeypatch):
-    # the modulus and generator searches share one GF(3), and neither reads
-    # or fills make_field's cache
+    # the modulus search runs over one GF(3), which neither reads nor fills
+    # make_field's cache
     built = []
     init = GF.__init__
 
@@ -232,19 +260,20 @@ def test_tables_match_scalar_ops():
 
 
 def test_log_tables_of_gf_2_16_stay_near_the_kept_lists():
-    # the map b -> g*b is built in blocks of TABLE_LIMIT elements; a (q, m)
-    # int64 digit array at once would add 128 bytes per element at m = 16
+    # the first generator() call is the one walk that builds the log and exp
+    # lists.  Each candidate's map b -> g*b is built in blocks of TABLE_LIMIT
+    # elements: a (q, m) int64 digit array at once would add 128 bytes per
+    # element at m = 16
     f = GF(2, 16)
-    f.generator()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        f._log_tables()
+        f.generator()
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert kept - before > 64 * f.q  # the logs and exps lists
-    assert peak - kept < 16 * f.q  # measured: 9 bytes per element
+    assert peak - kept < 16 * f.q  # measured: 8 bytes per element
 
 
 def test_a_log_table_builds_no_square_table():
