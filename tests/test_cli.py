@@ -564,7 +564,9 @@ def test_family_reports_match_recorded_digests():
     # completeness and cubic-coverage reports up to the sizes of the benchmark
     # sweep, the hypergraph report (the one that prints class representatives)
     # at every odd q from 5 to 13, and for the n3 reports at q in {4, 5, 7, 8, 9, 11, 13, 16, 17}:
-    # both r3 branches, prime and extension fields
+    # both r3 branches, prime and extension fields; ssp pins its own CSV
+    # branch, and covering-radius, enum-deep-cosets and zero-sum-free the
+    # generic key/value one
     digests = json.loads((FIXTURES / "report_digests.json").read_text())
     csv_digests = json.loads((FIXTURES / "csv_digests.json").read_text())
     assert set(csv_digests) == set(digests)
@@ -577,8 +579,9 @@ def test_family_reports_match_recorded_digests():
 
 
 # every family tag at q in {4, 5, 7, 8, 9, 11, 13, 16}, with k = q-2 and
-# q-3 and the sets of the other family tests: the SHA-256 of the JSON report,
-# or the exit code and message of a rejected configuration
+# q-3 and the sets of the other family tests, and an inverse_monomial set
+# that fills GF(5), which leaves no delta and reports no family: the SHA-256
+# of the JSON report, or the exit code and message of a rejected configuration
 _FAMILY_TAG_CASES = json.loads((FIXTURES / "family_tag_cases.json").read_text())
 
 
