@@ -97,7 +97,7 @@ import numpy as np
 
 from deephole.errors import BoundExceededError
 from deephole.gf import GF, field_of_order
-from deephole.poly import Poly, evaluate
+from deephole.poly import Poly
 
 # entries in one block of a batched table build: the arrays of one block of
 # information sets, or of one block of the families' spans, a few hundred KB,
@@ -213,16 +213,14 @@ class Code:
     # -- encoding and words ---------------------------------------------------
 
     def encode(self, f: Poly) -> tuple[int, ...]:
-        """The codeword of a message polynomial of degree < k, by scalar
-        evaluation: the reference that the rows of codewords() are checked
-        against."""
+        """The codeword of a message polynomial of degree < k: its word, with
+        the coefficient of x^(k-1) as the projective extension coordinate;
+        the reference that the rows of codewords() are checked against."""
         if f.degree > self.k - 1:
             raise ValueError(f"deg f = {f.degree} exceeds k-1 = {self.k - 1}")
-        if self.kind == "projective":
-            ck1 = f.coeffs[self.k - 1] if len(f.coeffs) >= self.k else 0
-            return tuple(f(x) for x in self.D) + (ck1,)
-        fld = self.field
-        return tuple(fld.mul(v, f(x)) for x, v in zip(self.D, self.scale))
+        if self.kind == "affine":
+            return self.word(f)
+        return self.word(f, last=f.coeffs[-1] if f.degree == self.k - 1 else 0)
 
     def word(self, f: Poly, last: int | None = None) -> tuple[int, ...]:
         """Evaluation word of an arbitrary-degree polynomial: the affine u_f,
@@ -236,36 +234,6 @@ class Code:
         if last is not None and not 0 <= last < self.field.q:
             raise ValueError(f"extension coordinate {last} out of range")
         return evals + (0 if last is None else last,)
-
-    def rational_words(self, nums, dens) -> np.ndarray:
-        """The words (num_i/den_i evaluated on D, 0) as an (N, n) array,
-        for N numerator and denominator coefficient rows (low degree first):
-        one poly.evaluate call over D for all 2N rows, then a gather through
-        the field's inverse table."""
-        if self.kind != "projective":
-            raise ValueError("rational-function words are projective")
-        fld = self.field
-        nums, dens = list(nums), list(dens)
-        if len(nums) != len(dens):
-            raise ValueError(f"{len(nums)} numerators for {len(dens)} denominators")
-        coeffs = nums + dens
-        width = max(map(len, coeffs), default=1)
-        # column t holds every row's coefficient of x^t, 0 past its degree
-        by_degree = itertools.zip_longest(*coeffs, fillvalue=0)
-        rows = np.array(list(by_degree), dtype=np.intp).reshape(width, len(coeffs)).T
-        # a gather would wrap a negative coefficient silently
-        outside = rows[(rows < 0) | (rows >= fld.q)]
-        if len(outside):
-            raise ValueError(f"coefficient {outside[0]} out of range")
-        num, den = np.split(evaluate(fld, rows, self.D), 2)
-        # D is the whole field, so a zero of the denominator on D is a pole
-        poles = np.flatnonzero((den == 0).any(axis=1))
-        if len(poles):
-            pole = Poly(fld, dens[poles[0]])
-            raise ValueError(f"denominator {pole!r} has a root in {fld!r}")
-        words = np.zeros((len(nums), self.n), dtype=num.dtype)
-        words[:, :-1] = fld.mul_table[num, fld.inv_table[den]]
-        return words
 
     # -- syndromes and cosets ---------------------------------------------------
 

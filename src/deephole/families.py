@@ -423,7 +423,9 @@ def dh_intersection(code: Code, p1: Poly, p2: Poly) -> np.ndarray:
     """The class of the q-1 cosets shared by DH(p1) and DH(p2) on
     PRS(q+1,q-2), built from the congruences a1 + b1 x = a (x^q - x)/p2 mod
     p1 and cross-checked against the brute-force intersection of the two
-    families; a second route that the tests run and no command does."""
+    families; a second route that the tests run and no command does.  Its
+    one word is evaluated point by point, so the route does not share the
+    power-sum kernel that quadratic_families runs on."""
     field = code.field
     q = field.q
     if q % 2 == 0 or code.kind != "projective" or code.k != q - 2:
@@ -437,8 +439,8 @@ def dh_intersection(code: Code, p1: Poly, p2: Poly) -> np.ndarray:
     # GF(q)[x]/(p1) is the field GF(q^2), so 1/b = b^(q^2-2)
     base = (xq_x % p1) * pow_mod(p2 % p1, q * q - 2, p1) % p1
     # the words of a*base/p1, a != 0, are one class
-    w = code.rational_words([base.coeffs], [p1.coeffs])
-    shared = coset_array(code.class_span(code.syndromes(w)))
+    w = [field.div(base(x), p1(x)) for x in code.D] + [0]
+    shared = coset_array(code.class_span((code.syndrome(w),)))
     dh1, dh2 = quadratic_families(code, (p1, p2))
     if not np.array_equal(shared, np.intersect1d(dh1.cosets, dh2.cosets)):
         raise TheoremAssertionError(

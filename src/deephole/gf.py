@@ -226,9 +226,10 @@ class GF:
         """Smallest encoding g whose walk 1 -> g -> g^2 -> ..., by the map
         b -> g*b, meets all q-1 nonzero elements before it returns to 1.
         The first such walk is kept as the exp list, and the logs are read
-        from it."""
+        from it.  An extension field starts at g = p: an encoding below p
+        lies in GF(p), and its order divides p - 1."""
         if self._exps is None:
-            for g in range(1, self.q):
+            for g in range(1 if self.m == 1 else self.p, self.q):
                 times = self._times(g).item  # Python ints, not numpy scalars
                 exps = [1]
                 b = times(1)

@@ -295,33 +295,3 @@ def monic_irreducibles(field: GF, d: int) -> tuple[Poly, ...]:
             reducible[prod[..., :d] @ powers] = True
     rows = _monic_rows(np.flatnonzero(~reducible), q, d)
     return tuple(Poly(field, row) for row in rows.tolist())
-
-
-class RationalFunction:
-    """num/den with den monic and nonzero, evaluated pointwise: the scalar
-    reference for Code.rational_words."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if num.field != den.field:
-            raise ValueError("mismatched fields")
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not den.is_monic:
-            raise ValueError("denominator must be monic")
-        self.num = num
-        self.den = den
-
-    @property
-    def field(self) -> GF:
-        return self.num.field
-
-    def __call__(self, x: int) -> int:
-        d = self.den(x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {x}")
-        return self.field.div(self.num(x), d)
-
-    def __repr__(self):
-        return f"({self.num!r})/({self.den!r})"

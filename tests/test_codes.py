@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deephole import codes, linalg, numbertheory
+from deephole import codes, families, linalg, numbertheory
 from deephole.codes import Code, prs, rs
 from deephole.errors import BoundExceededError
 from deephole.gf import GF, field_of_order, make_field
-from deephole.poly import Poly, RationalFunction, monic_irreducibles
+from deephole.poly import Poly, monic_irreducibles
 
 G5 = make_field(5)
 
@@ -31,17 +31,13 @@ def test_encode_examples():
 
 
 def test_rational_words_examples():
+    # the basis words of 1/p and x/p for p = x^2 + 2 on PRS(6,3), as the
+    # power-sum kernel of the families builds them
     c = prs(G5, 3)
-    p = (2, 0, 1)
-    assert c.rational_words([(1,), (0, 1)], [p, p]).tolist() == [
-        [2, 1, 1, 2, 3, 0],
-        [2, 2, 3, 3, 0, 0],
-    ]
-    f = Poly(G5, (3, 1, 2))
-    (asrat,) = c.rational_words([f.coeffs], [(1,)])
-    assert tuple(asrat.tolist()) == c.encode(f)[:-1] + (0,)
-    with pytest.raises(ValueError):
-        c.rational_words([(1,)], [(4, 1)])
+    [(_, basis, _)] = families._rational_spans(c, [Poly(G5, (2, 0, 1))], 2)
+    assert basis.tolist() == [[[2, 1, 1, 2, 3, 0], [2, 2, 3, 3, 0, 0]]]
+    with pytest.raises(ValueError, match="has a root"):
+        list(families._rational_spans(c, [Poly(G5, (2, 2, 1))], 2))  # (x-1)(x-2)
 
 
 def test_generator_matrix_matches_classical_layout():
@@ -959,24 +955,6 @@ def test_class_mask_is_the_union_of_id_arrays():
     assert mask.shape == (31,) and np.flatnonzero(mask).tolist() == [0, 4, 30]
 
 
-def test_rational_words_match_pointwise_evaluation():
-    field = make_field(3, 2)
-    code = prs(field, 6)
-    dens = [monic_irreducibles(field, d)[3].coeffs for d in (2, 3)]
-    nums = [(0, 1), (4, 3, 5)]
-    words = code.rational_words(nums, dens)
-    for word, num, den in zip(words.tolist(), nums, dens):
-        rat = RationalFunction(Poly(field, num), Poly(field, den))
-        assert word == [rat(x) for x in code.D] + [0]
-    assert code.rational_words([], []).shape == (0, code.n)
-    with pytest.raises(ValueError):
-        code.rational_words([(1,)], [(0, 1)])  # x has the root 0
-    with pytest.raises(ValueError):
-        code.rational_words([(1,)], [])
-    with pytest.raises(ValueError):
-        rs(field, 3).rational_words([(1,)], [dens[0]])
-
-
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -985,8 +963,6 @@ def test_rational_words_match_pointwise_evaluation():
         (lambda: rs(make_field(3, 2), 2, scale=(10,) + (1,) * 8), "scale vector"),
         (lambda: numbertheory.subset_sum_row(G5, (0, 1, 7), 2), "outside GF(5)"),
         (lambda: numbertheory.subset_sum_row(G5, (-1, 1), 1), "outside GF(5)"),
-        (lambda: prs(5, 3).rational_words([(-1,)], [(2, 0, 1)]), "coefficient -1 out of range"),
-        (lambda: prs(5, 3).rational_words([(1,)], [(2, 0, 5)]), "coefficient 5 out of range"),
         (lambda: numbertheory.zero_sum_violations(G5, (7, 3), 2), "outside GF(5)"),
         (lambda: numbertheory.zero_sum_violations(G5, (-1, 1), 2), "outside GF(5)"),
     ],
@@ -1038,12 +1014,13 @@ def test_exhaustive_oracle_is_bounded_by_its_tables():
     big = prs(make_field(11), 8)
     with pytest.raises(BoundExceededError):
         big.codewords()
-    deep = big.rational_words([(1,)], [monic_irreducibles(big.field, 3)[0].coeffs])[0]
-    assert big.error_distance(deep.tolist(), method="exhaustive") == 3
+    p = monic_irreducibles(big.field, 3)[0]
+    deep = [big.field.div(1, p(x)) for x in big.D] + [0]  # the word of 1/p
+    assert big.error_distance(deep, method="exhaustive") == 3
     # an auto distance over the weight table's limit falls back to the oracle
     no_table = contextvars.copy_context()
     no_table.run(codes.LIMITS.set, codes.Limits(syndromes=100))
-    assert no_table.run(big.error_distance, deep.tolist()) == 3
+    assert no_table.run(big.error_distance, deep) == 3
 
 
 def test_code_validation():

@@ -44,6 +44,11 @@ BLOCK_CASES = [
 ]
 
 
+def _word(code, num, den):
+    """The word (num/den on D, 0) of a PRS code, point by point."""
+    return [code.field.div(num(x), den(x)) for x in code.D] + [0]
+
+
 def _assert_coset_array(ids):
     assert ids.dtype == np.int64 and ids.ndim == 1
     assert not ids.flags.writeable
@@ -303,8 +308,7 @@ def test_cubic_splitting_count_cross_check():
             assert not (near & far)
             fam = cubic_family(c, p)
             # splitting triples are exactly the complement of the deep ones
-            monomials = [(0,) * i + (1,) for i in range(3)]
-            words = c.rational_words(monomials, [p.coeffs] * 3)
+            words = [_word(c, Poly.monomial(field, i), p) for i in range(3)]
             terms = field.mul_table[np.array(sorted(near | far))[:, :, None], c.syndromes(words)]
             combos = field.add_table[field.add_table[terms[:, 0], terms[:, 1]], terms[:, 2]]
             nondeep = codes.class_ids(field, combos)
@@ -507,9 +511,8 @@ def test_power_sums_are_the_syndromes_of_the_basis_words(monkeypatch, q, d):
     real = code.class_span
     monkeypatch.setattr(code, "class_span", lambda syns: spanned.append(syns) or real(syns))
     blocks = list(families._rational_spans(code, polys, d))
-    monomials = [(0,) * i + (1,) for i in range(d)]
-    dens = [p.coeffs for p in polys for _ in monomials]
-    words = code.rational_words(monomials * len(polys), dens).reshape(-1, d, code.n)
+    monomials = [Poly.monomial(field, i) for i in range(d)]
+    words = np.array([[_word(code, x_i, p) for x_i in monomials] for p in polys])
     assert [p for chunk, _, _ in blocks for p in chunk] == polys
     assert np.concatenate([basis for _, basis, _ in blocks]).tolist() == words.tolist()
     assert np.concatenate(spanned).tolist() == code.syndromes(words).tolist()

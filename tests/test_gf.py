@@ -76,6 +76,18 @@ def test_the_generator_and_log_tables_need_no_polynomial_powers(p, m, monkeypatc
     assert [logs[a] for a in powers] == list(range(f.q - 1))
 
 
+@pytest.mark.parametrize("p, m", [(7, 1), (2, 2), (3, 2), (11, 2), (13, 2), (11, 3)])
+def test_the_generator_walk_of_an_extension_field_starts_at_p(p, m, monkeypatch):
+    # an encoding below p lies in GF(p), whose orders divide p - 1, so an
+    # extension field walks no such candidate; a prime field starts at 1
+    walked = []
+    times = GF._times
+    monkeypatch.setattr(GF, "_times", lambda self, g: walked.append((self, g)) or times(self, g))
+    f = GF(p, m)
+    g = f.generator()
+    assert [c for field, c in walked if field is f] == list(range(1 if m == 1 else p, g + 1))
+
+
 def test_make_field_errors_and_idempotence():
     with pytest.raises(ValueError):
         make_field(6)

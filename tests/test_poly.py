@@ -10,7 +10,6 @@ from deephole.gf import field_of_order, make_field
 from deephole.poly import (
     NEG_INF,
     Poly,
-    RationalFunction,
     distinct_roots,
     evaluate,
     gcd,
@@ -200,6 +199,7 @@ def test_evaluate_matches_scalar_horner(case):
 def test_distinct_roots():
     assert distinct_roots(x_pow_q_minus_x(G5)) == set(range(5))
     assert distinct_roots(Poly(G5, (2, 0, 1))) == set()
+    assert distinct_roots(Poly(G5, (4, 1))) == {1}
     f = Poly(G5, (4, 1)) * Poly(G5, (4, 1)) * Poly(G5, (3, 1))  # (x-1)^2 (x-2)
     assert distinct_roots(f) == {1, 2}
     assert len(distinct_roots(f)) < f.degree  # not split into distinct factors
@@ -210,21 +210,6 @@ def test_distinct_roots():
 def test_pow_mod():
     mod = Poly(G5, (2, 0, 1))
     assert pow_mod(Poly.x(G5), 25, mod) == Poly.x(G5) % mod  # x^(q^2) = x
-
-
-def test_rational_function():
-    p = Poly(G5, (2, 0, 1))
-    r = RationalFunction(Poly.one(G5), p)
-    assert [r(x) for x in (1, 2, 3, 4, 0)] == [2, 1, 1, 2, 3]
-    assert not distinct_roots(r.den)
-    pole = RationalFunction(Poly.one(G5), Poly(G5, (4, 1)))
-    assert distinct_roots(pole.den) == {1}
-    with pytest.raises(ZeroDivisionError):
-        pole(1)
-    with pytest.raises(ValueError):
-        RationalFunction(Poly.one(G5), Poly(G5, (1, 2)))  # not monic
-    with pytest.raises(ZeroDivisionError):
-        RationalFunction(Poly.one(G5), Poly.zero(G5))
 
 
 def test_poly_validation():

@@ -59,10 +59,14 @@ def _multiples(code, class_ids) -> np.ndarray:
     return np.sort(scaled.astype(np.int64) @ q ** np.arange(r), axis=None)
 
 
+def _word(code, num, den):
+    """The word (num/den on D, 0) of a PRS code, point by point."""
+    return [code.field.div(num(x), den(x)) for x in code.D] + [0]
+
+
 def _basis_syndromes(code, p):
-    d = p.degree
-    monomials = [(0,) * i + (1,) for i in range(d)]
-    return code.syndromes(code.rational_words(monomials, [p.coeffs] * d))
+    monomials = [Poly.monomial(code.field, i) for i in range(p.degree)]
+    return code.syndromes([_word(code, x_i, p) for x_i in monomials])
 
 
 def _assert_classes_stand_for(code, fam, packed):
@@ -90,8 +94,8 @@ def test_cubic_classes_are_the_deep_numerators(q):
         _assert_classes_stand_for(code, fam, span[deep])
         # the sample words are the words of the first three deep numerators
         # a + b x + c x^2, at index a + q*b + q^2*c
-        nums = [(t % q, t // q % q, t // q**2) for t in deep[:3].tolist()]
-        expected = [tuple(code.rational_words([num], [p.coeffs])[0].tolist()) for num in nums]
+        nums = [Poly(field, (t % q, t // q % q, t // q**2)) for t in deep[:3].tolist()]
+        expected = [tuple(_word(code, num, p)) for num in nums]
         assert fam.words == tuple(expected)
 
 
