@@ -2,9 +2,8 @@
 
 The package is organised as follows:
 
-- ``gf``           exact arithmetic in GF(p^m), element enumeration, discrete logs,
-                   numpy lookup tables
-- ``linalg``       Gaussian elimination over GF(q)
+- ``gf``           exact arithmetic in GF(p^m), element enumeration, numpy lookup
+                   tables, among them the discrete logs
 - ``poly``         univariate polynomial algebra over GF(q), array evaluation,
                    the monic-irreducible sieve
 - ``codes``        affine RS(D,k) and projective PRS(q+1,k) codes, syndromes,

@@ -210,17 +210,7 @@ class Code:
     def h_columns(self) -> list[tuple[int, ...]]:
         return list(zip(*self._h.tolist()))
 
-    # -- encoding and words ---------------------------------------------------
-
-    def encode(self, f: Poly) -> tuple[int, ...]:
-        """The codeword of a message polynomial of degree < k: its word, with
-        the coefficient of x^(k-1) as the projective extension coordinate;
-        the reference that the rows of codewords() are checked against."""
-        if f.degree > self.k - 1:
-            raise ValueError(f"deg f = {f.degree} exceeds k-1 = {self.k - 1}")
-        if self.kind == "affine":
-            return self.word(f)
-        return self.word(f, last=f.coeffs[-1] if f.degree == self.k - 1 else 0)
+    # -- words ----------------------------------------------------------------
 
     def word(self, f: Poly, last: int | None = None) -> tuple[int, ...]:
         """Evaluation word of an arbitrary-degree polynomial: the affine u_f,

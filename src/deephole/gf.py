@@ -246,21 +246,6 @@ class GF:
             self._logs, self._exps = logs, exps  # _exps last: it marks both built
         return self._exps[1]
 
-    def is_square(self, a: int) -> bool:
-        """Euler's criterion: the reference that poly.is_irreducible is
-        checked against at degree 2, by the discriminant at odd q."""
-        if a == 0 or self.p == 2:
-            return True
-        return self.pow(a, (self.q - 1) // 2) == 1
-
-    def discrete_log(self, a: int) -> int:
-        """Exponent t in [0, q-1) with generator()^t = a."""
-        if not 0 <= a < self.q:
-            raise ValueError(f"{a} is not an element of {self!r}")
-        if a == 0:
-            raise ValueError("discrete log of zero")
-        return self._log_tables()[0][a]
-
     # -- element enumeration ----------------------------------------------
 
     def element_reprs(self) -> tuple[int, ...]:

@@ -9,23 +9,21 @@ finds every root theta, one more builds every residue map x -> theta, and a
 third lifts every monic irreducible cubic at every theta.  The brute-force
 column is gathered from the lifts; the character column is gathered from the
 discrete logs of GF(q^2) and never reads the brute force, so one checks the
-other.  The scalar references ``n3_bruteforce``, ``n3_formula`` and ``r3``
-take one quadratic and one class (c0, c1) and compute in GF(q)[x]/(q(x))
-with ``Poly`` arithmetic, not through GF(q^2).
+other.  The tests check every column against scalar references that compute
+in GF(q)[x]/(q(x)) with ``Poly`` arithmetic, not through GF(q^2).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 
 from deephole import codes
 from deephole.errors import TheoremAssertionError
 from deephole.gf import GF, make_field
-from deephole.poly import Poly, evaluate, is_irreducible, monic_irreducibles, pow_mod
+from deephole.poly import evaluate, monic_irreducibles
 from deephole.table import Table
 
 # the zero-sum r-subsets a zero_sum_free report lists
@@ -145,53 +143,6 @@ def _residue_maps(ext: GF, quadratics: np.ndarray, linear: np.ndarray):
     map."""
     theta = np.argmax(evaluate(ext, quadratics, np.arange(ext.q)) == 0, axis=1)
     return theta, evaluate(ext, linear, theta).T
-
-
-def _cubic_residues(qpoly: Poly) -> Counter:
-    """Multiplicity of each residue p % q(x) among the monic irreducible
-    cubics p, by Poly division."""
-    return Counter(p % qpoly for p in monic_irreducibles(qpoly.field, 3))
-
-
-def _residue(qpoly: Poly, alpha) -> Poly:
-    """The residue class alpha = (c0, c1) of GF(q)[x]/(q(x)) as the Poly
-    c0 + c1 x, after checking that q(x) is a monic irreducible quadratic and
-    that alpha is nonzero."""
-    if qpoly.degree != 2 or not qpoly.is_monic or not is_irreducible(qpoly):
-        raise ValueError(f"{qpoly!r} is not a monic irreducible quadratic")
-    a = Poly(qpoly.field, alpha)
-    if not a:
-        raise ValueError("alpha must be a nonzero residue class")
-    return a
-
-
-def n3_bruteforce(qpoly: Poly, alpha) -> int:
-    """Number of pairs (p, l): p monic irreducible cubic, l nonzero scalar,
-    with p = l*alpha modulo q(x); by full enumeration of cubics, each reduced
-    in GF(q)[x]/(q(x)) by Poly division."""
-    a = _residue(qpoly, alpha)
-    residues = _cubic_residues(qpoly)
-    return sum(residues[a.scale(l)] for l in range(1, qpoly.field.q))
-
-
-def r3(qpoly: Poly, alpha) -> int:
-    """Character correction term: 0 unless q = 2 mod 3, else 2 when alpha is
-    a cube in (GF(q)[x]/(q(x)))*, that is alpha^((q^2-1)/3) = 1 modulo
-    q(x), and -1 otherwise."""
-    a = _residue(qpoly, alpha)
-    q = qpoly.field.q
-    if q % 3 != 2:
-        return 0
-    return 2 if pow_mod(a, (q * q - 1) // 3, qpoly) == Poly.one(qpoly.field) else -1
-
-
-def n3_formula(qpoly: Poly, alpha) -> int:
-    """(q(q-1) - r3(alpha)) / 3; exact."""
-    q = qpoly.field.q
-    t = q * (q - 1) - r3(qpoly, alpha)
-    if t % 3:
-        raise AssertionError("character formula did not produce a multiple of 3")
-    return t // 3
 
 
 def n3_sweep(field: GF) -> Table:

@@ -27,6 +27,7 @@ from deephole.families import (
     quadratic_family,
     zero_sum_free_family,
 )
+from references import encode
 
 G5 = make_field(5)
 G7 = make_field(7)
@@ -338,7 +339,7 @@ def test_section5_footnote_degree_k_overlap():
 
 def test_deep_holes_are_words_at_the_covering_radius():
     c = prs(G5, 3)
-    assert c.error_distance(c.encode(Poly(G5, (1, 2, 3)))) != c.covering_radius()
+    assert c.error_distance(encode(c, Poly(G5, (1, 2, 3)))) != c.covering_radius()
     assert c.error_distance((2, 1, 1, 2, 3, 0)) == c.covering_radius()
     # degree k+2 words are not deep holes of the affine code
     aff = rs(G5, 2)
@@ -348,7 +349,7 @@ def test_deep_holes_are_words_at_the_covering_radius():
 def test_cosets_are_syndromes():
     c = prs(G5, 3)
     w = (2, 1, 1, 2, 3, 0)
-    cw = c.encode(Poly(G5, (1, 0, 2)))
+    cw = encode(c, Poly(G5, (1, 0, 2)))
     shifted = tuple(G5.add(a, b) for a, b in zip(w, cw))
     assert c.syndrome(w) == c.syndrome(shifted)
     scaled = tuple(G5.mul(3, e) for e in w)

@@ -4,11 +4,13 @@ Every function and class defined in the package is referenced somewhere in
 src/ outside its own definition, or is on REFERENCES: a reference that a test
 compares a production path against, an acceptance criterion, or a hook that a
 caller outside src/ runs.  Every imported name is used by the module that
-imports it, and an import inside a function body breaks an import cycle.
-Names are matched by spelling, not by type: a method counts as referenced
-when any attribute of that name is read, and a module function or class when
-its name or an attribute of that name is.  Dunder methods run by syntax, not
-by name, and are not checked.
+imports it, an import inside a function body breaks an import cycle, and
+every module is imported, directly or not, by the package or by the console
+script.  Names are matched by spelling, not by type: a method counts as
+referenced when any attribute of that name is read, and a module function or
+class when its name or an attribute of that name is.  Dunder methods run by
+syntax, not by name, and are not checked.  The scalar references that only
+tests call live in tests/references.py, and some test reads each of them.
 """
 
 from __future__ import annotations
@@ -23,19 +25,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "deephole"
+TESTS = ROOT / "tests"
 
 # definitions that no src/ path calls, each with what it is kept for: the
 # production path that a test compares it against, an acceptance criterion, or
 # the caller outside src/ that runs it
 REFERENCES = {
-    "codes.Code.encode": "the rows of Code.codewords",
     "codes.Code.parity_check_matrix": "Code.syndromes; perfbench/spans.py wraps it",
     "codes.Code.is_mds": "an acceptance criterion",
-    "linalg.rref": "codes._hyperplane",
-    "gf.GF.is_square": "poly.is_irreducible at degree 2",
-    "gf.GF.discrete_log": "GF.log_table, which n3_sweep's r3 column reads",
-    "numbertheory.n3_bruteforce": "the brute-force column of n3_sweep",
-    "numbertheory.n3_formula": "the formula column of n3_sweep",
     "numbertheory.degree_k1_nondeephole": "an acceptance criterion",
     "families.cubic_nondeep_by_splitting": "families.cubic_family",
     "families.dh_intersection": "families.quadratic_families",
@@ -43,8 +40,8 @@ REFERENCES = {
 }
 
 
-def _modules():
-    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+def _modules(root=SRC):
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
 
 
 def _definitions(modules):
@@ -110,10 +107,11 @@ def unused_imports(modules) -> list[str]:
     return out
 
 
-def _module_level_imports(tree) -> set[str]:
-    """The modules of src/deephole that a module imports at module level."""
+def _imports(nodes) -> set[str]:
+    """The modules of src/deephole that the import statements among nodes
+    name."""
     names = set()
-    for node in tree.body:
+    for node in nodes:
         if isinstance(node, ast.ImportFrom) and node.module == "deephole":
             names |= {f"deephole.{alias.name}" for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
@@ -142,9 +140,27 @@ def deferred_imports_without_a_cycle(modules) -> list[str]:
                 names = [alias.name for alias in node.names]
             for name in names:
                 target = modules.get(name.removeprefix("deephole."))
-                if target is None or mod not in _module_level_imports(target):
+                if target is None or mod not in _imports(target.body):
                     out.append(f"{mod}: {name}")
     return out
+
+
+def unreachable(modules) -> list[str]:
+    """The modules that no chain of imports, at module level or deferred,
+    reaches from the package's __init__ or from cli, the console script."""
+    reached, todo = set(), ["__init__", "cli"]
+    while todo:
+        mod = todo.pop()
+        if mod in modules and mod not in reached:
+            reached.add(mod)
+            todo += _imports(ast.walk(modules[mod]))
+    return sorted(set(modules) - reached)
+
+
+def unread_references(tests) -> list[str]:
+    """The top-level definitions of tests/references.py that no test module
+    reads outside their own body."""
+    return [name for name in unreferenced(tests) if name.startswith("references.")]
 
 
 def test_every_definition_is_referenced_or_a_named_reference():
@@ -177,8 +193,8 @@ def test_every_deferred_import_breaks_a_cycle():
 @pytest.mark.parametrize(
     "extra, found",
     [
-        ("def f():\n    from deephole.linalg import rank\n    return rank\n",
-         "codes: deephole.linalg"),
+        ("def f():\n    from deephole.table import Table\n    return Table\n",
+         "codes: deephole.table"),
         ("def f():\n    def g():\n        import json\n        return json\n    return g\n",
          "codes: json"),
     ],
@@ -204,6 +220,34 @@ def test_an_unused_import_fails():
     modules = _modules()
     modules["codes"].body += ast.parse("from deephole.poly import gcd").body
     assert unused_imports(modules) == ["codes: gcd"]
+
+
+def test_every_module_is_reached_from_the_package_or_the_console_script():
+    assert unreachable(_modules()) == []
+
+
+@pytest.mark.parametrize(
+    "importer, found",
+    [
+        ("", ["spare"]),
+        ("def f():\n    from deephole import spare\n    return spare\n", []),
+    ],
+)
+def test_a_module_that_nothing_imports_fails(importer, found):
+    modules = _modules()
+    modules["spare"] = ast.parse("from deephole.gf import GF\n")
+    modules["codes"].body += ast.parse(importer).body
+    assert unreachable(modules) == found
+
+
+def test_every_reference_is_read_by_a_test():
+    assert unread_references(_modules(TESTS)) == []
+
+
+def test_an_unread_reference_fails():
+    tests = _modules(TESTS)
+    tests["references"].body += ast.parse("def spare(field):\n    return spare\n").body
+    assert unread_references(tests) == ["references.spare"]
 
 
 
