@@ -26,8 +26,9 @@ and w_S*P_S on J.  They come from one batched Gauss-Jordan elimination of
 the columns (S, J) of G, built once per code in blocks whose (sets, k, n)
 arrays hold at most SCAN_CHUNK/16 entries.  P_S takes C(n,k)*k*(n-k)
 entries, which LIMITS.codewords bounds as it bounds the q^k rows of the
-codeword table.  A word then costs one gather of w on every S, k table
-gathers for w_S*P_S, and one comparison with w on every J.
+codeword table.  A word then costs one gather of w on every S, one
+GF.combine of those k symbols with the rows of P_S for w_S*P_S, and one
+comparison with w on every J.
 
 The weight table is built one parity-check column h at a time: a syndrome's
 weight becomes the smaller of its weight so far and one more than the least
@@ -232,7 +233,7 @@ class Code:
 
     def syndromes(self, words) -> np.ndarray:
         """The syndromes H*w of an (..., n) array of words as an (..., r)
-        array, accumulated one column of H at a time by table gathers."""
+        array, by one GF.combine over the columns of H."""
         fld = self.field
         words = np.asarray(words)
         if words.shape[-1:] != (self.n,):
@@ -240,11 +241,7 @@ class Code:
         # a gather would wrap a negative symbol silently
         if words.size and not (0 <= words.min() and words.max() < fld.q):
             raise ValueError(f"word has a symbol outside {fld!r}")
-        add_t, mul_t = fld.add_table, fld.mul_table
-        out = np.zeros(words.shape[:-1] + (self.redundancy,), dtype=add_t.dtype)
-        for j, col in enumerate(self._h.T):
-            out = add_t[out, mul_t[col, words[..., j, None]]]
-        return out
+        return fld.combine(words, self._h.T)
 
     def class_span(self, syndromes) -> np.ndarray:
         """Class id of every combination sum c_j*s_j of the given syndromes
@@ -377,20 +374,14 @@ class Code:
         """min over the information sets S of the mismatches off S between
         the word and the codeword that interpolates it on S."""
         fld = self.field
-        q, n, k = fld.q, self.n, self.k
+        n, k = self.n, self.k
         self._check_codewords("oracle table entries", math.comb(n, k) * k * (n - k))
-        if any(not 0 <= x < q for x in word):
+        if any(not 0 <= x < fld.q for x in word):
             raise ValueError(f"word has a symbol outside {fld!r}")
         tab = self._info_sets
-        # flat tables: a product or a sum of a and b is one gather at a*q + b
-        add_t, mul_t = fld.add_table.ravel(), fld.mul_table.ravel()
-        w = np.asarray(word, dtype=np.intp)
-        info = w[tab.subsets] * q
-        fit = mul_t[info[:, 0, None] + tab.parity[0]]
-        for i in range(1, k):
-            at = np.multiply(fit, q, dtype=np.intp)
-            at += mul_t[info[:, i, None] + tab.parity[i]]
-            fit = add_t[at]
+        # symbols as narrow as the tables: combine scales its own intp copy
+        w = np.asarray(word, dtype=tab.parity.dtype)
+        fit = fld.combine(w[tab.subsets], tab.parity.transpose(1, 0, 2))
         return int((fit != w[tab.complements]).sum(axis=1).min())
 
     # -- distances -------------------------------------------------------------
@@ -512,11 +503,7 @@ def _hyperplane(field: GF, columns) -> tuple[list[int], list[int], list[int]]:
                 kept[t] = [add(x, mul(c, y)) for x, y in zip(row, col)]
         kept[p] = col
     ell = [kept[t][d] if t in kept else 0 for t in range(d)]
-    add_t, mul_t = field.add_table, field.mul_table
-    dot = np.zeros(len(columns), dtype=add_t.dtype)
-    for t, e in enumerate(ell):
-        dot = add_t[dot, mul_t[e, columns[:, t]]]
-    on = dot == columns[:, d]
+    on = field.combine(ell, columns[:, :d].T) == columns[:, d]
     return ell, np.flatnonzero(on).tolist(), np.flatnonzero(~on).tolist()
 
 

@@ -11,20 +11,21 @@ boolean mask over the classes (Code.class_mask), an intersection
 np.intersect1d.  The degree-k, quadratic and cubic families are GF(q)-spans
 of two or three syndromes, so their class ids come from Code.class_span, one
 per numerator whose first nonzero coefficient is 1, and the sample words
-are combinations of the basis words, by one table gather.
+are combinations of the basis words, by one GF.combine.
 
 quadratic_families and cubic_families build and check many polynomials p at
 once, both degrees in one path, per block of at most codes.SCAN_CHUNK span
 entries.  On a PRS code the syndrome of the word of x^i/p(x) is a window of
 the power sums S_t = sum over GF(q) of x^t/p(x), so one evaluation of every
-p in the block over GF(q) and one inverse gather give the basis words of
-every p and the r + d - 1 power sums that hold their syndromes, and one
-Code.class_span call every span, a (P, C) array of class ids.  Every check
+p in the block over GF(q) and one inverse gather give 1/p(x), one product
+gather with x^t the basis words of every p, one GF.combine with x^t the
+r + d - 1 power sums that hold their syndromes, and one Code.class_span
+call every span, a (P, C) array of class ids.  Every check
 then runs once per block, one weight gather for the deep mask and one row
 sort with a mask of adjacent duplicates for the class counts, and a failing
 check names the first failing polynomial.  The sample words are the first
 three deep numerators, found by one codes.class_ids call over the
-numerators' coefficient vectors, and built by one more gather.
+numerators' coefficient vectors, and built by one more GF.combine.
 quadratic_family and cubic_family then hold each checked row as a family,
 and check a p given alone as a block of one.  A monic p of degree 2 or 3 is
 reducible exactly when it has a root in GF(q), and the block that holds it
@@ -141,13 +142,8 @@ def _verify_deep(code: Code, cosets: np.ndarray, rho: int, what: str):
 def _sample_words(field: GF, basis, coeffs) -> list[tuple[tuple[int, ...], ...]]:
     """The words sum c_j*basis_j for the given coefficient vectors
     (c_0, c_1, ...): for a (P, d, n) block of bases and (m, d) or (P, m, d)
-    vectors, P tuples of m words, by one gather of every product c_j*basis_j
-    and a sum over j."""
-    basis = np.asarray(basis)[:, None]
-    terms = field.mul_table[np.asarray(coeffs)[..., None], basis]  # (P, m, d, n)
-    words = terms[..., 0, :]
-    for j in range(1, terms.shape[2]):
-        words = field.add_table[words, terms[..., j, :]]
+    vectors, P tuples of m words, by one GF.combine."""
+    words = field.combine(coeffs, np.asarray(basis)[:, None])  # (P, m, n)
     return [tuple(map(tuple, row)) for row in words.tolist()]
 
 
@@ -183,18 +179,14 @@ def _rational_spans(code: Code, polys, d: int):
     their (P, C) Code.class_span.  The rows of H are x^t on D and a word's
     extension coordinate is 0, so the syndrome of x^i/p(x) is (S_i, ...,
     S_(i+r-1)), with S_t the sum of x^t/p(x) over GF(q).  A block takes one
-    poly.evaluate of its p over D, one inverse gather, the products x^t/p(x)
-    for t < r + d - 1 by one gather, whose first d rows are the basis words,
-    and the r + d - 1 sums by one add-table gather per point.  A p with a
-    root in GF(q) raises ValueError naming it."""
+    poly.evaluate of its p over D, one inverse gather, the basis words by
+    one product gather and the r + d - 1 sums by one GF.combine of the
+    inverses with the powers x^t.  A p with a root in GF(q) raises
+    ValueError naming it."""
     field = code.field
     q, r = field.q, code.redundancy
-    add_t, mul_t = field.add_table, field.mul_table
     xs = np.asarray(code.D)
-    # x^t at every point, 0^0 = 1 as in H
-    powers = np.ones((r + d - 1, q), dtype=mul_t.dtype)
-    for t in range(1, r + d - 1):
-        powers[t] = mul_t[powers[t - 1], xs]
+    powers = field.powers(xs, r + d - 1)  # 0^0 = 1 as in H
     # window i of the sums is the syndrome of x^i/p(x)
     windows = np.arange(d)[:, None] + np.arange(r)
     block = max(1, codes.SCAN_CHUNK // ((q**d - 1) // (q - 1) * r))
@@ -204,13 +196,10 @@ def _rational_spans(code: Code, polys, d: int):
         poles = np.flatnonzero((den == 0).any(axis=1))
         if len(poles):
             raise ValueError(f"denominator {chunk[poles[0]]!r} has a root in {field!r}")
-        # (points, P, t): x^t/p(x), the points first so each sum reads a block
-        terms = mul_t[powers.T[:, None, :], field.inv_table[den].T[:, :, None]]
-        sums = terms[0]
-        for x in range(1, q):
-            sums = add_t[sums, terms[x]]
-        basis = np.zeros((len(chunk), d, code.n), dtype=terms.dtype)
-        basis[..., :-1] = terms[..., :d].transpose(1, 2, 0)
+        inverses = field.inv_table[den]
+        sums = field.combine(inverses, powers.T)  # (P, r + d - 1)
+        basis = np.zeros((len(chunk), d, code.n), dtype=inverses.dtype)
+        basis[..., :-1] = field.mul_table[powers[:d], inverses[:, None]]
         yield chunk, basis, code.class_span(sums[:, windows])
 
 

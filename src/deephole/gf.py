@@ -18,6 +18,9 @@ returns to 1.  That walk is kept as the exp table and the log table is read
 from it, so every discrete log is to that generator, and the inverse and
 product tables are read from them.  A prime field adds, multiplies and
 inverts residues directly and builds no log table for them.
+
+Every array sum of products sum_j c_j*row_j is one ``GF.combine``, and
+every array of powers x^t one ``GF.powers``.
 """
 
 from __future__ import annotations
@@ -304,6 +307,33 @@ class GF:
     @property
     def log_table(self) -> np.ndarray:
         return self._np_table("log")
+
+    # -- sums of products -----------------------------------------------------
+
+    def combine(self, coeffs, rows) -> np.ndarray:
+        """Every sum sum_j coeffs[..., j]*rows[..., j, :] of broadcast (..., m)
+        coefficients, m >= 1, and (..., m, w) rows, as a (..., w) array.  The
+        add and mul tables are read flat: a sum or a product of a and b is
+        one gather at a*q + b, the index taken in intp."""
+        q = self.q
+        add_t, mul_t = self.add_table.ravel(), self.mul_table.ravel()
+        scaled = np.multiply(coeffs, q, dtype=np.intp)
+        acc = mul_t[scaled[..., 0, None] + rows[..., 0, :]]
+        for j in range(1, scaled.shape[-1]):
+            at = np.multiply(acc, q, dtype=np.intp)
+            at += mul_t[scaled[..., j, None] + rows[..., j, :]]
+            acc = add_t[at]
+        return acc
+
+    def powers(self, xs, count: int) -> np.ndarray:
+        """The (count, len(xs)) rows x^t, t < count, of the points xs, with
+        0^0 = 1: one flat mul-table gather a row, the index taken in intp."""
+        mul_t = self.mul_table.ravel()
+        scaled = np.asarray(xs, dtype=np.intp) * self.q
+        out = np.ones((count, len(scaled)), dtype=mul_t.dtype)
+        for t in range(1, count):
+            out[t] = mul_t[scaled + out[t - 1]]
+        return out
 
 
 def make_field(p: int, m: int = 1) -> GF:

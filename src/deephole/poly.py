@@ -6,8 +6,9 @@ Coefficients are field-element encodings (see ``gf``), which is also the
 serialization format used in reports.
 
 ``evaluate`` and ``monic_irreducibles`` work on arrays of coefficients by
-gathers from the field's add and mul tables, so they need q <= TABLE_LIMIT.
-The scalar ``Poly`` operations are the reference for ``evaluate``.
+``GF.combine``, which reads the field's add and mul tables, so they need
+q <= TABLE_LIMIT.  The scalar ``Poly`` operations are the reference for
+``evaluate``.
 ``is_irreducible`` finds the roots of a quadratic or cubic with one
 ``evaluate`` call, and is the reference for the ``monic_irreducibles``
 sieve, which multiplies factors by ``_convolve`` and evaluates nothing.
@@ -235,18 +236,11 @@ def is_irreducible(f: Poly) -> bool:
 
 
 def evaluate(field: GF, coeffs, xs) -> np.ndarray:
-    """Every row of an (N, d+1) array of coefficients (low degree first)
-    evaluated at every point of xs, as an (N, len(xs)) array: Horner's rule
-    by table gathers, acc = add[mul[acc, x], c_j], from acc = c_d."""
-    add_t, mul_t = field.add_table, field.mul_table
-    coeffs = np.asarray(coeffs, dtype=np.intp)
-    xs = np.asarray(xs, dtype=np.intp)
-    acc = np.zeros((len(coeffs), len(xs)), dtype=add_t.dtype)
-    if coeffs.shape[1]:
-        acc[:] = coeffs[:, -1, None]
-    for j in range(coeffs.shape[1] - 2, -1, -1):
-        acc = add_t[mul_t[acc, xs], coeffs[:, j, None]]
-    return acc
+    """Every row of an (N, d+1) array of coefficients (low degree first),
+    d >= 0, evaluated at every point of xs, as an (N, len(xs)) array: one
+    GF.combine of the coefficients with the powers x^j."""
+    coeffs = np.asarray(coeffs)
+    return field.combine(coeffs, field.powers(xs, coeffs.shape[1]))
 
 
 def _monic_rows(codes: np.ndarray, q: int, d: int) -> np.ndarray:
@@ -259,16 +253,13 @@ def _monic_rows(codes: np.ndarray, q: int, d: int) -> np.ndarray:
 
 
 def _convolve(field: GF, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Products of broadcast rows of coefficients f (..., a+1) and g (..., b+1),
-    one table gather per pair of coefficients."""
-    add_t, mul_t = field.add_table, field.mul_table
+    """Products of broadcast rows of coefficients f (..., a+1) and g (..., b+1):
+    one GF.combine of f with the copies of g shifted up 0, 1, ..., a places."""
     a, b = f.shape[-1], g.shape[-1]
-    shape = np.broadcast_shapes(f.shape[:-1], g.shape[:-1])
-    out = np.zeros(shape + (a + b - 1,), dtype=add_t.dtype)
+    shifted = np.zeros(g.shape[:-1] + (a, a + b - 1), dtype=g.dtype)
     for i in range(a):
-        for j in range(b):
-            out[..., i + j] = add_t[out[..., i + j], mul_t[f[..., i], g[..., j]]]
-    return out
+        shifted[..., i, i : i + b] = g
+    return field.combine(f, shifted)
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,8 +6,9 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from deephole import gf, poly
@@ -256,6 +257,72 @@ def test_tables_match_scalar_ops():
         assert f.log_table.tolist() == [0] + f._log_tables()[0][1:], f
         assert f.inv_table.tolist() == [0] + [f.inv(a) for a in elems[1:]], f
         assert not f.log_table.flags.writeable, f
+
+
+# a prime field, GF(2^m), an odd extension field, and GF(17^2), whose q*q
+# flat-table indices pass 2^16, so an index held in uint16 would wrap
+KERNEL_ORDERS = (13, 16, 27, 289)
+
+
+def _arrays(draw, q, *shapes):
+    digit = st.integers(0, q - 1)
+    for shape in shapes:
+        size = int(np.prod(shape))
+        yield np.array(draw(st.lists(digit, min_size=size, max_size=size))).reshape(shape)
+
+
+@st.composite
+def combine_cases(draw):
+    field = field_of_order(draw(st.sampled_from(KERNEL_ORDERS)))
+    lead, m, d, w = (draw(st.integers(1, 3)) for _ in range(4))
+    if draw(st.booleans()):
+        # (P, m, d) coefficients against (P, 1, d, n) rows, as for sample words
+        coeffs, rows = _arrays(draw, field.q, (lead, m, d), (lead, 1, d, w))
+    else:
+        # (N, k) coefficients against the (k, N, w) rows of the oracle's P_S
+        coeffs, rows = _arrays(draw, field.q, (lead, d), (d, lead, w))
+        rows = rows.transpose(1, 0, 2)
+    return field, coeffs, rows
+
+
+def _largest(q, coeffs_shape, rows_shape):
+    return field_of_order(q), np.full(coeffs_shape, q - 1), np.full(rows_shape, q - 1)
+
+
+@given(combine_cases())
+@example(_largest(289, (2, 3, 2), (2, 1, 2, 4)))
+def test_combine_matches_scalar_sums_of_products(case):
+    field, coeffs, rows = case
+    got = field.combine(coeffs, rows)
+    lead = np.broadcast_shapes(coeffs.shape[:-1], rows.shape[:-2])
+    assert got.shape == lead + rows.shape[-1:]
+    coeffs = np.broadcast_to(coeffs, lead + coeffs.shape[-1:])
+    rows = np.broadcast_to(rows, lead + rows.shape[-2:])
+    for index in np.ndindex(lead):
+        want = []
+        for column in rows[index].T.tolist():
+            acc = 0
+            for c, x in zip(coeffs[index].tolist(), column):
+                acc = field.add(acc, field.mul(c, x))
+            want.append(acc)
+        assert got[index].tolist() == want
+
+
+@st.composite
+def power_cases(draw):
+    field = field_of_order(draw(st.sampled_from(KERNEL_ORDERS)))
+    xs = draw(st.lists(st.integers(0, field.q - 1), max_size=8))
+    return field, xs, draw(st.integers(0, 6))
+
+
+@given(power_cases())
+@example((field_of_order(289), [0, 1, 288, 287], 4))
+def test_powers_match_scalar_pow(case):
+    field, xs, count = case
+    got = field.powers(xs, count)
+    assert got.shape == (count, len(xs))
+    # field.pow(0, 0) is 1
+    assert got.tolist() == [[field.pow(x, t) for x in xs] for t in range(count)]
 
 
 def test_log_tables_of_gf_2_16_stay_near_the_kept_lists():
